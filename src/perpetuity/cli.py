@@ -220,12 +220,10 @@ def cmd_metric(cfg: RunConfig, args) -> int:
     )
     theta1, theta2 = cfg.theta_pair()
     distance = r_delta_report(theta1, theta2, rd_cfg)
-    # exact-CF quadrature uses metric.*; the sampled transform step uses
-    # the verify.* band, clipped at the sampling resolution
+    # the distance uses the metric.* band; the contraction ratio uses the
+    # verify.* band, so it matches the verify sweep
     ratio = contraction_ratio(
         rho, theta1, theta2, q,
-        seed=derive_seed(cfg.master_seed(), "metric-command"),
-        n_samples=cfg.get_int("verify.pair_samples"),
         cfg=RDeltaConfig(
             delta=q,
             s_lo=cfg.get_float("verify.s_lo"),
@@ -296,27 +294,24 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         quad_points=cfg.get_int("verify.quad_points"),
     )
     pair_rng = np.random.default_rng(derive_seed(master, "verify-pairs"))
-    ratios = []
     bound = rho.mellin(q - 1.0)
-    n_pairs = cfg.get_int("verify.pairs")
-    draw = 0
-    while len(ratios) < n_pairs:
-        if draw >= 50 * n_pairs:
-            raise ValueError(
-                "contraction sweep could not draw enough resolvable pairs"
-            )
+    n_draws = cfg.get_int("verify.pairs")
+    if n_draws < 1:
+        raise ValueError(f"verify.pairs={n_draws} must be at least 1")
+    per_pair = []
+    for _ in range(n_draws):
         t1 = random_mean_law(pair_rng, mean=m)
         t2 = random_mean_law(pair_rng, mean=m)
-        draw += 1
-        rep = contraction_ratio(
-            rho, t1, t2, q,
-            seed=derive_seed(master, "verify-contraction", draw),
-            n_samples=cfg.get_int("verify.pair_samples"),
-            cfg=rd_cfg,
+        rep = contraction_ratio(rho, t1, t2, q, cfg=rd_cfg)
+        per_pair.append({"r_before": rep.r_before, "r_after": rep.r_after,
+                         "ratio": rep.ratio})
+    # degenerate pairs (ratio None) are roundoff, not contraction
+    ratios = [p["ratio"] for p in per_pair if p["ratio"] is not None]
+    if not ratios:
+        raise ValueError(
+            f"contraction sweep: all {n_draws} drawn pairs are degenerate "
+            "(input distance at the roundoff floor)"
         )
-        # identical or sub-resolution draws carry no usable ratio, redraw
-        if not rep.degenerate and rep.resolved:
-            ratios.append(rep.ratio)
     worst = max(ratios)
     checks["contraction"] = {
         "passed": bool(worst <= bound + 0.05),
@@ -324,7 +319,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         "bound_g": bound,
         "q": q,
         "pairs": len(ratios),
-        "draws": draw,
+        "draws": n_draws,
+        "per_pair": per_pair,
     }
 
     all_pass = all(c["passed"] for c in checks.values())

@@ -269,9 +269,6 @@ class EmpiricalSample:
     def mean(self) -> float:
         return float(self.values.mean())
 
-    def moment(self, p: float) -> float:
-        return float(np.mean(self.values ** float(p)))
-
     def resample(self, n_out: int, seed: int) -> "EmpiricalSample":
         """Plain bootstrap resample with replacement."""
         rng = np.random.default_rng(seed)
@@ -357,9 +354,3 @@ class MomentVector:
             json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
         )
 
-
-def delta_moment(sample_or_law, p: float) -> float:
-    """E X^p for either representation (helper for metric preconditions)."""
-    if isinstance(sample_or_law, AtomicDistribution):
-        return sample_or_law.mellin(p)
-    return sample_or_law.moment(p)

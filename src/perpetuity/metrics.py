@@ -20,10 +20,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distributions import AtomicDistribution, EmpiricalSample
-from .montecarlo import derive_seed, shot_noise_resample
-from .response import response_from_rho
 
 _BOUND_NOTE = "modulus bound lambda*int h^q derived via exponent comparison"
+
+#: Elements per block in the chunked characteristic-function kernels.
+_CHUNK_ELEMENTS = 4_000_000
+
+#: Multiple of the double-precision input-distance floor below which a
+#: contraction pair counts as degenerate.
+_ROUNDOFF_SAFETY = 1e3
 
 
 @dataclass(frozen=True)
@@ -52,7 +57,7 @@ def char_function(nu, s_grid) -> np.ndarray:
         values = nu.values
         re = np.zeros(s.size)
         im = np.zeros(s.size)
-        step = max(1, int(4_000_000 // max(s.size, 1)))
+        step = max(1, _CHUNK_ELEMENTS // max(s.size, 1))
         for lo in range(0, values.size, step):
             block = np.multiply.outer(s, values[lo:lo + step])
             re += np.cos(block).sum(axis=1)
@@ -106,19 +111,21 @@ def _log_trapz(y: np.ndarray, x: np.ndarray) -> float:
     return math.fsum(panels.tolist())
 
 
-def r_delta_report(nu1, nu2, cfg: RDeltaConfig = RDeltaConfig()) -> RDeltaReport:
-    """Distance plus quadrature self-diagnostics.
-
-    The integrand is evaluated on a (2*quad_points - 1)-point log grid; the
-    reported value uses the full grid and the doubling error compares it
-    against the nested half-resolution grid.
-    """
-    _check_means(nu1, nu2)
-    delta = float(cfg.delta)
-    fine = np.geomspace(float(cfg.s_lo), float(cfg.s_hi),
+def _quad_grid(cfg: RDeltaConfig) -> np.ndarray:
+    """(2*quad_points - 1)-point log grid on [s_lo, s_hi]."""
+    return np.geomspace(float(cfg.s_lo), float(cfg.s_hi),
                         2 * int(cfg.quad_points) - 1)
-    diff = np.abs(char_function(nu1, fine) - char_function(nu2, fine))
-    integrand = fine ** (-delta - 1.0) * diff
+
+
+def _report_from_cf_diff(cf_diff: np.ndarray, fine: np.ndarray,
+                         cfg: RDeltaConfig) -> RDeltaReport:
+    """Quadrature of s^(-delta-1) |CF difference| on the grid of _quad_grid.
+
+    The reported value uses the full grid and the doubling error compares
+    it against the nested half-resolution grid.
+    """
+    delta = float(cfg.delta)
+    integrand = fine ** (-delta - 1.0) * np.abs(cf_diff)
     # integrate in log s: ds = s dx
     logx = np.log(fine)
     weighted = integrand * fine
@@ -136,6 +143,14 @@ def r_delta_report(nu1, nu2, cfg: RDeltaConfig = RDeltaConfig()) -> RDeltaReport
     )
 
 
+def r_delta_report(nu1, nu2, cfg: RDeltaConfig = RDeltaConfig()) -> RDeltaReport:
+    """Distance plus quadrature self-diagnostics."""
+    _check_means(nu1, nu2)
+    fine = _quad_grid(cfg)
+    return _report_from_cf_diff(
+        char_function(nu1, fine) - char_function(nu2, fine), fine, cfg)
+
+
 def r_delta(nu1, nu2, cfg: RDeltaConfig = RDeltaConfig()) -> float:
     return r_delta_report(nu1, nu2, cfg).value
 
@@ -150,13 +165,23 @@ def random_mean_law(rng: np.random.Generator, mean: float = 1.0,
     return AtomicDistribution(law.locations * (mean / law.mean()), law.weights)
 
 
-def _comonotone_l2(t1: AtomicDistribution, t2: AtomicDistribution) -> float:
-    """Exact L2 distance of the quantile coupling Q1(U) - Q2(U)."""
-    cum = np.unique(np.clip(np.concatenate(
-        [np.cumsum(t1.weights), np.cumsum(t2.weights), [0.0, 1.0]]), 0.0, 1.0))
-    mids = 0.5 * (cum[1:] + cum[:-1])
-    gap = t1.quantile(mids) - t2.quantile(mids)
-    return math.sqrt(float(np.sum(gap ** 2 * np.diff(cum))))
+def step_char_function(rho: AtomicDistribution, theta: AtomicDistribution,
+                       s_grid) -> np.ndarray:
+    """Exact CF of one transform step (lambda = 1) applied to atomic theta.
+
+    The dual kernel of rho has steps of value a_j and length w_j / a_j, so
+    the compound-Poisson step has CF exp(sum_j (w_j/a_j)(CF_theta(s a_j) - 1)),
+    the same map the LST solver iterates on the Laplace side.
+    """
+    s = np.asarray(s_grid, dtype=float)
+    rates = rho.weights / rho.locations
+    rows = max(1, _CHUNK_ELEMENTS // (rho.locations.size * theta.locations.size))
+    out = np.empty(s.size, dtype=complex)
+    for lo in range(0, s.size, rows):
+        inner = char_function(
+            theta, np.multiply.outer(s[lo:lo + rows], rho.locations))
+        out[lo:lo + rows] = np.exp((inner - 1.0) @ rates)
+    return out
 
 
 @dataclass(frozen=True)
@@ -168,8 +193,6 @@ class ContractionReport:
     q: float
     doubling_error: float
     degenerate: bool
-    r_floor: float = 0.0
-    resolved: bool = False
     bound_note: str = _BOUND_NOTE
 
     def to_json_obj(self) -> dict:
@@ -181,8 +204,6 @@ class ContractionReport:
             "q": self.q,
             "doubling_error": self.doubling_error,
             "degenerate": self.degenerate,
-            "r_floor": self.r_floor,
-            "resolved": self.resolved,
             "bound_note": self.bound_note,
         }
 
@@ -192,36 +213,22 @@ def contraction_ratio(
     theta1: AtomicDistribution,
     theta2: AtomicDistribution,
     q: float,
-    seed: int,
-    n_samples: int = 100_000,
     cfg: RDeltaConfig | None = None,
 ) -> ContractionReport:
-    """Measured r_q contraction of one transform step against the bound.
+    """Exact r_q contraction of one transform step against the bound.
 
-    Input distances use exact atomic characteristic functions; output
-    distances use one transform step per input applied with common random
-    numbers (shared quantile uniforms, Poisson counts, step assignments,
-    and mark indices), so the measured gap tracks the true one instead of
-    independent sampling noise.  Identical inputs return a flagged
-    zero-distance report rather than a 0/0 ratio.
+    Both distances come from closed-form characteristic functions on one
+    quadrature grid: the atomic inputs directly, the outputs through
+    step_char_function.  The default band is [1e-2, 1e2] with 512 points;
+    truncation below s_lo moves the equal-mean integral by O(s_lo^(2-q))
+    and the dropped tail above s_hi is bounded by 2 s_hi^(-q)/q.
 
-    The default band is [1e-2, 1e2] with 512 points rather than the
-    r_delta default [1e-4, 1e4] with 2048.  The coupling cancels the
-    empirical CF noise up to a residual mean mismatch of order
-    sqrt(E[(Q1(U)-Q2(U))^2]/n), and the s^{-q-1} weight amplifies that
-    mismatch by s_lo^{1-q}; clipping at the sampling resolution removes
-    the amplification while moving the equal-mean integral by only
-    O(s_lo^{2-q}).  The high cut drops a tail bounded by 2 s_hi^{-q}/q
-    (reported as truncation error) and keeps the empirical CF evaluation
-    affordable.
-
-    Inputs closer than the sampler can resolve leave the measured ratio
-    noise-dominated (the same 0/0 regime as identical inputs).  The report
-    carries r_floor, the residual-noise scale of the coupled output
-    distance, s_lo^(1-q)/(q-1) * sqrt(E[A] E[(Q1(U)-Q2(U))^2] / n), and
-    flags the pair resolved only when r_before >= 10 * r_floor.  The flag
-    is a pure function of the inputs, never of the measured distances;
-    sweeps redraw unresolved pairs.
+    A pair is degenerate (ratio None) when r_before is at or below the
+    roundoff floor of the input distance.  Equal-mean atoms that differ in
+    the last bits give |CF difference| up to about eps*m*s, whose integral
+    against s^(-q-1) above s_lo is eps*m*s_lo^(1-q)/(q-1); the floor is
+    that times _ROUNDOFF_SAFETY.  Such pairs (identical inputs included)
+    carry a 0/0 ratio that measures roundoff, not the transform.
     """
     if not 1.0 < float(q) < 2.0:
         raise ValueError("q must lie in (1, 2)")
@@ -234,38 +241,21 @@ def contraction_ratio(
         raise ValueError(
             f"E A^(q-1) = {bound:.12g} >= 1: no contraction at this order"
         )
-    degenerate = (
-        theta1.locations.shape == theta2.locations.shape
-        and np.array_equal(theta1.locations, theta2.locations)
-        and np.array_equal(theta1.weights, theta2.weights)
-    )
-    if degenerate:
-        return ContractionReport(
-            r_before=0.0, r_after=0.0, ratio=None, bound_g=float(bound),
-            q=float(q), doubling_error=0.0, degenerate=True,
-        )
     before = r_delta_report(theta1, theta2, base)
-    r_floor = (
-        float(base.s_lo) ** (1.0 - float(q)) / (float(q) - 1.0)
-        * math.sqrt(rho.mellin(1.0) / int(n_samples)) * _comonotone_l2(theta1, theta2)
-    )
-    rng = np.random.default_rng(derive_seed(seed, "contraction-input"))
-    u = rng.random(int(n_samples))
-    x1 = EmpiricalSample(theta1.quantile(u), seed, "contraction-theta1")
-    x2 = EmpiricalSample(theta2.quantile(u), seed, "contraction-theta2")
-    h = response_from_rho(rho, lam=1.0)
-    step_seed = derive_seed(seed, "contraction-step")
-    y1 = shot_noise_resample(x1, h, step_seed)
-    y2 = shot_noise_resample(x2, h, step_seed)
-    after = r_delta_report(y1, y2, base)
+    fine = _quad_grid(base)
+    after = _report_from_cf_diff(
+        step_char_function(rho, theta1, fine)
+        - step_char_function(rho, theta2, fine), fine, base)
+    m = max(theta1.mean(), theta2.mean())
+    floor = (_ROUNDOFF_SAFETY * np.finfo(float).eps * m
+             * float(base.s_lo) ** (1.0 - float(q)) / (float(q) - 1.0))
+    degenerate = bool(before.value <= floor)
     return ContractionReport(
         r_before=before.value,
         r_after=after.value,
-        ratio=after.value / before.value,
+        ratio=None if degenerate else after.value / before.value,
         bound_g=float(bound),
         q=float(q),
         doubling_error=max(before.doubling_error, after.doubling_error),
-        degenerate=False,
-        r_floor=r_floor,
-        resolved=bool(before.value >= 10.0 * r_floor),
+        degenerate=degenerate,
     )

@@ -27,6 +27,7 @@ from scipy import stats
 from .diagnostics import require_existence
 from .distributions import AtomicDistribution, EmpiricalSample
 from .lst_solver import LstGrid
+from .metrics import char_function
 from .response import ResponseFunction, response_from_rho
 
 #: Two-sided asymptotic KS coefficient at the 1% level: sqrt(-ln(0.005)/2).
@@ -172,16 +173,16 @@ def perpetuity_residual(
     n = mu_sample.values.size if n_pairs is None else int(n_pairs)
     if n < _MIN_VERDICT_SAMPLES:
         raise ValueError(f"need at least {_MIN_VERDICT_SAMPLES} pairs for a verdict")
-    left = mu_sample.size_bias_resample(n, derive_seed(seed, "perp-left")).values
+    left = mu_sample.size_bias_resample(n, derive_seed(seed, "perp-left"))
     sb = mu_sample.size_bias_resample(n, derive_seed(seed, "perp-right-sb")).values
     eta = mu_sample.resample(n, derive_seed(seed, "perp-right-eta")).values
     a = rho.sample(n, derive_seed(seed, "perp-right-a"))
-    right = a * sb + eta
-    ks = stats.ks_2samp(left, right, method="asymp")
+    right = EmpiricalSample(a * sb + eta, seed, "perp-right")
+    ks = stats.ks_2samp(left.values, right.values, method="asymp")
     if s_grid is None:
         s_grid = np.geomspace(0.1, 10.0, 32)
     ecf_dist = float(
-        np.max(np.abs(_ecf(left, s_grid) - _ecf(right, s_grid)))
+        np.max(np.abs(char_function(left, s_grid) - char_function(right, s_grid)))
     )
     return PerpetuityReport(
         ks_stat=float(ks.statistic),
@@ -190,18 +191,6 @@ def perpetuity_residual(
         n=n,
         ks_crit_1pct=KS_COEFF_1PCT * math.sqrt(2.0 / n),
     )
-
-
-def _ecf(values: np.ndarray, s_grid: np.ndarray) -> np.ndarray:
-    """Empirical characteristic function on a grid (chunked over values)."""
-    re = np.zeros(s_grid.size)
-    im = np.zeros(s_grid.size)
-    step = max(1, int(4_000_000 // max(s_grid.size, 1)))
-    for lo in range(0, values.size, step):
-        block = np.multiply.outer(s_grid, values[lo:lo + step])
-        re += np.cos(block).sum(axis=1)
-        im += np.sin(block).sum(axis=1)
-    return (re + 1j * im) / values.size
 
 
 def empirical_lst(sample: EmpiricalSample, s_grid) -> np.ndarray:
@@ -214,54 +203,6 @@ def empirical_lst(sample: EmpiricalSample, s_grid) -> np.ndarray:
     for lo in range(0, sample.values.size, step):
         acc += np.exp(-np.multiply.outer(s, sample.values[lo:lo + step])).sum(axis=1)
     return acc / sample.values.size
-
-
-@dataclass(frozen=True)
-class MomentCheckReport:
-    lambda_int_hp: float
-    sample_moment: float
-    stability_ratio: float
-    finite: bool
-
-    def to_json_obj(self) -> dict:
-        return {
-            "lambda_int_hp": self.lambda_int_hp,
-            "sample_moment": self.sample_moment,
-            "stability_ratio": self.stability_ratio,
-            "finite": self.finite,
-        }
-
-
-def shot_noise_moment_check(
-    theta: EmpiricalSample,
-    h: ResponseFunction,
-    p: float,
-    cfg: McConfig,
-) -> MomentCheckReport:
-    """Exact lambda*int h^p next to a sampled p-th moment of one transform.
-
-    The finiteness flag reflects the sufficient condition: finite kernel
-    power integral and finite p-th mark moment imply a finite p-th moment
-    of the shot-noise sum.
-    """
-    exact = h.power_integral(p)
-    seed = derive_seed(cfg.require_seed(), "moment-check", 0)
-    out = shot_noise_resample(theta, h, seed, n_out=int(cfg.n_samples)).values
-    powered = out ** float(p)
-    full = float(powered.mean())
-    half = float(powered[: max(1, powered.size // 2)].mean())
-    ratio = half / full if full != 0.0 else 1.0
-    finite = bool(
-        math.isfinite(exact)
-        and math.isfinite(theta.moment(p))
-        and math.isfinite(full)
-    )
-    return MomentCheckReport(
-        lambda_int_hp=float(exact),
-        sample_moment=full,
-        stability_ratio=ratio,
-        finite=finite,
-    )
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,6 @@ DEFAULTS = {
     "metric.theta1": None,      # inline atoms; default: point mass at mean
     "metric.theta2": None,      # inline atoms; default: 50/50 pair at mean
     "verify.pairs": "20",
-    "verify.pair_samples": "100000",
     "verify.quad_points": "256",
     "verify.s_lo": "1e-2",
     "verify.s_hi": "1e2",

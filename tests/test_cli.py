@@ -18,7 +18,6 @@ FAST_MC = [
 FAST_VERIFY = [
     "--set", "levy.n_samples=20000",
     "--set", "verify.pairs=2",
-    "--set", "verify.pair_samples=20000",
     "--set", "verify.quad_points=128",
     "--set", "verify.steutel_tol=0.05",
 ]
@@ -132,8 +131,8 @@ def test_levy_cli(tmp_path):
 
 
 def test_metric_cli(tmp_path):
-    assert main(["metric", "--q", "1.5", *UNIFORM, *FAST_MC,
-                 "--set", "verify.pair_samples=20000",
+    # exact characteristic functions only: no mc.master_seed needed
+    assert main(["metric", "--q", "1.5", *UNIFORM,
                  "--set", "verify.quad_points=128", *out(tmp_path)]) == 0
     rd = only_run_dir(tmp_path, "metric")
     rep = json.loads((rd / "metric.json").read_text())
@@ -149,8 +148,11 @@ def test_verify_pass_fail_and_reuse(tmp_path, capsys):
     rep = json.loads((rd / "verify.json").read_text())
     assert rep["all_passed"] is True
     assert {"perpetuity", "steutel", "contraction"} <= set(rep["checks"])
-    assert rep["checks"]["contraction"]["pairs"] == 2
-    assert rep["checks"]["contraction"]["draws"] >= 2
+    contraction = rep["checks"]["contraction"]
+    assert contraction["draws"] == 2
+    assert len(contraction["per_pair"]) == 2
+    assert contraction["pairs"] == sum(
+        p["ratio"] is not None for p in contraction["per_pair"])
     assert "perpetuity: PASS" in capsys.readouterr().out
 
     # designed failure: the swapped-in point mass breaks the identity;

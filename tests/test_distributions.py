@@ -11,7 +11,6 @@ from perpetuity.distributions import (
     AtomicDistribution,
     EmpiricalSample,
     MomentVector,
-    delta_moment,
     point_mass,
     quantize_family,
     uniform01_log_moment,
@@ -174,7 +173,6 @@ def test_empirical_sample_basics():
     s = EmpiricalSample([1.0, 2.0, 3.0], seed=1, provenance="unit")
     assert len(s) == 3
     assert s.mean() == 2.0
-    assert s.moment(2) == pytest.approx(14.0 / 3.0)
     with pytest.raises(ValueError):
         EmpiricalSample([], 1, "x")
     with pytest.raises(ValueError):
@@ -241,9 +239,3 @@ def test_moment_vector_csv(tmp_path):
     meta = json.loads((tmp_path / "mv.json").read_text())
     assert meta["marginal_flag"] is True and meta["max_order"] == 2
 
-
-def test_delta_moment_dispatch():
-    rho = point_mass(2.0)
-    s = EmpiricalSample([2.0, 2.0], seed=0, provenance="u")
-    assert delta_moment(rho, 1.5) == pytest.approx(2.0 ** 1.5)
-    assert delta_moment(s, 1.5) == pytest.approx(2.0 ** 1.5)

@@ -17,6 +17,7 @@ from perpetuity.distributions import (
     quantize_family,
 )
 from perpetuity.lst_solver import solve
+from perpetuity.metrics import char_function, step_char_function
 from perpetuity.montecarlo import (
     KS_COEFF_1PCT,
     McConfig,
@@ -25,7 +26,6 @@ from perpetuity.montecarlo import (
     empirical_lst,
     mc_fixed_point,
     perpetuity_residual,
-    shot_noise_moment_check,
     shot_noise_resample,
 )
 from perpetuity.response import ResponseFunction, response_from_rho
@@ -111,6 +111,44 @@ def test_one_step_mean_preservation():
     assert abs(out.mean() - theta.values.mean()) < 4.0 * se
 
 
+STEP_LAWS = {
+    "uniform01": quantize_family("uniform01", 512),
+    "half-point": DELTA_HALF,
+    "two-atom": AtomicDistribution([0.3, 1.2], [0.5, 0.5]),
+}
+
+
+def _step_cf_zscores(sample_rho, exact_rho, seed):
+    """Largest |z| of one sampled step's ECF against an exact step CF.
+
+    The input holds {0.5, 1.5} in exact halves, so its empirical law is
+    the atomic theta and only the step's own sampling noise remains.
+    """
+    theta = AtomicDistribution([0.5, 1.5], [0.5, 0.5])
+    n = 100_000
+    marks = EmpiricalSample(np.repeat([0.5, 1.5], n // 2), seed, "theta")
+    out = shot_noise_resample(marks, response_from_rho(sample_rho, lam=1.0),
+                              seed)
+    s = np.geomspace(0.1, 10.0, 16)
+    ecf = char_function(out, s)
+    exact = step_char_function(exact_rho, theta, s)
+    phase = np.multiply.outer(s, out.values)
+    se_re = np.cos(phase).std(axis=1) / np.sqrt(n)
+    se_im = np.sin(phase).std(axis=1) / np.sqrt(n)
+    return max(np.max(np.abs(ecf.real - exact.real) / se_re),
+               np.max(np.abs(ecf.imag - exact.imag) / se_im))
+
+
+@pytest.mark.parametrize("name", sorted(STEP_LAWS))
+def test_sampled_step_matches_exact_step_cf(name):
+    rho = STEP_LAWS[name]
+    assert _step_cf_zscores(rho, rho, seed=31) < 4.0
+    # negative control: the same sample against another law's step CF
+    others = sorted(STEP_LAWS)
+    other = STEP_LAWS[others[(others.index(name) + 1) % len(others)]]
+    assert _step_cf_zscores(rho, other, seed=31) > 4.0
+
+
 def test_mc_fixed_point_deterministic():
     cfg = McConfig(n_samples=3000, master_seed=42, n_transform_iterations=8)
     a = mc_fixed_point(DELTA_HALF, 1.0, cfg)
@@ -187,20 +225,6 @@ def test_empirical_lst_rules():
                                rtol=1e-14)
     with pytest.raises(ValueError):
         empirical_lst(sample, [-1.0])
-
-
-def test_moment_check_exact_kernel_integral():
-    h = response_from_rho(DELTA_HALF, lam=1.0)
-    # kernel is the 0.5 step of length 2: int h^p = 2 * 0.5^p = 0.5^(p-1)
-    cfg = McConfig(n_samples=60_000, master_seed=6)
-    theta = EmpiricalSample(
-        np.random.default_rng(8).gamma(2.0, 1.0, size=50_000), 8, "g21")
-    rep = shot_noise_moment_check(theta, h, p=2.0, cfg=cfg)
-    assert rep.lambda_int_hp == pytest.approx(0.5, abs=1e-15)
-    assert rep.finite
-    assert 0.9 < rep.stability_ratio < 1.1
-    assert rep.sample_moment > 0.0
-    assert rep.to_json_obj()["finite"] is True
 
 
 def test_cross_oracle_agreement_reduced_scale():
