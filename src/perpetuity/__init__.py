@@ -18,7 +18,6 @@ from .distributions import (
     MomentVector,
     point_mass,
     quantize_family,
-    uniform01_log_moment,
     uniform01_mellin,
     validate,
 )
@@ -30,6 +29,7 @@ from .metrics import (
     RDeltaReport,
     char_function,
     contraction_ratio,
+    empirical_lst,
     r_delta,
     r_delta_report,
 )
@@ -40,7 +40,6 @@ from .montecarlo import (
     PerpetuityReport,
     cross_oracle_distance,
     derive_seed,
-    empirical_lst,
     mc_fixed_point,
     perpetuity_residual,
     shot_noise_resample,
@@ -49,8 +48,6 @@ from .response import (
     ResponseFunction,
     response_from_rho,
     rho_from_response,
-    uniform01_reference_inverse,
-    uniform01_reference_response,
 )
 
 __all__ = [
@@ -100,10 +97,7 @@ __all__ = [
     "solve",
     "steutel_residual",
     "tail_class",
-    "uniform01_log_moment",
     "uniform01_mellin",
-    "uniform01_reference_inverse",
-    "uniform01_reference_response",
     "validate",
 ]
 

@@ -10,6 +10,8 @@ Exit codes (total mapping):
 
 Artifacts land in <output.dir>/<command>-<config-hash>/, timestamp-free,
 with a manifest.json recording sha256 digests; reruns byte-reproduce.
+Each command writes its directory only after all computation, so one that
+fails leaves none (diagnose still reports a failed existence gate).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import ExistenceError, diagnose
-from .distributions import EmpiricalSample, point_mass
+from .distributions import EmpiricalSample, json_text, point_mass
 from .levy import levy_from_solution, steutel_residual
 from .lst_solver import solve
 from .metrics import RDeltaConfig, contraction_ratio, r_delta_report, random_mean_law
@@ -35,7 +37,7 @@ from .montecarlo import (
     perpetuity_residual,
 )
 from .response import response_from_rho
-from .runconfig import RunConfig, check_manifest, write_manifest
+from .runconfig import RunConfig, check_manifest, write_run
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -44,15 +46,19 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_VERIFY = 4
 
 
-def _json_dump(obj, path: Path) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+def _finish(cfg: RunConfig, command: str, files: dict,
+            flags: tuple[str, ...] = ()) -> None:
+    print(f"wrote {write_run(cfg, command, files, flags)}")
 
 
-def _prepare(cfg: RunConfig, command: str,
-             flags: tuple[str, ...] = ()) -> Path:
-    run_dir = cfg.run_dir(command, flags)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    return run_dir
+def _band(cfg: RunConfig, section: str, q: float) -> RDeltaConfig:
+    """r_q quadrature band from the ``{section}.*`` keys."""
+    return RDeltaConfig(
+        delta=q,
+        s_lo=cfg.get_float(f"{section}.s_lo"),
+        s_hi=cfg.get_float(f"{section}.s_hi"),
+        quad_points=cfg.get_int(f"{section}.quad_points"),
+    )
 
 
 def _mc_config(cfg: RunConfig) -> McConfig:
@@ -79,51 +85,32 @@ def _solve_lst(cfg: RunConfig, rho):
 def cmd_diagnose(cfg: RunConfig, args) -> int:
     rho = cfg.rho()
     report = diagnose(rho)
-    run_dir = _prepare(cfg, "diagnose")
-    json_path = run_dir / "diagnostics.json"
-    _json_dump(report.to_json_obj(), json_path)
-    txt_path = run_dir / "diagnostics.txt"
-    txt_path.write_text(report.render_table() + "\n")
-    write_manifest(run_dir, "diagnose", cfg, [json_path, txt_path])
-    print(report.render_table())
-    print(f"wrote {run_dir}")
+    table = report.render_table()
+    print(table)
+    # the report is the result here: a failed gate still writes it
+    _finish(cfg, "diagnose", {"diagnostics.json": json_text(report.to_json_obj()),
+                              "diagnostics.txt": table + "\n"})
     return EXIT_OK if report.exists else EXIT_GATE
 
 
 def cmd_response(cfg: RunConfig, args) -> int:
     rho = cfg.rho()
     h = response_from_rho(rho, lam=cfg.get_float("lambda"))
-    run_dir = _prepare(cfg, "response")
-    steps_path = run_dir / "response.csv"
-    h.to_csv(steps_path)
-    curve_path = run_dir / "response_curve.csv"
-    with curve_path.open("w", newline="") as fh:
-        fh.write("u,h\n")
-        for u, v in h.curve_points():
-            fh.write(f"{u:.17g},{v:.17g}\n")
-    artifacts = [steps_path, steps_path.with_suffix(".json"), curve_path]
-    write_manifest(run_dir, "response", cfg, artifacts)
     print(f"{h.n_steps} steps, support [0, {h.support_end:.6g}), "
           f"lambda*int h = {h.integral():.12g}")
-    print(f"wrote {run_dir}")
+    _finish(cfg, "response", h.to_csv("response"))
     return EXIT_OK
 
 
 def cmd_solve(cfg: RunConfig, args) -> int:
     rho = cfg.rho()
     m = cfg.get_float("mean")
-    flags = (f"method={args.method}",)
-    run_dir = _prepare(cfg, "solve", flags)
-    artifacts = []
     report: dict = {"method": args.method, "m": m}
     code = EXIT_OK
 
     grid = None
     if args.method in ("lst", "both"):
         grid = _solve_lst(cfg, rho)
-        grid_path = run_dir / "grid.csv"
-        grid.to_csv(grid_path)
-        artifacts.append(grid_path)
         report["lst"] = grid.report_obj()
         if not grid.converged:
             code = EXIT_NO_CONVERGENCE
@@ -132,9 +119,6 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     if args.method in ("mc", "both"):
         mc_cfg = _mc_config(cfg)
         sample = mc_fixed_point(rho, m, mc_cfg)
-        sample_path = run_dir / "sample.csv"
-        sample.to_csv(sample_path)
-        artifacts += [sample_path, sample_path.with_suffix(".json")]
         report["mc"] = {
             "n": int(sample.values.size),
             "mean": sample.mean(),
@@ -150,16 +134,15 @@ def cmd_solve(cfg: RunConfig, args) -> int:
             transform_iterations=cfg.get_int("mc.iterations"),
         ).to_json_obj()
 
-    report_path = run_dir / "solution.json"
-    _json_dump(report, report_path)
-    artifacts.append(report_path)
-    write_manifest(run_dir, "solve", cfg, artifacts, flags)
+    files = {"solution.json": json_text(report)}
     if grid is not None:
+        files.update(grid.to_csv("grid"))
         print(f"lst: iterations={grid.iteration_count} "
               f"residual={grid.residual:.3g} converged={grid.converged}")
     if sample is not None:
+        files.update(sample.to_csv("sample"))
         print(f"mc: n={sample.values.size} mean={sample.mean():.6g}")
-    print(f"wrote {run_dir}")
+    _finish(cfg, "solve", files, (f"method={args.method}",))
     return code
 
 
@@ -167,19 +150,12 @@ def cmd_moments(cfg: RunConfig, args) -> int:
     rho = cfg.rho()
     order = args.order if args.order is not None else cfg.get_int("moments.order")
     mv = eta_moments(rho, cfg.get_float("mean"), order)
-    flags = (f"order={order}",)
-    run_dir = _prepare(cfg, "moments", flags)
-    eta_path = run_dir / "moments.csv"
-    mv.to_csv(eta_path)
-    sb_path = run_dir / "sb_moments.csv"
-    sb_moments(mv).to_csv(sb_path)
-    artifacts = [eta_path, eta_path.with_suffix(".json"),
-                 sb_path, sb_path.with_suffix(".json")]
-    write_manifest(run_dir, "moments", cfg, artifacts, flags)
     shown = ", ".join(f"{v:.12g}" for v in mv.values)
     print(f"moments 0..{mv.max_order}: {shown}"
           + (" (marginal stop)" if mv.marginal else ""))
-    print(f"wrote {run_dir}")
+    _finish(cfg, "moments",
+            {**mv.to_csv("moments"), **sb_moments(mv).to_csv("sb_moments")},
+            (f"order={order}",))
     return EXIT_OK
 
 
@@ -193,54 +169,29 @@ def cmd_levy(cfg: RunConfig, args) -> int:
                              n_out=cfg.get_int("levy.n_samples"))
     probes = cfg.get_float_list("levy.probes")
     steutel = steutel_residual(sample, est, probes)
-    run_dir = _prepare(cfg, "levy")
-    sample_path = run_dir / "sample.csv"
-    sample.to_csv(sample_path)
-    levy_path = run_dir / "levy.csv"
-    est.to_csv(levy_path)
-    steutel_path = run_dir / "steutel.json"
-    _json_dump(steutel.to_json_obj(), steutel_path)
-    artifacts = [sample_path, sample_path.with_suffix(".json"),
-                 levy_path, levy_path.with_suffix(".json"), steutel_path]
-    write_manifest(run_dir, "levy", cfg, artifacts)
     print(f"levy sample n={est.n}, total mass of M = {est.total_mass_of_m:.6g}, "
           f"steutel residual {steutel.residual:.3g}")
-    print(f"wrote {run_dir}")
+    _finish(cfg, "levy", {**sample.to_csv("sample"), **est.to_csv("levy"),
+                          "steutel.json": json_text(steutel.to_json_obj())})
     return EXIT_OK
 
 
 def cmd_metric(cfg: RunConfig, args) -> int:
     rho = cfg.rho()
     q = args.q if args.q is not None else cfg.get_float("metric.q")
-    rd_cfg = RDeltaConfig(
-        delta=q,
-        s_lo=cfg.get_float("metric.s_lo"),
-        s_hi=cfg.get_float("metric.s_hi"),
-        quad_points=cfg.get_int("metric.quad_points"),
-    )
     theta1, theta2 = cfg.theta_pair()
-    distance = r_delta_report(theta1, theta2, rd_cfg)
+    distance = r_delta_report(theta1, theta2, _band(cfg, "metric", q))
     # the distance uses the metric.* band; the contraction ratio uses the
     # verify.* band, so it matches the verify sweep
-    ratio = contraction_ratio(
-        rho, theta1, theta2, q,
-        cfg=RDeltaConfig(
-            delta=q,
-            s_lo=cfg.get_float("verify.s_lo"),
-            s_hi=cfg.get_float("verify.s_hi"),
-            quad_points=cfg.get_int("verify.quad_points"),
-        ),
-    )
-    flags = (f"q={q!r}",)
-    run_dir = _prepare(cfg, "metric", flags)
-    metric_path = run_dir / "metric.json"
-    _json_dump({"r_delta": distance.to_json_obj(),
-                "contraction": ratio.to_json_obj()}, metric_path)
-    write_manifest(run_dir, "metric", cfg, [metric_path], flags)
+    ratio = contraction_ratio(rho, theta1, theta2, q,
+                              cfg=_band(cfg, "verify", q))
     shown = "degenerate" if ratio.degenerate else f"{ratio.ratio:.4f}"
     print(f"r_{q:g} = {distance.value:.6g}, contraction ratio {shown} "
           f"(bound {ratio.bound_g:.4f})")
-    print(f"wrote {run_dir}")
+    _finish(cfg, "metric",
+            {"metric.json": json_text({"r_delta": distance.to_json_obj(),
+                                       "contraction": ratio.to_json_obj()})},
+            (f"q={q!r}",))
     return EXIT_OK
 
 
@@ -287,12 +238,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 
     # 3. contraction sweep over random equal-mean pairs
     q = cfg.get_float("metric.q")
-    rd_cfg = RDeltaConfig(
-        delta=q,
-        s_lo=cfg.get_float("verify.s_lo"),
-        s_hi=cfg.get_float("verify.s_hi"),
-        quad_points=cfg.get_int("verify.quad_points"),
-    )
+    rd_cfg = _band(cfg, "verify", q)
     pair_rng = np.random.default_rng(derive_seed(master, "verify-pairs"))
     bound = rho.mellin(q - 1.0)
     n_draws = cfg.get_int("verify.pairs")
@@ -324,16 +270,14 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     }
 
     all_pass = all(c["passed"] for c in checks.values())
+    for name, c in checks.items():
+        print(f"{name}: {'PASS' if c['passed'] else 'FAIL'}")
     flags = (f"negative_control={bool(args.negative_control)}",)
     if args.from_dir:
         flags += (f"from={args.from_dir}",)
-    run_dir = _prepare(cfg, "verify", flags)
-    verify_path = run_dir / "verify.json"
-    _json_dump({"all_passed": all_pass, "checks": checks}, verify_path)
-    write_manifest(run_dir, "verify", cfg, [verify_path], flags)
-    for name, c in checks.items():
-        print(f"{name}: {'PASS' if c['passed'] else 'FAIL'}")
-    print(f"wrote {run_dir}")
+    _finish(cfg, "verify",
+            {"verify.json": json_text({"all_passed": all_pass, "checks": checks})},
+            flags)
     return EXIT_OK if all_pass else EXIT_VERIFY
 
 

@@ -10,7 +10,7 @@ ride alongside the atomic ones rather than replacing them.
 from __future__ import annotations
 
 import enum
-import json
+import math
 from dataclasses import dataclass
 
 from .distributions import FAMILY_UNIFORM01, UNBOUNDED, AtomicDistribution
@@ -85,8 +85,6 @@ def max_integer_moment_order(rho: AtomicDistribution, n_cap: int = 64):
 
 def compound_poisson_check(rho: AtomicDistribution) -> bool:
     """Atomic-level check K = E[1/A] < inf; trivially true for finite atoms."""
-    import math
-
     return math.isfinite(rho.mean_inverse())
 
 
@@ -144,9 +142,6 @@ class DiagnosticsReport:
                 )
         width = max(len(k) for k, _ in rows)
         return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, indent=2) + "\n"
 
 
 def diagnose(rho: AtomicDistribution, n_cap: int = 64) -> DiagnosticsReport:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,17 +24,38 @@ UNBOUNDED = "unbounded"
 
 _WEIGHT_SUM_TOL = 1e-9
 
+#: Rows rendered by one % operation in csv_text.
+_CSV_BLOCK_ROWS = 65536
+
+
+def json_text(obj) -> str:
+    """The artifact JSON format: sorted keys, 2-space indent, final newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def csv_text(header: str, fmt: str, *columns) -> list[str]:
+    """The artifact CSV format as text blocks: the header line, then rows.
+
+    Row i is ``fmt % (col[i] for col in columns)`` plus a newline; each
+    block of _CSV_BLOCK_ROWS rows is rendered by one % operation, which
+    keeps the text of a large sample in a few bounded pieces.  ``%.17g``
+    round-trips every double, and ``%d`` suits integer columns.
+    """
+    cols = [np.asarray(c) for c in columns]
+    n = cols[0].size
+    blocks = [header + "\n"]
+    for lo in range(0, n, _CSV_BLOCK_ROWS):
+        hi = min(lo + _CSV_BLOCK_ROWS, n)
+        cells = np.column_stack([c[lo:hi] for c in cols]).ravel().tolist()
+        blocks.append((fmt + "\n") * (hi - lo) % tuple(cells))
+    return blocks
+
 
 def uniform01_mellin(p: float) -> float:
     """Closed-form E A^p = 1/(p+1) for the exact uniform(0, 1] family."""
     if p <= -1.0:
         raise ValueError("uniform01 Mellin function diverges for p <= -1")
     return 1.0 / (p + 1.0)
-
-
-def uniform01_log_moment() -> float:
-    """Closed-form E log A = -1 for the exact uniform(0, 1] family."""
-    return -1.0
 
 
 class AtomicDistribution:
@@ -116,15 +136,6 @@ class AtomicDistribution:
     def ess_sup(self) -> float:
         return float(self.locations[-1])
 
-    @property
-    def min_location(self) -> float:
-        return float(self.locations[0])
-
-    def size_bias(self) -> "AtomicDistribution":
-        """Size-biased law: weights proportional to w_j * a_j."""
-        w = self.weights * self.locations
-        return AtomicDistribution(self.locations, w / w.sum())
-
     # ------------------------------------------------------------------
     # sampling
 
@@ -148,31 +159,6 @@ class AtomicDistribution:
         h.update(self.weights.tobytes())
         h.update((self.family or "").encode())
         return h.hexdigest()[:12]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "atoms": [
-                {"location": float(a), "weight": float(w)}
-                for a, w in zip(self.locations, self.weights)
-            ],
-            "family": self.family,
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "AtomicDistribution":
-        atoms = obj["atoms"]
-        return cls(
-            [a["location"] for a in atoms],
-            [a["weight"] for a in atoms],
-            family=obj.get("family"),
-        )
-
-    def to_csv(self, path) -> None:
-        path = Path(path)
-        with path.open("w", newline="") as fh:
-            fh.write("location,weight\n")
-            for a, w in zip(self.locations, self.weights):
-                fh.write(f"{a:.17g},{w:.17g}\n")
 
     @classmethod
     def from_csv(cls, path, family: str | None = None) -> "AtomicDistribution":
@@ -293,18 +279,13 @@ class EmpiricalSample:
             self.values[idx], seed, f"size-bias({self.provenance})"
         )
 
-    def to_csv(self, path) -> None:
-        """Single-column CSV plus a sidecar JSON {seed, provenance, n}."""
-        path = Path(path)
-        with path.open("w", newline="") as fh:
-            fh.write("value\n")
-            for v in self.values:
-                fh.write(f"{v:.17g}\n")
+    def to_csv(self, stem: str) -> dict:
+        """Single-column {stem}.csv plus sidecar {stem}.json
+        {seed, provenance, n}."""
         sidecar = {"seed": self.seed, "provenance": self.provenance,
                    "n": int(self.values.size)}
-        path.with_suffix(".json").write_text(
-            json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
-        )
+        return {f"{stem}.csv": csv_text("value", "%.17g", self.values),
+                f"{stem}.json": json_text(sidecar)}
 
     @classmethod
     def from_csv(cls, path) -> "EmpiricalSample":
@@ -335,22 +316,12 @@ class MomentVector:
             raise ValueError(f"moment order {k} outside 0..{self.max_order}")
         return self.values[k]
 
-    def log_convexity_gap(self) -> float:
-        """min over n of m_{n-1} m_{n+1} - m_n^2 (Lyapunov; >= 0 up to rounding)."""
-        v = self.values
-        gaps = [v[n - 1] * v[n + 1] - v[n] ** 2 for n in range(1, self.max_order)]
-        return min(gaps) if gaps else 0.0
-
-    def to_csv(self, path) -> None:
-        """CSV order,value plus sidecar JSON {m, max_order, marginal_flag}."""
-        path = Path(path)
-        with path.open("w", newline="") as fh:
-            fh.write("order,value\n")
-            for k, v in enumerate(self.values):
-                fh.write(f"{k},{v:.17g}\n")
+    def to_csv(self, stem: str) -> dict:
+        """{stem}.csv order,value plus sidecar {stem}.json
+        {m, max_order, marginal_flag}."""
         sidecar = {"m": self.mean, "max_order": self.max_order,
                    "marginal_flag": self.marginal}
-        path.with_suffix(".json").write_text(
-            json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
-        )
+        return {f"{stem}.csv": csv_text("order,value", "%d,%.17g",
+                                        range(len(self.values)), self.values),
+                f"{stem}.json": json_text(sidecar)}
 

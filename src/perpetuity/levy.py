@@ -13,14 +13,18 @@ fails loudly for mismatched (mu, M) pairs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .distributions import FAMILY_UNIFORM01, AtomicDistribution, EmpiricalSample
+from .distributions import (
+    FAMILY_UNIFORM01,
+    AtomicDistribution,
+    EmpiricalSample,
+    csv_text,
+    json_text,
+)
 from .montecarlo import derive_seed
 
 _ZERO_CUTOFF = 1e-9
@@ -39,24 +43,23 @@ class LevyEstimate:
         q = np.asarray(q, dtype=float)
         return np.searchsorted(self.x, q, side="right") / self.x.size
 
-    def to_csv(self, path, max_rows: int = 65536) -> None:
-        """CSV x,cdf at evenly spaced ranks (deterministic thinning)."""
-        path = Path(path)
+    def to_csv(self, stem: str, max_rows: int = 65536) -> dict:
+        """{stem}.csv x,cdf plus sidecar {stem}.json {total_mass_of_M, n, seed}.
+
+        Rows are thinned deterministically to at most max_rows evenly
+        spaced ranks.
+        """
         n = self.x.size
         if n <= max_rows:
             idx = np.arange(n)
         else:
             idx = np.unique(np.linspace(0, n - 1, max_rows).astype(np.int64))
-        with path.open("w", newline="") as fh:
-            fh.write("x,cdf\n")
-            for i in idx:
-                fh.write(f"{self.x[i]:.17g},{(i + 1) / n:.17g}\n")
         mass = ("infinity" if math.isinf(self.total_mass_of_m)
                 else self.total_mass_of_m)
         sidecar = {"total_mass_of_M": mass, "n": int(self.n), "seed": self.seed}
-        path.with_suffix(".json").write_text(
-            json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
-        )
+        return {f"{stem}.csv": csv_text("x,cdf", "%.17g,%.17g",
+                                        self.x[idx], (idx + 1) / n),
+                f"{stem}.json": json_text(sidecar)}
 
 
 def levy_from_solution(

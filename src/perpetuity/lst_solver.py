@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diagnostics import require_existence
-from .distributions import FAMILY_UNIFORM01, AtomicDistribution
+from .distributions import FAMILY_UNIFORM01, AtomicDistribution, csv_text
 
 
 def _eval_psi(s_points, psi, m, t):
@@ -90,15 +90,12 @@ class LstGrid:
         res = self.residual if math.isfinite(self.residual) else 0.0
         return self.eval_lst(s) * (interp + res)
 
-    def to_csv(self, path) -> None:
-        """CSV s,psi,phi across the grid."""
-        from pathlib import Path
-
-        path = Path(path)
-        with path.open("w", newline="") as fh:
-            fh.write("s,psi,phi\n")
-            for s, p in zip(self.s_points, self.psi):
-                fh.write(f"{s:.17g},{p:.17g},{math.exp(-p):.17g}\n")
+    def to_csv(self, stem: str) -> dict:
+        """{stem}.csv s,psi,phi across the grid."""
+        # phi per node by math.exp: np.exp may differ in the last bit
+        phi = [math.exp(-p) for p in self.psi.tolist()]
+        return {f"{stem}.csv": csv_text("s,psi,phi", "%.17g,%.17g,%.17g",
+                                        self.s_points, self.psi, phi)}
 
     def report_obj(self) -> dict:
         return {

@@ -47,6 +47,21 @@ class RDeltaConfig:
             raise ValueError("need at least 16 quadrature points")
 
 
+def _sample_sums(values: np.ndarray, s: np.ndarray, *kernels) -> list:
+    """Per grid point s, the sum over the sample of each kernel(s * x).
+
+    The (s, x) products are formed in blocks of at most _CHUNK_ELEMENTS
+    entries, so memory stays bounded for large samples.
+    """
+    sums = [np.zeros(s.size) for _ in kernels]
+    step = max(1, _CHUNK_ELEMENTS // max(s.size, 1))
+    for lo in range(0, values.size, step):
+        block = np.multiply.outer(s, values[lo:lo + step])
+        for acc, kernel in zip(sums, kernels):
+            acc += kernel(block).sum(axis=1)
+    return sums
+
+
 def char_function(nu, s_grid) -> np.ndarray:
     """E exp(isX): exact sum for atomic laws, chunked mean for samples."""
     s = np.asarray(s_grid, dtype=float)
@@ -54,16 +69,19 @@ def char_function(nu, s_grid) -> np.ndarray:
         block = np.multiply.outer(s, nu.locations)
         return (np.cos(block) + 1j * np.sin(block)) @ nu.weights
     if isinstance(nu, EmpiricalSample):
-        values = nu.values
-        re = np.zeros(s.size)
-        im = np.zeros(s.size)
-        step = max(1, _CHUNK_ELEMENTS // max(s.size, 1))
-        for lo in range(0, values.size, step):
-            block = np.multiply.outer(s, values[lo:lo + step])
-            re += np.cos(block).sum(axis=1)
-            im += np.sin(block).sum(axis=1)
-        return (re + 1j * im) / values.size
+        re, im = _sample_sums(nu.values, s, np.cos, np.sin)
+        return (re + 1j * im) / nu.values.size
     raise TypeError("nu must be an AtomicDistribution or an EmpiricalSample")
+
+
+def empirical_lst(sample: EmpiricalSample, s_grid) -> np.ndarray:
+    """Mean of exp(-s X) over the sample, per grid point."""
+    s = np.asarray(s_grid, dtype=float)
+    if np.any(s < 0.0):
+        raise ValueError("Laplace transform grid must be nonnegative")
+    # (-s) x is exactly -(s x), and the block needs no negated copy
+    (acc,) = _sample_sums(sample.values, -s, np.exp)
+    return acc / sample.values.size
 
 
 def _mean_and_se(nu):

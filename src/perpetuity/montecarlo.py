@@ -27,7 +27,7 @@ from scipy import stats
 from .diagnostics import require_existence
 from .distributions import AtomicDistribution, EmpiricalSample
 from .lst_solver import LstGrid
-from .metrics import char_function
+from .metrics import char_function, empirical_lst
 from .response import ResponseFunction, response_from_rho
 
 #: Two-sided asymptotic KS coefficient at the 1% level: sqrt(-ln(0.005)/2).
@@ -191,18 +191,6 @@ def perpetuity_residual(
         n=n,
         ks_crit_1pct=KS_COEFF_1PCT * math.sqrt(2.0 / n),
     )
-
-
-def empirical_lst(sample: EmpiricalSample, s_grid) -> np.ndarray:
-    """Mean of exp(-s X) over the sample, per grid point."""
-    s = np.asarray(s_grid, dtype=float)
-    if np.any(s < 0.0):
-        raise ValueError("Laplace transform grid must be nonnegative")
-    step = max(1, int(4_000_000 // max(s.size, 1)))
-    acc = np.zeros(s.size)
-    for lo in range(0, sample.values.size, step):
-        acc += np.exp(-np.multiply.outer(s, sample.values[lo:lo + step])).sum(axis=1)
-    return acc / sample.values.size
 
 
 @dataclass(frozen=True)

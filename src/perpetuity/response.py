@@ -10,12 +10,9 @@ lambda * int h = 1 is exactly the statement that the dual weights sum to 1.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 
-from .distributions import AtomicDistribution
+from .distributions import AtomicDistribution, csv_text, json_text
 
 _NORMALIZATION_TOL = 1e-9
 
@@ -101,71 +98,23 @@ class ResponseFunction:
         out[u < 0.0] = 0.0
         return out
 
-    def generalized_inverse(self, z) -> np.ndarray:
-        """h_inv(z) = inf{u : h(u) < z} for 0 < z < h(0+), else 0.
-
-        For steps this is the total duration of steps with value >= z;
-        at z >= the top value the convention returns 0.
-        """
-        z = np.asarray(z, dtype=float)
-        if np.any(z <= 0.0):
-            raise ValueError("generalized inverse defined for z > 0")
-        out = np.zeros(np.shape(z))
-        if self.values.size == 0:
-            return out
-        cum = np.cumsum(self.durations)
-        # count of step values >= z (values are descending)
-        count = np.searchsorted(-self.values, -z, side="right")
-        inside = z < self.values[0]
-        cnt = np.maximum(count[inside], 1)
-        out[inside] = cum[cnt - 1]
-        return out
-
-    def curve_points(self):
-        """Plot-ready (u, h) pairs tracing the step boundaries."""
-        pts = []
-        start = 0.0
-        for v, d in zip(self.values, self.durations):
-            pts.append((start, float(v)))
-            start += float(d)
-            pts.append((start, float(v)))
-        pts.append((start, 0.0))
-        return pts
-
     # ------------------------------------------------------------------
     # serialization
 
-    def to_csv(self, path) -> None:
-        """CSV value,duration plus sidecar JSON {lambda}."""
-        path = Path(path)
-        with path.open("w", newline="") as fh:
-            fh.write("value,duration\n")
-            for v, d in zip(self.values, self.durations):
-                fh.write(f"{v:.17g},{d:.17g}\n")
-        path.with_suffix(".json").write_text(
-            json.dumps({"lambda": self.lam}, sort_keys=True, indent=2) + "\n"
-        )
-
-    @classmethod
-    def from_csv(cls, path) -> "ResponseFunction":
-        path = Path(path)
-        values, durations = [], []
-        with path.open(newline="") as fh:
-            header = fh.readline().strip()
-            if header != "value,duration":
-                raise ValueError(f"{path}: expected header 'value,duration'")
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    v, d = line.split(",")
-                    values.append(float(v))
-                    durations.append(float(d))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: bad row {line!r}") from exc
-        meta = json.loads(path.with_suffix(".json").read_text())
-        return cls(values, durations, lam=meta["lambda"])
+    def to_csv(self, stem: str) -> dict:
+        """{stem}.csv value,duration plus sidecar {stem}.json {lambda}, and
+        {stem}_curve.csv: plot-ready u,h points tracing the step boundaries."""
+        # boundaries t_0 = 0 < t_1 < ... < t_n; the curve visits
+        # (t_0, v_1), (t_1, v_1), (t_1, v_2), ..., (t_n, v_n), (t_n, 0)
+        bounds = np.concatenate([[0.0], np.cumsum(self.durations)])
+        u = np.repeat(bounds, 2)[1:]
+        h = np.append(np.repeat(self.values, 2), 0.0)
+        return {
+            f"{stem}.csv": csv_text("value,duration", "%.17g,%.17g",
+                                    self.values, self.durations),
+            f"{stem}.json": json_text({"lambda": self.lam}),
+            f"{stem}_curve.csv": csv_text("u,h", "%.17g,%.17g", u, h),
+        }
 
 
 def response_from_rho(rho: AtomicDistribution, lam: float = 1.0) -> ResponseFunction:
@@ -183,17 +132,3 @@ def rho_from_response(h: ResponseFunction) -> AtomicDistribution:
     if h.n_steps == 0:
         raise ValueError("cannot build an atomic law from an empty kernel")
     return AtomicDistribution(h.values, h.lam * h.values * h.durations)
-
-
-def uniform01_reference_response(u) -> np.ndarray:
-    """Exact-family response curve h(u) = e^{-u} for uniform(0, 1]."""
-    u = np.asarray(u, dtype=float)
-    return np.exp(-u)
-
-
-def uniform01_reference_inverse(z) -> np.ndarray:
-    """Exact-family inverse -log z on (0, 1), zero at z >= 1."""
-    z = np.asarray(z, dtype=float)
-    if np.any(z <= 0.0):
-        raise ValueError("reference inverse defined for z > 0")
-    return np.where(z < 1.0, -np.log(np.minimum(z, 1.0)), 0.0)

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .distributions import AtomicDistribution, quantize_family, validate
+from .distributions import AtomicDistribution, json_text, quantize_family, validate
 
 #: Known keys and default values (None = unset).
 DEFAULTS = {
@@ -126,11 +126,19 @@ class RunConfig:
             raise ValueError(f"config {key}={value!r} is not a real number") from exc
 
     def get_int(self, key: str) -> int:
+        """Integer value; a float literal (1e3, 40.0) must be an exact integer."""
         value = self._get(key)
         try:
-            return int(float(value)) if "e" in str(value).lower() else int(value)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"config {key}={value!r} is not an integer") from exc
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+        try:
+            number = float(value)
+            if number.is_integer():
+                return int(number)
+        except (TypeError, ValueError):
+            pass
+        raise ValueError(f"config {key}={value!r} is not an integer")
 
     def get_float_list(self, key: str) -> list[float]:
         value = self._get(key)
@@ -166,10 +174,9 @@ class RunConfig:
             return validate(pairs)
         if source == "rho.family":
             family = str(self._get("rho.family"))
-            n_raw = self._get("rho.n")
-            if n_raw in (None, ""):
+            if self._get("rho.n") in (None, ""):
                 raise ValueError("rho.family needs rho.n (atom count)")
-            return quantize_family(family, int(n_raw))
+            return quantize_family(family, self.get_int("rho.n"))
         return AtomicDistribution.from_csv(self._get("rho.csv"))
 
     def theta_pair(self) -> tuple[AtomicDistribution, AtomicDistribution]:
@@ -223,8 +230,28 @@ def write_manifest(run_dir: Path, command: str, cfg: RunConfig,
         "artifacts": entries,
     }
     out = run_dir / "manifest.json"
-    out.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    out.write_text(json_text(manifest))
     return out
+
+
+def write_run(cfg: RunConfig, command: str, files: dict,
+              flags: tuple[str, ...] = ()) -> Path:
+    """Write a run directory: each artifact, then manifest.json last.
+
+    ``files`` maps artifact names to text, either one string or a list of
+    blocks (csv_text).  Commands call this only after every computation
+    succeeded, so a failed command leaves no directory behind.
+    """
+    run_dir = cfg.run_dir(command, flags)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        with (run_dir / name).open("w", newline="") as fh:
+            if isinstance(text, str):
+                fh.write(text)
+            else:
+                fh.writelines(text)
+    write_manifest(run_dir, command, cfg, [run_dir / n for n in files], flags)
+    return run_dir
 
 
 def check_manifest(run_dir: Path) -> dict:

@@ -57,6 +57,19 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert "master_seed" in err
 
 
+def test_failed_commands_leave_no_run_dir(tmp_path, capsys):
+    assert main(["solve", "--set", "rho.atoms=2:1", *out(tmp_path)]) == 2
+    assert main(["solve", "--method", "mc", *HALF, *out(tmp_path)]) == 1
+    assert "master_seed" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+    # diagnose reports on the law that fails the gate, so it still writes
+    assert main(["diagnose", "--set", "rho.atoms=2:1", *out(tmp_path)]) == 2
+    rd = only_run_dir(tmp_path, "diagnose")
+    assert json.loads((rd / "diagnostics.json").read_text())["exists"] is False
+    check_manifest(rd)
+    assert len(list((tmp_path / "runs").iterdir())) == 1
+
+
 def test_response_artifacts(tmp_path):
     assert main(["response", *HALF, *out(tmp_path)]) == 0
     rd = only_run_dir(tmp_path, "response")

@@ -8,6 +8,7 @@ import pytest
 from perpetuity.distributions import (
     UNBOUNDED,
     AtomicDistribution,
+    json_text,
     point_mass,
     quantize_family,
 )
@@ -113,7 +114,7 @@ def test_diagnose_report_uniform01():
     assert rep.compound_poisson         # finite quantization
     assert rep.family_compound_poisson is False   # exact family has K = inf
     assert rep.family_tail_class is TailClass.EXPONENTIAL_MOMENT_NOT_ENTIRE
-    obj = json.loads(rep.to_json())
+    obj = json.loads(json_text(rep.to_json_obj()))
     assert obj["family"] == "uniform01"
     assert obj["tail_class"] == "entire-characteristic-function"
 

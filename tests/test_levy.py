@@ -115,24 +115,37 @@ def test_steutel_probe_validation():
         steutel_residual(42, levy, [1.0])
 
 
-def test_levy_csv_thinning_and_sidecar(tmp_path):
+def _levy_csv_reference(levy, max_rows):
+    """Row-by-row rendering of the thinned x,cdf table."""
+    n = levy.x.size
+    if n <= max_rows:
+        idx = np.arange(n)
+    else:
+        idx = np.unique(np.linspace(0, n - 1, max_rows).astype(np.int64))
+    return "x,cdf\n" + "".join(
+        f"{levy.x[i]:.17g},{(i + 1) / n:.17g}\n" for i in idx)
+
+
+def test_levy_csv_thinning_and_sidecar():
     rho = quantize_family("uniform01", 64)
     levy = levy_from_solution(rho, exp_sample(20_000, 4), seed=6,
                               n_out=10_000)
-    p = tmp_path / "levy.csv"
-    levy.to_csv(p, max_rows=256)
-    lines = p.read_text().splitlines()
+    files = levy.to_csv("levy", max_rows=256)
+    assert sorted(files) == ["levy.csv", "levy.json"]
+    text = "".join(files["levy.csv"])
+    assert text == _levy_csv_reference(levy, 256)
+    lines = text.splitlines()
     assert lines[0] == "x,cdf"
     assert len(lines) <= 257
     last_x, last_cdf = map(float, lines[-1].split(","))
     assert last_cdf == 1.0 and last_x == levy.x[-1]
     xs = [float(l.split(",")[0]) for l in lines[1:]]
     assert xs == sorted(xs)
-    sidecar = json.loads((tmp_path / "levy.json").read_text())
+    sidecar = json.loads(files["levy.json"])
     assert sidecar == {"total_mass_of_M": "infinity", "n": 10_000, "seed": 6}
 
     finite = LevyEstimate(x=np.sort(np.linspace(0.1, 2.0, 50)),
                           total_mass_of_m=1.59, n=50, seed=1)
-    finite.to_csv(tmp_path / "f.csv")
-    assert json.loads(
-        (tmp_path / "f.json").read_text())["total_mass_of_M"] == 1.59
+    files = finite.to_csv("f")
+    assert "".join(files["f.csv"]) == _levy_csv_reference(finite, 65536)
+    assert json.loads(files["f.json"])["total_mass_of_M"] == 1.59

@@ -215,11 +215,16 @@ def test_report_obj_round_trip():
     assert rep["atom_at_zero"] == pytest.approx(ATOM_DELTA_HALF, abs=1e-10)
 
 
-def test_csv_output(tmp_path):
+def test_csv_output():
     grid = solve(DELTA_HALF, 1.0, grid_points=32)
-    p = tmp_path / "grid.csv"
-    grid.to_csv(p)
-    lines = p.read_text().splitlines()
+    files = grid.to_csv("grid")
+    assert list(files) == ["grid.csv"]
+    text = "".join(files["grid.csv"])
+    # phi per node by math.exp, as in the row-by-row rendering
+    assert text == "s,psi,phi\n" + "".join(
+        f"{s:.17g},{p:.17g},{math.exp(-p):.17g}\n"
+        for s, p in zip(grid.s_points, grid.psi))
+    lines = text.splitlines()
     assert lines[0] == "s,psi,phi"
     assert len(lines) == 33
     s0, psi0, phi0 = map(float, lines[1].split(","))

@@ -1,6 +1,6 @@
 """Step kernel construction, duality round trips, integral identities."""
 
-import math
+import json
 
 import numpy as np
 import pytest
@@ -10,9 +10,19 @@ from perpetuity.response import (
     ResponseFunction,
     response_from_rho,
     rho_from_response,
-    uniform01_reference_inverse,
-    uniform01_reference_response,
 )
+
+
+def _curve_reference(h):
+    """Row-by-row rendering of the step-boundary curve u,h."""
+    rows = []
+    start = 0.0
+    for v, d in zip(h.values, h.durations):
+        rows.append(f"{start:.17g},{v:.17g}\n")
+        start += float(d)
+        rows.append(f"{start:.17g},{v:.17g}\n")
+    rows.append(f"{start:.17g},{0.0:.17g}\n")
+    return "u,h\n" + "".join(rows)
 
 
 def _random_rho(rng, max_atoms=6):
@@ -48,26 +58,10 @@ def test_dual_layout():
     h.assert_normalized()
 
 
-def test_eval_and_inverse_conventions():
+def test_eval_conventions():
     h = ResponseFunction([2.0, 0.5], [0.2, 1.2], lam=1.0)
     np.testing.assert_array_equal(h.eval([-1.0, 0.0, 0.1, 0.2, 1.0, 1.4, 2.0]),
                                   [0.0, 2.0, 2.0, 0.5, 0.5, 0.0, 0.0])
-    # inverse: total duration of steps with value >= z, 0 at z >= top
-    np.testing.assert_allclose(
-        h.generalized_inverse([0.1, 0.5, 0.6, 2.0, 3.0]),
-        [1.4, 1.4, 0.2, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        h.generalized_inverse([0.0])
-
-
-def test_round_trip_inverse_of_eval():
-    """h_inv recovers the step layout: h(h_inv(z) - eps) >= z > h(h_inv(z))."""
-    h = ResponseFunction([3.0, 1.0, 0.25], [0.5, 1.0, 2.0], lam=0.5)
-    eps = 1e-12
-    for z in (0.1, 0.25, 0.7, 1.0, 2.9):
-        ui = float(h.generalized_inverse([z])[0])
-        assert float(h.eval([ui - eps])[0]) >= z
-        assert float(h.eval([ui])[0]) < z
 
 
 def test_duality_round_trip_random_laws():
@@ -120,22 +114,32 @@ def test_rho_from_empty_response():
 
 def test_curve_points_trace_steps():
     h = ResponseFunction([2.0, 1.0], [0.5, 0.5])
-    assert h.curve_points() == [(0.0, 2.0), (0.5, 2.0), (0.5, 1.0),
-                                (1.0, 1.0), (1.0, 0.0)]
+    assert "".join(h.to_csv("h")["h_curve.csv"]) == (
+        "u,h\n0,2\n0.5,2\n0.5,1\n1,1\n1,0\n")
+    # sums of durations accumulate left to right, as in the reference
+    rng = np.random.default_rng(3)
+    h = response_from_rho(_random_rho(rng, max_atoms=40), lam=0.7)
+    assert "".join(h.to_csv("h")["h_curve.csv"]) == _curve_reference(h)
+    empty = ResponseFunction([], [])
+    assert "".join(empty.to_csv("e")["e_curve.csv"]) == "u,h\n0,0\n"
 
 
-def test_csv_round_trip(tmp_path):
+def test_csv_round_trip():
     h = ResponseFunction([2.0, 0.5], [0.2, 1.2], lam=1.5)
-    p = tmp_path / "h.csv"
-    h.to_csv(p)
-    back = ResponseFunction.from_csv(p)
+    files = h.to_csv("h")
+    assert sorted(files) == ["h.csv", "h.json", "h_curve.csv"]
+    text = "".join(files["h.csv"])
+    assert text == "value,duration\n" + "".join(
+        f"{v:.17g},{d:.17g}\n" for v, d in zip(h.values, h.durations))
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    back = ResponseFunction([float(v) for v, _ in rows],
+                            [float(d) for _, d in rows],
+                            lam=json.loads(files["h.json"])["lambda"])
     np.testing.assert_array_equal(back.values, h.values)
     np.testing.assert_array_equal(back.durations, h.durations)
     assert back.lam == 1.5
-    p2 = tmp_path / "bad.csv"
-    p2.write_text("v,d\n1,1\n")
-    with pytest.raises(ValueError, match="header"):
-        ResponseFunction.from_csv(p2)
+    empty = ResponseFunction([], []).to_csv("e")
+    assert "".join(empty["e.csv"]) == "value,duration\n"
 
 
 def test_quantized_uniform_tracks_reference_curve():
@@ -143,10 +147,5 @@ def test_quantized_uniform_tracks_reference_curve():
     rho = quantize_family("uniform01", 2048)
     h = response_from_rho(rho, lam=1.0)
     u = np.linspace(0.05, 4.0, 200)
-    assert np.max(np.abs(h.eval(u) - uniform01_reference_response(u))) < 5e-3
-    z = np.linspace(0.05, 0.95, 50)
-    assert np.max(np.abs(h.generalized_inverse(z)
-                         - uniform01_reference_inverse(z))) < 5e-3
-    assert uniform01_reference_inverse([1.5])[0] == 0.0
-    with pytest.raises(ValueError):
-        uniform01_reference_inverse([0.0])
+    # exact-family response curve of uniform(0, 1]
+    assert np.max(np.abs(h.eval(u) - np.exp(-u))) < 5e-3

@@ -10,6 +10,7 @@ from perpetuity.runconfig import (
     RunConfig,
     check_manifest,
     write_manifest,
+    write_run,
 )
 
 
@@ -72,6 +73,27 @@ def test_typed_accessor_errors():
     cfg = RunConfig.load(None, ["levy.probes=1,x"])
     with pytest.raises(ValueError, match="number list"):
         cfg.get_float_list("levy.probes")
+
+
+def test_get_int_accepts_only_exact_integers():
+    cfg = RunConfig.load(None, ["mc.iterations=40.0", "mc.n_samples=2e3",
+                                "mc.chunk_size=+64"])
+    assert cfg.get_int("mc.iterations") == 40
+    assert cfg.get_int("mc.n_samples") == 2000
+    assert cfg.get_int("mc.chunk_size") == 64
+    for key, value in (("mc.iterations", "4.05e1"), ("mc.n_samples", "2.5e0"),
+                       ("mc.iterations", "inf"), ("mc.iterations", "nan"),
+                       ("mc.iterations", "forty")):
+        cfg = RunConfig.load(None, [f"{key}={value}"])
+        with pytest.raises(ValueError, match=f"{key}=.* is not an integer"):
+            cfg.get_int(key)
+
+
+def test_rho_n_is_an_exact_integer():
+    fam = RunConfig.load(None, ["rho.family=uniform01", "rho.n=1e3"]).rho()
+    assert fam.locations.size == 1000
+    with pytest.raises(ValueError, match="rho.n='2.5' is not an integer"):
+        RunConfig.load(None, ["rho.family=uniform01", "rho.n=2.5"]).rho()
 
 
 def test_master_seed_required():
@@ -155,3 +177,15 @@ def test_manifest_round_trip_and_tamper(tmp_path):
         check_manifest(run_dir)
     with pytest.raises(ValueError, match="missing manifest"):
         check_manifest(tmp_path / "nowhere")
+
+
+def test_write_run_writes_artifacts_then_manifest(tmp_path):
+    cfg = RunConfig.load(None, [f"output.dir={tmp_path / 'runs'}"])
+    files = {"a.json": "{}\n", "b.csv": ["x\n", "1\n2\n", "3\n"]}
+    run_dir = write_run(cfg, "solve", files, ("method=lst",))
+    assert run_dir == cfg.run_dir("solve", ("method=lst",))
+    assert (run_dir / "a.json").read_bytes() == b"{}\n"
+    assert (run_dir / "b.csv").read_bytes() == b"x\n1\n2\n3\n"
+    manifest = check_manifest(run_dir)
+    assert [e["path"] for e in manifest["artifacts"]] == ["a.json", "b.csv"]
+    assert manifest["flags"] == ["method=lst"]
