@@ -8,11 +8,20 @@ lands on step k with probability proportional to lambda * d_k, contributing
 v_k * xi.  That superposition form is distributionally identical to one
 Poisson count per step and costs O(expected arrivals) per slot.
 
+The step of each arrival is drawn by ``distributions._categorical``, a
+guide-table lookup that consumes the same uniforms and returns the same
+indices as ``rng.choice(n_steps, p=rates / rates.sum())``, in O(1)
+expected time per arrival instead of a binary search.
+
 Determinism contract: every random stream derives from the master seed,
 a purpose label, and (iteration, chunk) indices, so chunk results are a
 pure function of the inputs and the chunk layout.  Rerunning a pipeline
 with the same configuration reproduces identical arrays bit for bit;
-changing the chunk size changes the streams but not the statistics.
+changing the chunk size changes the streams but not the statistics.  The
+layout is ``chunk_size`` slots per chunk, capped at
+_MAX_CHUNK_ARRIVALS // ceil(K) slots with K = lambda * support_end = E[1/A]
+the expected arrivals per slot, so memory stays bounded for laws with
+atoms near 0; the cap binds only when chunk_size * ceil(K) > 2**22.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ import numpy as np
 from scipy import stats
 
 from .diagnostics import require_existence
-from .distributions import AtomicDistribution, EmpiricalSample
+from .distributions import AtomicDistribution, EmpiricalSample, _categorical
 from .lst_solver import LstGrid
 from .metrics import char_function, empirical_lst
 from .response import ResponseFunction, response_from_rho
@@ -34,6 +43,10 @@ from .response import ResponseFunction, response_from_rho
 KS_COEFF_1PCT = 1.6276236115189502
 
 _MIN_VERDICT_SAMPLES = 1000
+
+#: Cap on the expected arrivals of one shot-noise chunk.  An arrival holds
+#: about 48 bytes of temporaries, so a chunk stays near 200 MB.
+_MAX_CHUNK_ARRIVALS = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -82,17 +95,22 @@ def shot_noise_resample(
     out = np.zeros(n_out)
     if h.n_steps > 0:
         rates = h.lam * h.durations
-        total_rate = float(rates.sum())
-        counts = rng.poisson(total_rate, size=n_out)
+        counts = rng.poisson(float(rates.sum()), size=n_out)
         total = int(counts.sum())
         if total > 0:
-            step_idx = rng.choice(h.n_steps, size=total, p=rates / total_rate)
+            step_idx = _categorical(rng, rates, total)
             xi = theta.values[rng.integers(0, theta.values.size, size=total)]
             slots = np.repeat(np.arange(n_out), counts)
             out = np.bincount(
                 slots, weights=h.values[step_idx] * xi, minlength=n_out
             )
     return EmpiricalSample(out, seed, f"shot-noise({theta.provenance})")
+
+
+def _chunk_slots(chunk_size: int, rate: float) -> int:
+    """Slots per chunk: chunk_size, capped so that the expected arrivals
+    (slots * rate) stay within _MAX_CHUNK_ARRIVALS."""
+    return min(int(chunk_size), max(1, _MAX_CHUNK_ARRIVALS // math.ceil(rate)))
 
 
 def _chunk_bounds(n: int, chunk: int):
@@ -117,16 +135,17 @@ def mc_fixed_point(
     h = response_from_rho(rho, lam=1.0)
     h.assert_normalized()
     n = int(cfg.n_samples)
+    chunk = _chunk_slots(cfg.chunk_size, h.lam * h.support_end)
     provenance = (
         f"mc-fixed-point(rho={rho.digest()}, m={m:.17g}, n={n}, "
-        f"iters={cfg.n_transform_iterations}, chunk={cfg.chunk_size}, "
+        f"iters={cfg.n_transform_iterations}, chunk={chunk}, "
         f"seed={master})"
     )
     current = EmpiricalSample(np.full(n, float(m)), master, provenance)
     states = []
     for it in range(int(cfg.n_transform_iterations)):
         parts = []
-        for ci, (lo, hi) in enumerate(_chunk_bounds(n, int(cfg.chunk_size))):
+        for ci, (lo, hi) in enumerate(_chunk_bounds(n, chunk)):
             child = derive_seed(master, "shot-noise-transform", it, ci)
             parts.append(
                 shot_noise_resample(current, h, child, n_out=hi - lo).values

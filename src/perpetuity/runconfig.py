@@ -214,14 +214,11 @@ class RunConfig:
 
 
 def write_manifest(run_dir: Path, command: str, cfg: RunConfig,
-                   artifact_paths: list[Path],
-                   flags: tuple[str, ...] = ()) -> Path:
-    """Hash every artifact and write manifest.json (itself excluded)."""
-    entries = []
-    for p in sorted(artifact_paths):
-        digest = hashlib.sha256(Path(p).read_bytes()).hexdigest()
-        entries.append({"path": str(Path(p).relative_to(run_dir)),
-                        "sha256": digest})
+                   digests: dict, flags: tuple[str, ...] = ()) -> Path:
+    """Write manifest.json (itself excluded) from ``digests``, a map of
+    artifact names in run_dir to the sha256 hex digests of their bytes."""
+    entries = [{"path": name, "sha256": digests[name]}
+               for name in sorted(digests)]
     manifest = {
         "command": command,
         "flags": list(flags),
@@ -239,18 +236,22 @@ def write_run(cfg: RunConfig, command: str, files: dict,
     """Write a run directory: each artifact, then manifest.json last.
 
     ``files`` maps artifact names to text, either one string or a list of
-    blocks (csv_text).  Commands call this only after every computation
-    succeeded, so a failed command leaves no directory behind.
+    blocks (csv_text), written as UTF-8 and hashed as written.  Commands
+    call this only after every computation succeeded, so a failed command
+    leaves no directory behind.
     """
     run_dir = cfg.run_dir(command, flags)
     run_dir.mkdir(parents=True, exist_ok=True)
+    digests = {}
     for name, text in files.items():
-        with (run_dir / name).open("w", newline="") as fh:
-            if isinstance(text, str):
-                fh.write(text)
-            else:
-                fh.writelines(text)
-    write_manifest(run_dir, command, cfg, [run_dir / n for n in files], flags)
+        sha = hashlib.sha256()
+        with (run_dir / name).open("wb") as fh:
+            for block in [text] if isinstance(text, str) else text:
+                data = block.encode()
+                sha.update(data)
+                fh.write(data)
+        digests[name] = sha.hexdigest()
+    write_manifest(run_dir, command, cfg, digests, flags)
     return run_dir
 
 

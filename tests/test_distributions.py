@@ -11,6 +11,7 @@ from perpetuity.distributions import (
     AtomicDistribution,
     EmpiricalSample,
     MomentVector,
+    _categorical,
     csv_text,
     json_text,
     point_mass,
@@ -18,6 +19,7 @@ from perpetuity.distributions import (
     uniform01_mellin,
     validate,
 )
+from perpetuity.response import response_from_rho
 
 
 def write_files(directory, files):
@@ -201,6 +203,76 @@ def test_size_bias_resample_weights_by_value():
     assert abs(frac3 - 0.75) < 4 * math.sqrt(0.75 * 0.25 / 40000)
     with pytest.raises(ValueError):
         EmpiricalSample([0.0, 0.0], 0, "z").size_bias_resample(10, seed=1)
+
+
+def _categorical_weights(name):
+    if name == "one":
+        return np.array([2.5])
+    if name == "two-atoms":
+        return np.array([0.3, 1.2])
+    if name == "uniform01-steps":
+        h = response_from_rho(quantize_family(FAMILY_UNIFORM01, 512), lam=1.0)
+        return h.lam * h.durations
+    if name == "zeros":
+        w = np.random.default_rng(8).exponential(size=200_000)
+        w[:50] = w[90_000:90_100] = w[-50:] = 0.0
+        return w
+    # 1000 tiny weights between two atoms; the CDF from the first atom
+    # through the cluster lies in one of the 4096 guide buckets
+    return np.concatenate([[1.0], np.full(1000, 6e-7), [2.0]])
+
+
+@pytest.mark.parametrize(
+    "name", ["one", "two-atoms", "uniform01-steps", "zeros", "cluster"])
+def test_categorical_matches_rng_choice(name):
+    """Same indices as Generator.choice(p=...) and the same stream position
+    afterwards, so swapping one for the other moves no sample bit."""
+    w = _categorical_weights(name)
+    for seed in (0, 1):
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _categorical(ours, w, 1_000_000)
+        want = ref.choice(w.size, 1_000_000, p=w / w.sum())
+        np.testing.assert_array_equal(got, want)
+        assert ours.integers(0, 2 ** 62) == ref.integers(0, 2 ** 62)
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose next uniforms are given."""
+
+    def __init__(self, u):
+        self.u = np.array(u)
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u
+
+
+def test_categorical_ties_and_zero_weights():
+    """u equal to a CDF entry or a bucket edge goes right, as in
+    searchsorted(side="right"); zero weights are never drawn."""
+    w = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 2.0])      # cdf 0 0 .25 .5 .5 1
+    u = [0.0, 0.25, 0.5, 0.125, 0.75, 1.0 - 2.0 ** -53, 3 / 32]
+    got = _categorical(_FixedUniforms(u), w, len(u))
+    np.testing.assert_array_equal(got, [2, 3, 5, 2, 5, 5, 2])
+    # ties off the bucket edges, met by the first check, the vectorized
+    # steps and the binary search
+    w = _categorical_weights("cluster")
+    cdf = np.cumsum(w / w.sum())
+    cdf /= cdf[-1]
+    u = cdf[[0, 1, 2, 500, 1000]]
+    got = _categorical(_FixedUniforms(u), w, len(u))
+    np.testing.assert_array_equal(got, [1, 2, 3, 501, 1001])
+
+
+def test_categorical_cluster_reaches_the_binary_search():
+    """Draws deep inside the cluster start at its bucket's first index and
+    need more than the two vectorized steps."""
+    w = _categorical_weights("cluster")
+    cdf = np.cumsum(w / w.sum())
+    cdf /= cdf[-1]
+    assert np.unique(np.floor(cdf[:1001] * 4096)).size == 1
+    drawn = _categorical(np.random.default_rng(0), w, 1_000_000)
+    assert np.count_nonzero((drawn >= 3) & (drawn <= 1000)) > 100
 
 
 def test_empirical_csv_round_trip(tmp_path):

@@ -5,6 +5,7 @@ Lambert-W zero mass 0.20318786997997992 for the half-point law, and the
 exponential solution of the uniform01 family.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -19,8 +20,11 @@ from perpetuity.distributions import (
 from perpetuity.lst_solver import solve
 from perpetuity.metrics import char_function, step_char_function
 from perpetuity.montecarlo import (
+    _MAX_CHUNK_ARRIVALS,
     KS_COEFF_1PCT,
     McConfig,
+    _chunk_bounds,
+    _chunk_slots,
     cross_oracle_distance,
     derive_seed,
     empirical_lst,
@@ -167,6 +171,36 @@ def test_chunking_changes_bits_not_statistics():
     # means agree inside a drift-dominated band, sd ~ sqrt(T * g(1) Exi^2 / n)
     band = 5.0 * math.sqrt(10 * 0.5 * 2.0 / 40_000) * 2.0
     assert abs(a.values.mean() - b.values.mean()) < band
+
+
+def test_chunk_plan_caps_arrivals():
+    """Slots per chunk shrink so that slots * K stays within the arrival
+    cap; laws with small K = E[1/A] keep the configured layout."""
+    slow = AtomicDistribution([1e-4, 1.5], [0.5, 0.5])      # K = 5000.3
+    k_slow = response_from_rho(slow).support_end
+    slots = _chunk_slots(65536, k_slow)
+    assert slots == 838 and slots * k_slow <= _MAX_CHUNK_ARRIVALS
+    out = mc_fixed_point(slow, 1.0, McConfig(
+        n_samples=3000, master_seed=5, n_transform_iterations=1))
+    assert out.values.size == 3000 and "chunk=838," in out.provenance
+
+    k_u = response_from_rho(quantize_family("uniform01", 512)).support_end
+    assert _chunk_slots(65536, k_u) == 65536
+    assert _chunk_bounds(200_000, _chunk_slots(65536, k_u)) == [
+        (0, 65536), (65536, 131072), (131072, 196608), (196608, 200_000)]
+
+
+def test_sampler_bytes_are_pinned():
+    """sha256 of sampler outputs: a change to any draw moves these."""
+    cfg = McConfig(n_samples=5000, master_seed=2024, n_transform_iterations=3)
+    mc = mc_fixed_point(quantize_family("uniform01", 512), 1.0, cfg)
+    assert hashlib.sha256(mc.values.tobytes()).hexdigest() == (
+        "4bb7398dcb6d95171a7b5592046a49ade4d21261cb50193db05733e6cb3d4c4f")
+    v = np.random.default_rng(5).exponential(size=10_000)
+    v[::7] = 0.0
+    sb = EmpiricalSample(v, 5, "pin").size_bias_resample(20_000, seed=11)
+    assert hashlib.sha256(sb.values.tobytes()).hexdigest() == (
+        "00a1225925b9afb0ae213328a5402a5e3f90a44dd1dd56f3ca4b89af8d505cad")
 
 
 def test_mc_history_and_validation():

@@ -1,5 +1,6 @@
 """Config parsing, typed access, artifact naming, manifest integrity."""
 
+import hashlib
 import json
 
 import pytest
@@ -162,7 +163,8 @@ def test_manifest_round_trip_and_tamper(tmp_path):
     run_dir.mkdir()
     art = run_dir / "grid.csv"
     art.write_text("s,psi,phi\n1,1,0.37\n")
-    write_manifest(run_dir, "solve", cfg, [art], ("method=lst",))
+    digest = hashlib.sha256(art.read_bytes()).hexdigest()
+    write_manifest(run_dir, "solve", cfg, {"grid.csv": digest}, ("method=lst",))
     manifest = check_manifest(run_dir)
     assert manifest["command"] == "solve"
     assert manifest["flags"] == ["method=lst"]
