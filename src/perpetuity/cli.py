@@ -124,7 +124,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
             "mean": sample.mean(),
             "zero_fraction": float(np.mean(sample.values < 1e-9)),
             "iterations": mc_cfg.n_transform_iterations,
-            "chunk_size": mc_cfg.chunk_size,
+            "chunk_size": mc_cfg.chunk_slots(rho),
             "master_seed": mc_cfg.master_seed,
         }
 

@@ -21,7 +21,9 @@ changing the chunk size changes the streams but not the statistics.  The
 layout is ``chunk_size`` slots per chunk, capped at
 _MAX_CHUNK_ARRIVALS // ceil(K) slots with K = lambda * support_end = E[1/A]
 the expected arrivals per slot, so memory stays bounded for laws with
-atoms near 0; the cap binds only when chunk_size * ceil(K) > 2**22.
+atoms near 0; the cap binds only when chunk_size * ceil(K) > 2**22.  A
+law with ceil(K) > 2**22, where one slot alone passes the cap, is refused
+with ValueError before anything is drawn.
 """
 
 from __future__ import annotations
@@ -63,6 +65,11 @@ class McConfig:
             raise ValueError("need at least one transform iteration")
         if int(self.chunk_size) < 1:
             raise ValueError("chunk_size must be >= 1")
+
+    def chunk_slots(self, rho: AtomicDistribution) -> int:
+        """Slots per chunk that mc_fixed_point uses for rho."""
+        return _chunk_slots(self.chunk_size,
+                            response_from_rho(rho, lam=1.0).support_end)
 
     def require_seed(self) -> int:
         if self.master_seed is None:
@@ -109,8 +116,17 @@ def shot_noise_resample(
 
 def _chunk_slots(chunk_size: int, rate: float) -> int:
     """Slots per chunk: chunk_size, capped so that the expected arrivals
-    (slots * rate) stay within _MAX_CHUNK_ARRIVALS."""
-    return min(int(chunk_size), max(1, _MAX_CHUNK_ARRIVALS // math.ceil(rate)))
+    (slots * rate) stay within _MAX_CHUNK_ARRIVALS.
+
+    Raises ValueError when one slot alone would exceed the cap.
+    """
+    per_slot = math.ceil(rate)
+    if per_slot > _MAX_CHUNK_ARRIVALS:
+        raise ValueError(
+            f"K = E[1/A] = {rate:.6g} expected arrivals per sample slot "
+            f"exceed the per-chunk cap of {_MAX_CHUNK_ARRIVALS}; the shot-"
+            f"noise sampler cannot bound its memory for this law")
+    return min(int(chunk_size), _MAX_CHUNK_ARRIVALS // per_slot)
 
 
 def _chunk_bounds(n: int, chunk: int):
@@ -135,7 +151,7 @@ def mc_fixed_point(
     h = response_from_rho(rho, lam=1.0)
     h.assert_normalized()
     n = int(cfg.n_samples)
-    chunk = _chunk_slots(cfg.chunk_size, h.lam * h.support_end)
+    chunk = cfg.chunk_slots(rho)
     provenance = (
         f"mc-fixed-point(rho={rho.digest()}, m={m:.17g}, n={n}, "
         f"iters={cfg.n_transform_iterations}, chunk={chunk}, "

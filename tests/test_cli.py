@@ -2,11 +2,14 @@
 manifest integrity, and byte-level reproducibility."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import perpetuity
 from perpetuity.cli import main
 from perpetuity.runconfig import check_manifest
 
@@ -118,6 +121,27 @@ def test_solve_mc_and_both(tmp_path):
     check_manifest(rd2)
 
 
+def test_solve_mc_refuses_unboundable_law(tmp_path, capsys):
+    law = ["--set", "rho.atoms=1e-7:0.5,1.5:0.5"]          # K = 5e6
+    assert main(["solve", "--method", "mc", *law, *FAST_MC,
+                 *out(tmp_path)]) == 1
+    assert "per-chunk cap" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_solve_mc_reports_effective_chunk(tmp_path):
+    """The arrival cap binds for K = 5000: 838 slots per chunk, not 65536."""
+    assert main(["solve", "--method", "mc",
+                 "--set", "rho.atoms=1e-4:0.5,1.5:0.5",
+                 "--set", "mc.n_samples=2000", "--set", "mc.iterations=1",
+                 "--set", "mc.master_seed=7", *out(tmp_path)]) == 0
+    rd = only_run_dir(tmp_path, "solve")
+    report = json.loads((rd / "solution.json").read_text())
+    assert report["mc"]["chunk_size"] == 838
+    assert "chunk=838," in json.loads((rd / "sample.json").read_text())[
+        "provenance"]
+
+
 def test_moments_cli(tmp_path):
     assert main(["moments", "--order", "6", *UNIFORM, *out(tmp_path)]) == 0
     rd = only_run_dir(tmp_path, "moments")
@@ -208,10 +232,15 @@ def test_reruns_are_byte_identical(tmp_path):
 
 
 def test_console_script(tmp_path):
+    # the child imports the package this test imported, also when pytest
+    # put it on sys.path itself (pyproject's ``pythonpath``)
+    src = str(Path(perpetuity.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run(
         [sys.executable, "-m", "perpetuity.cli", "diagnose", *HALF,
          *out(tmp_path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert "exists" in proc.stdout or "wrote" in proc.stdout

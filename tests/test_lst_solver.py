@@ -8,6 +8,7 @@ Independent oracles used here:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,7 +50,8 @@ def test_init_grid():
     g = init_grid(2.0, s_min=1e-2, s_max=1e2, grid_points=33)
     assert g.s_points[0] == 1e-2 and g.s_points[-1] == 1e2
     np.testing.assert_allclose(g.psi, 2.0 * g.s_points)
-    # coarse grid: log-spaced linear interpolation overshoots m*s by <= h^2/8
+    # coarse grid (h = 0.29): the cubic read of f = 1 - e^{-psi} in log s
+    # misses m*s by O(h^4) (1.5e-4 relative here)
     assert g.eval_psi(0.5) == pytest.approx(1.0, rel=2e-2)
     assert not g.converged and g.iteration_count == 0
     with pytest.raises(ValueError):
@@ -61,8 +63,9 @@ def test_init_grid():
 
 
 def test_first_iterate_closed_form():
-    # delta_{1/2} from psi_0 = s: T psi_0 = 2(1 - e^{-s/2}); linear-in-log-s
-    # interpolation of psi_0 adds O(h^2) so the match is to that accuracy
+    # delta_{1/2} from psi_0 = s: T psi_0 = 2(1 - e^{-s/2}); the cubic read
+    # of f = 1 - e^{-psi_0} between log-spaced nodes adds O(h^4) (1.5e-7
+    # relative here)
     g = iterate_once(init_grid(1.0), DELTA_HALF)
     expected = 2.0 * (1.0 - np.exp(-g.s_points / 2.0))
     assert np.max(np.abs(g.psi - expected) / expected) < 1e-3
@@ -70,8 +73,10 @@ def test_first_iterate_closed_form():
 
 
 def test_iterates_monotone_nonincreasing():
-    # pointwise decrease holds up to the interpolation error injected when
-    # psi(s a_j) is read off the log-spaced grid (relative h^2/8 per step)
+    # pointwise decrease holds up to the error injected when
+    # f(s a_j) = 1 - e^{-psi(s a_j)} is read off the log-spaced grid: O(h^4)
+    # from the cubic rule, plus the step at s_min between the exact law
+    # m*s below and the grid values above (relative 1e-5 at most here)
     for rho in (DELTA_HALF, quantize_family("uniform01", 64),
                 AtomicDistribution([0.25, 0.9], [0.3, 0.7])):
         g = init_grid(1.0)
@@ -106,6 +111,78 @@ def test_solve_uniform01_matches_exponential():
     assert grid.atom_at_zero == 0.0          # family-level K = inf
     assert not grid.extrapolation_used       # all atoms below 1
     assert grid.rate_estimate is not None and 0.0 < grid.rate_estimate < 1.0
+
+
+TWO_ATOMS = AtomicDistribution([0.3, 1.2], [0.5, 0.5])
+TINY_ATOM = AtomicDistribution([1e-12, 0.9], [0.5, 0.5])
+
+# atoms s_min/s_k and s_max/s_k of the default grid: a_j * s_k lands exactly
+# on s_min or s_max, where s_min / a_j rounds to the wrong side of s_k
+_S = np.geomspace(1e-3, 1e3, 256)
+GRID_RATIO = AtomicDistribution(
+    [_S[0] / _S[11], _S[0] / _S[50], _S[-1] / _S[254], _S[-1] / _S[233]],
+    [0.3, 0.3, 0.3, 0.1])
+
+OPERATOR_LAWS = {
+    "uniform01-512": quantize_family("uniform01", 512),
+    "two-atom": TWO_ATOMS,           # targets above s_max
+    "half-point": DELTA_HALF,
+    "tiny-atom": TINY_ATOM,          # psi up to 500: f rounds to 1
+    "grid-ratio": GRID_RATIO,
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPERATOR_LAWS))
+def test_iterate_equals_direct_sum_through_eval_psi(name):
+    """One iterate is sum_j (w_j/a_j)(1 - exp(-eval_psi(a_j s_i))) per node,
+    written here as one J x G evaluation through eval_psi."""
+    rho = OPERATOR_LAWS[name]
+    grid = solve(rho, 1.0, max_iter=12)
+    targets = np.multiply.outer(rho.locations, grid.s_points)
+    vals = grid.eval_psi(targets)
+    assert np.all(np.isfinite(vals))
+    direct = (rho.weights / rho.locations) @ -np.expm1(-vals)
+    new = iterate_once(grid, rho).psi
+    assert np.max(np.abs(new - direct) / direct) <= 1e-13
+    assert grid.extrapolation_used == bool(np.any(targets > grid.s_points[-1]))
+
+
+def test_eval_psi_finite_where_f_rounds_to_one():
+    grid = solve(TINY_ATOM, 1.0)
+    assert grid.converged and grid.psi[-1] > 400.0    # 1 - e^{-psi} == 1.0
+    t = np.geomspace(grid.s_points[0], grid.s_points[-1], 10_001)
+    assert np.all(np.isfinite(grid.eval_psi(t)))
+
+
+@pytest.mark.parametrize("rho, count", [
+    (quantize_family("uniform01", 512), 31),
+    (DELTA_HALF, 22),
+    (TWO_ATOMS, 79),
+])
+def test_iteration_counts(rho, count):
+    grid = solve(rho, 1.0)
+    assert grid.converged and grid.iteration_count == count
+
+
+def test_uniform01_accuracy_at_default_grid():
+    """max |phi - 1/(1+s)| over the 256 nodes; about 1.2e-4 of it is the
+    512-atom quantization, which a finer grid does not remove."""
+    grid = solve(quantize_family("uniform01", 512), 1.0)
+    s = grid.s_points
+    assert np.max(np.abs(grid.eval_lst(s) - 1.0 / (1.0 + s))) <= 1.5e-4
+
+
+def test_solve_memory_does_not_grow_with_atoms_times_grid():
+    """200k atoms on 256 nodes: one J x G float array alone is 410 MB."""
+    rho = quantize_family("uniform01", 200_000)
+    tracemalloc.start()
+    try:
+        grid = solve(rho, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.converged
+    assert peak < 64 * 2 ** 20
 
 
 def test_solve_delta_half_self_consistency():

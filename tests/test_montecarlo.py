@@ -190,6 +190,17 @@ def test_chunk_plan_caps_arrivals():
         (0, 65536), (65536, 131072), (131072, 196608), (196608, 200_000)]
 
 
+def test_law_no_chunk_can_bound_is_refused():
+    """ceil(K) > _MAX_CHUNK_ARRIVALS: one slot alone passes the cap, so the
+    sampler refuses before drawing anything."""
+    law = AtomicDistribution([1e-7, 1.5], [0.5, 0.5])       # K = 5e6
+    cfg = McConfig(n_samples=3, master_seed=5, n_transform_iterations=1)
+    with pytest.raises(ValueError, match=r"K = E\[1/A\] = 5e\+06 .* 4194304"):
+        mc_fixed_point(law, 1.0, cfg)
+    with pytest.raises(ValueError):
+        cfg.chunk_slots(law)
+
+
 def test_sampler_bytes_are_pinned():
     """sha256 of sampler outputs: a change to any draw moves these."""
     cfg = McConfig(n_samples=5000, master_seed=2024, n_transform_iterations=3)
