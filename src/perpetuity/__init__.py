@@ -30,7 +30,6 @@ from .metrics import (
     char_function,
     contraction_ratio,
     empirical_lst,
-    r_delta,
     r_delta_report,
 )
 from .moments import eta_moments, eta_moments_from_mellin, sb_moments
@@ -88,7 +87,6 @@ __all__ = [
     "perpetuity_residual",
     "point_mass",
     "quantize_family",
-    "r_delta",
     "r_delta_report",
     "response_from_rho",
     "rho_from_response",

@@ -130,9 +130,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
 
     if grid is not None and sample is not None:
         report["cross_method"] = cross_oracle_distance(
-            sample, grid, rho=rho,
-            transform_iterations=cfg.get_int("mc.iterations"),
-        ).to_json_obj()
+            sample, grid).to_json_obj()
 
     files = {"solution.json": json_text(report)}
     if grid is not None:

@@ -37,8 +37,12 @@ _GUIDE_MAX_BITS = 18
 
 
 def json_text(obj) -> str:
-    """The artifact JSON format: sorted keys, 2-space indent, final newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The artifact JSON format: sorted keys, 2-space indent, final newline.
+
+    NaN and infinities are refused with ValueError: JSON has no token for
+    them.
+    """
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def csv_text(header: str, fmt: str, *columns) -> list[str]:
@@ -47,9 +51,12 @@ def csv_text(header: str, fmt: str, *columns) -> list[str]:
     Row i is ``fmt % (col[i] for col in columns)`` plus a newline; each
     block of _CSV_BLOCK_ROWS rows is rendered by one % operation, which
     keeps the text of a large sample in a few bounded pieces.  ``%.17g``
-    round-trips every double, and ``%d`` suits integer columns.
+    round-trips every double, and ``%d`` suits integer columns.  NaN and
+    infinities are refused with ValueError, as in json_text.
     """
     cols = [np.asarray(c) for c in columns]
+    if not all(np.isfinite(c).all() for c in cols):
+        raise ValueError(f"non-finite value in CSV columns {header}")
     n = cols[0].size
     blocks = [header + "\n"]
     for lo in range(0, n, _CSV_BLOCK_ROWS):

@@ -113,14 +113,16 @@ def _midpoint_ecdf(sorted_values: np.ndarray, t: np.ndarray) -> np.ndarray:
     return (left + right) / (2.0 * sorted_values.size)
 
 
-def steutel_residual(mu, levy: LevyEstimate, x_probes) -> SteutelReport:
+def steutel_residual(mu: EmpiricalSample, levy: LevyEstimate,
+                     x_probes) -> SteutelReport:
     """Evaluate both sides of the convolution identity at the probes.
 
-    ``mu`` is either an EmpiricalSample of the solution law or a callable
-    analytic CDF.  The left side is the size-biased CDF (weighted ECDF for
-    samples; x F(x) - int_0^x F for a callable, by parts).  The right side
-    convolves mu's CDF against the levy sample with the midpoint ECDF.
+    The left side is the size-biased CDF of the solution sample ``mu``
+    (its value-weighted ECDF).  The right side convolves mu's midpoint
+    ECDF against the levy sample.
     """
+    if not isinstance(mu, EmpiricalSample):
+        raise TypeError("mu must be an EmpiricalSample")
     probes = np.atleast_1d(np.asarray(x_probes, dtype=float))
     if np.any(probes <= 0.0):
         raise ValueError("probes must be strictly positive")
@@ -129,49 +131,18 @@ def steutel_residual(mu, levy: LevyEstimate, x_probes) -> SteutelReport:
         raise ValueError(
             f"probe beyond levy-sample support (max sampled x = {top:.6g})"
         )
-
-    if isinstance(mu, EmpiricalSample):
-        vals = np.sort(mu.values)
-        total = float(vals.sum())
-        if total <= 0.0:
-            raise ValueError("mu sample has zero mass")
-        cum = np.cumsum(vals)
-
-        def mu_cdf(t):
-            return _midpoint_ecdf(vals, t)
-
-        def mu_sb_cdf(t):
-            idx = np.searchsorted(vals, t, side="right")
-            return np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0) / total
-    elif callable(mu):
-        mu_cdf = mu
-        # mean and partial integrals by trapezoid on a fine grid
-        hi = max(top, float(probes.max())) * 4.0 + 10.0
-        grid = np.linspace(0.0, hi, 200_001)
-        cdf_vals = np.asarray(mu_cdf(grid), dtype=float)
-        tail = 1.0 - cdf_vals
-        mean = float(np.sum((tail[1:] + tail[:-1]) * 0.5 * np.diff(grid)))
-        if mean <= 0.0:
-            raise ValueError("callable CDF has nonpositive mean")
-        partial = np.concatenate(
-            [[0.0], np.cumsum((cdf_vals[1:] + cdf_vals[:-1]) * 0.5
-                              * np.diff(grid))]
-        )
-
-        def mu_sb_cdf(t):
-            t = np.asarray(t, dtype=float)
-            f = np.asarray(mu_cdf(t), dtype=float)
-            ipart = np.interp(t, grid, partial)
-            return (t * f - ipart) / mean
-    else:
-        raise TypeError("mu must be an EmpiricalSample or a callable CDF")
-
-    lhs = np.asarray(mu_sb_cdf(probes), dtype=float)
+    vals = np.sort(mu.values)
+    total = float(vals.sum())
+    if total <= 0.0:
+        raise ValueError("mu sample has zero mass")
+    cum = np.cumsum(vals)
+    idx = np.searchsorted(vals, probes, side="right")
+    lhs = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0) / total
     rhs = np.empty(probes.size)
     for i, xp in enumerate(probes):
         inside = levy.x[levy.x <= xp]
-        rhs[i] = (float(np.sum(mu_cdf(xp - inside))) / levy.x.size
-                  if inside.size else 0.0)
+        rhs[i] = (float(np.sum(_midpoint_ecdf(vals, xp - inside)))
+                  / levy.x.size if inside.size else 0.0)
     residual = float(np.max(np.abs(lhs - rhs)))
     return SteutelReport(
         probes=tuple(float(v) for v in probes),

@@ -411,16 +411,25 @@ def solve(
 
     Convergence criterion: sup-norm of the update below tol.  The returned
     grid records the empirically observed geometric rate (median of the
-    last few residual ratios) alongside the final residual.
+    last few residual ratios) alongside the final residual.  A non-finite
+    iterate raises ValueError naming the iteration and its first bad node.
     """
     require_existence(rho)
     if not (0.0 < tol < 1.0):
         raise ValueError("tol must be in (0, 1)")
+    if int(max_iter) < 1:
+        raise ValueError("max_iter must be >= 1")
     grid = init_grid(m, s_min=s_min, s_max=s_max, grid_points=grid_points)
     residuals = []
     converged = False
     for _ in range(int(max_iter)):
         grid = iterate_once(grid, rho)
+        if not math.isfinite(grid.residual):
+            bad = int(np.argmin(np.isfinite(grid.psi)))
+            raise ValueError(
+                f"LST iterate {grid.iteration_count} is not finite: psi = "
+                f"{grid.psi[bad]} at node {bad} (s = "
+                f"{grid.s_points[bad]:.6g})")
         residuals.append(grid.residual)
         if grid.residual < tol:
             converged = True

@@ -169,10 +169,6 @@ def r_delta_report(nu1, nu2, cfg: RDeltaConfig = RDeltaConfig()) -> RDeltaReport
         char_function(nu1, fine) - char_function(nu2, fine), fine, cfg)
 
 
-def r_delta(nu1, nu2, cfg: RDeltaConfig = RDeltaConfig()) -> float:
-    return r_delta_report(nu1, nu2, cfg).value
-
-
 def random_mean_law(rng: np.random.Generator, mean: float = 1.0,
                     max_atoms: int = 4) -> AtomicDistribution:
     """Random atomic law rescaled to an exact target mean (for sweeps)."""

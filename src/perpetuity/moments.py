@@ -34,7 +34,10 @@ _MARGINAL_GAP = 1e-12
 def eta_moments_from_mellin(
     g: Callable[[int], float], m: float, n_max: int
 ) -> MomentVector:
-    """Run the recursion against an arbitrary Mellin function g(k) = E A^k."""
+    """Run the recursion against an arbitrary Mellin function g(k) = E A^k.
+
+    Raises ValueError when a moment overflows a double.
+    """
     if not (m > 0.0 and math.isfinite(m)):
         raise ValueError("mean target m must be a positive real")
     if not 1 <= int(n_max) <= MAX_SUPPORTED_ORDER:
@@ -52,6 +55,10 @@ def eta_moments_from_mellin(
             for k in range(n)
         ]
         moms.append(math.fsum(terms) / (1.0 - gn))
+        if not math.isfinite(moms[-1]):
+            raise ValueError(
+                f"E eta^{n + 1} overflows a double at m = {m:g}; request "
+                f"a lower order")
     return MomentVector(
         values=tuple(moms),
         mean=float(m),

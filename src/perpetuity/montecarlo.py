@@ -13,6 +13,11 @@ guide-table lookup that consumes the same uniforms and returns the same
 indices as ``rng.choice(n_steps, p=rates / rates.sum())``, in O(1)
 expected time per arrival instead of a binary search.
 
+Every iterate is rescaled to mean exactly m.  The fixed-point map is scale
+equivariant (if eta solves it for mean m, c * eta solves it for mean c * m),
+so the mean is known in closed form; sampling it would let it wander as a
+martingale, since marks are resampled from the previous iterate.
+
 Determinism contract: every random stream derives from the master seed,
 a purpose label, and (iteration, chunk) indices, so chunk results are a
 pure function of the inputs and the chunk layout.  Rerunning a pipeline
@@ -137,12 +142,13 @@ def mc_fixed_point(
     rho: AtomicDistribution,
     m: float,
     cfg: McConfig,
-    history: bool = False,
-):
-    """Iterate the transform from the point mass at m.
+) -> EmpiricalSample:
+    """Iterate the transform from the point mass at m, rescaling each
+    iterate to mean m.
 
-    Returns the final EmpiricalSample, or the list of per-iteration samples
-    when history=True (element k is the state after k+1 iterations).
+    Raises ValueError when an iterate is all zero: it has no mean to
+    rescale, which happens when n_samples is too small for the law's atom
+    at zero.
     """
     require_existence(rho)
     master = cfg.require_seed()
@@ -158,7 +164,6 @@ def mc_fixed_point(
         f"seed={master})"
     )
     current = EmpiricalSample(np.full(n, float(m)), master, provenance)
-    states = []
     for it in range(int(cfg.n_transform_iterations)):
         parts = []
         for ci, (lo, hi) in enumerate(_chunk_bounds(n, chunk)):
@@ -166,10 +171,16 @@ def mc_fixed_point(
             parts.append(
                 shot_noise_resample(current, h, child, n_out=hi - lo).values
             )
-        current = EmpiricalSample(np.concatenate(parts), master, provenance)
-        if history:
-            states.append(current)
-    return states if history else current
+        values = np.concatenate(parts)
+        mean = values.mean()
+        if mean == 0.0:
+            raise ValueError(
+                f"Monte Carlo iterate {it + 1} of n = {n} samples is all "
+                f"zero, so it has no mean to rescale to m; use a larger "
+                f"mc.n_samples")
+        values *= m / mean
+        current = EmpiricalSample(values, master, provenance)
+    return current
 
 
 @dataclass(frozen=True)
@@ -252,24 +263,15 @@ def cross_oracle_distance(
     sample: EmpiricalSample,
     grid: LstGrid,
     s_grid=None,
-    rho: AtomicDistribution | None = None,
-    transform_iterations: int | None = None,
 ) -> CrossOracleReport:
     """Compare empirical and solved Laplace transforms point by point.
 
-    Tolerance at each s: 3 * (MC standard error + grid error estimate).
-    The verdict requires every grid point inside tolerance.
-
-    The standard error model has two parts.  The i.i.d. part is the usual
-    sd(exp(-sX))/sqrt(n).  On top of that, resampling marks from the
-    previous iterate makes the sample mean a martingale across iterations
-    (one-step mean preservation is exact in expectation), so the final
-    mean carries sd ~ sqrt(T*V/n) with V = lambda*int h^2 * E[xi^2], and
-    that drift enters the transform through d(phi)/d(mean) = -(s/m) phi
-    psi'(s) by scale equivariance.  Pass rho and transform_iterations to
-    include the drift term; without them only the i.i.d. part is used,
-    which undersizes the error of an mc_fixed_point output by up to
-    sqrt(T) at small s.
+    Tolerance at each s: 3 * (i.i.d. standard error + grid error estimate),
+    with the standard error sd(exp(-sX)) / sqrt(n).  The verdict requires
+    every grid point inside tolerance.  A point with zero tolerance counts
+    with ratio 0 where the two routes agree exactly there; where they do
+    not, the sample has no spread to judge them by, and ValueError is
+    raised.
     """
     if sample.values.size < _MIN_VERDICT_SAMPLES:
         raise ValueError(f"need at least {_MIN_VERDICT_SAMPLES} samples for a verdict")
@@ -280,21 +282,17 @@ def cross_oracle_distance(
     n = sample.values.size
     # per-point sd of exp(-sX): sqrt(E e^{-2sX} - (E e^{-sX})^2)
     second = empirical_lst(sample, 2.0 * s)
-    var = np.maximum(second - emp ** 2, 0.0)
-    if rho is not None and transform_iterations is not None:
-        v_step = rho.mean() * float(np.mean(sample.values ** 2))
-        mean_sd = math.sqrt(transform_iterations * v_step / n)
-        x = np.log(grid.s_points)
-        dpsi_dx = np.interp(np.log(np.maximum(s, grid.s_points[0])),
-                            x, np.gradient(grid.psi, x))
-        m = grid.mean_target
-        psi_prime = np.where(s < grid.s_points[0], m, dpsi_dx / s)
-        var = var + n * ((s / m) * solved * psi_prime * mean_sd) ** 2
-    se = np.sqrt(var / n)
+    se = np.sqrt(np.maximum(second - emp ** 2, 0.0) / n)
     allowed = 3.0 * (se + grid.error_estimate(s))
     diff = np.abs(emp - solved)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(allowed > 0.0, diff / allowed, np.inf)
+    stuck = (allowed == 0.0) & (diff > 0.0)
+    if stuck.any():
+        i = int(np.argmax(stuck))
+        raise ValueError(
+            f"cross-oracle tolerance is 0 at s = {s[i]:.6g}, where the "
+            f"routes differ by {diff[i]:.3g}")
+    ratios = np.divide(diff, allowed, out=np.zeros(s.size),
+                       where=allowed > 0.0)
     worst = int(np.argmax(diff))
     return CrossOracleReport(
         s_grid=tuple(float(v) for v in s),

@@ -10,6 +10,8 @@ lambda * int h = 1 is exactly the statement that the dual weights sum to 1.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .distributions import AtomicDistribution, csv_text, json_text
@@ -17,14 +19,17 @@ from .distributions import AtomicDistribution, csv_text, json_text
 _NORMALIZATION_TOL = 1e-9
 
 
+@dataclass(frozen=True, eq=False)
 class ResponseFunction:
     """Step kernel: value v_k on an interval of length d_k, descending v."""
 
-    __slots__ = ("values", "durations", "lam")
+    values: np.ndarray
+    durations: np.ndarray
+    lam: float = 1.0
 
-    def __init__(self, values, durations, lam: float = 1.0):
-        v = np.atleast_1d(np.asarray(values, dtype=float))
-        d = np.atleast_1d(np.asarray(durations, dtype=float))
+    def __post_init__(self):
+        v = np.atleast_1d(np.asarray(self.values, dtype=float))
+        d = np.atleast_1d(np.asarray(self.durations, dtype=float))
         if v.shape != d.shape or v.ndim != 1:
             raise ValueError("values and durations must be 1-d of equal length")
         if v.size and not (np.all(np.isfinite(v)) and np.all(np.isfinite(d))):
@@ -35,16 +40,14 @@ class ResponseFunction:
             raise ValueError("step durations must be strictly positive")
         if v.size > 1 and np.any(np.diff(v) >= 0.0):
             raise ValueError("step values must be strictly decreasing")
-        if not (np.isfinite(lam) and lam > 0.0):
+        if not (np.isfinite(self.lam) and self.lam > 0.0):
             raise ValueError("lambda must be a positive real")
         v.setflags(write=False)
         d.setflags(write=False)
+        # frozen: the normalized fields go in through object.__setattr__
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "durations", d)
-        object.__setattr__(self, "lam", float(lam))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ResponseFunction is immutable")
+        object.__setattr__(self, "lam", float(self.lam))
 
     def __repr__(self):
         steps = ", ".join(

@@ -30,7 +30,7 @@ from perpetuity.levy import levy_from_solution, steutel_residual
 from perpetuity.lst_solver import solve
 from perpetuity.metrics import (
     contraction_ratio,
-    r_delta,
+    r_delta_report,
     random_mean_law,
 )
 from perpetuity.moments import eta_moments
@@ -186,11 +186,12 @@ def test_contraction_sweep_and_metric_axioms(uniform_rho):
     axiom_gap = 0.0
     for _ in range(100):
         a, b, c = (random_mean_law(axiom_rng) for _ in range(3))
-        rab, rba = r_delta(a, b), r_delta(b, a)
+        rab, rba = r_delta_report(a, b).value, r_delta_report(b, a).value
+        rac, rbc = r_delta_report(a, c).value, r_delta_report(b, c).value
         axiom_gap = max(axiom_gap,
                         abs(rab - rba),
-                        r_delta(a, a),
-                        r_delta(a, c) - (rab + r_delta(b, c)))
+                        r_delta_report(a, a).value,
+                        rac - (rab + rbc))
     ok = ok and axiom_gap <= 1e-12
     detail = ", ".join(
         f"{k}: max ratio {v[0]:.3f} <= {v[1]:.4f}+0.05" for k, v in worst.items()
@@ -249,8 +250,7 @@ def test_cross_oracle_agreement(uniform_rho, uniform_mc, half_mc):
         ("half-point", DELTA_HALF, half_mc, 2025),
     ):
         grid = solve(rho, 1.0)
-        rep = cross_oracle_distance(sample, grid, rho=rho,
-                                    transform_iterations=ITERS)
+        rep = cross_oracle_distance(sample, grid)
         base_cfg = McConfig(n_samples=N_MC, master_seed=seed,
                             n_transform_iterations=ITERS)
         rerun = mc_fixed_point(rho, 1.0, base_cfg)
@@ -260,8 +260,7 @@ def test_cross_oracle_agreement(uniform_rho, uniform_mc, half_mc):
             McConfig(n_samples=N_MC, master_seed=seed,
                      n_transform_iterations=ITERS, chunk_size=25_000),
         )
-        alt = cross_oracle_distance(rechunked, grid, rho=rho,
-                                    transform_iterations=ITERS)
+        alt = cross_oracle_distance(rechunked, grid)
         ok = ok and rep.passed and alt.passed and byte_stable
         results.append(
             f"{name}: max|diff|/allowed {rep.max_ratio:.2f} "

@@ -142,6 +142,31 @@ def test_solve_mc_reports_effective_chunk(tmp_path):
         "provenance"]
 
 
+def test_solve_mc_refuses_all_zero_iterate(tmp_path, capsys):
+    """Three half-point slots are all zero at iterate 3 with seed 1: no
+    mean to rescale, so exit 1 and no run directory."""
+    assert main(["solve", "--method", "mc", *HALF,
+                 "--set", "mc.n_samples=3", "--set", "mc.master_seed=1",
+                 *out(tmp_path)]) == 1
+    assert "iterate 3 of n = 3 samples is all zero" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_solve_stops_at_first_non_finite_iterate(tmp_path, capsys):
+    """The slope continuation overflows for this law at iterate 4: the
+    solve stops there at the default max_iter and writes nothing, so no
+    artifact can hold NaN or Infinity."""
+    law = ["--set", "rho.atoms=0.001:0.7,10000:0.3", "--set", "mean=3"]
+    assert main(["solve", *law, *out(tmp_path)]) == 1
+    assert "LST iterate 4 is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+    # with no iteration the residual would be inf
+    assert main(["solve", *UNIFORM, "--set", "solver.max_iter=0",
+                 *out(tmp_path)]) == 1
+    assert "max_iter must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_moments_cli(tmp_path):
     assert main(["moments", "--order", "6", *UNIFORM, *out(tmp_path)]) == 0
     rd = only_run_dir(tmp_path, "moments")

@@ -129,6 +129,14 @@ def test_csv_and_json_round_trips(tmp_path):
                     '  "b": [\n    1.5,\n    null\n  ]\n}\n')
 
 
+def test_artifact_writers_refuse_non_finite():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            json_text({"residual": bad})
+        with pytest.raises(ValueError, match="non-finite"):
+            csv_text("s,psi", "%.17g,%.17g", [1.0, 2.0], [0.5, bad])
+
+
 def test_csv_rejects_wrong_header(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("a,b\n1,1\n")

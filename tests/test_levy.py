@@ -71,20 +71,6 @@ def test_levy_cdf_and_validation():
         levy_from_solution(rho, EmpiricalSample(np.zeros(10), 0, "z"), seed=1)
 
 
-def test_steutel_identity_analytic_cdf():
-    rho = quantize_family("uniform01", 512)
-    levy = levy_from_solution(rho, exp_sample(200_000, 41), seed=9,
-                              n_out=100_000)
-    probes = np.array([0.5, 1.0, 2.0, 4.0])
-    rep = steutel_residual(lambda t: -np.expm1(-np.maximum(t, 0.0)),
-                           levy, probes)
-    assert rep.residual < 0.01
-    # left side is the Gamma(2,1) CDF computed by parts from Exp(1)
-    np.testing.assert_allclose(rep.lhs, stats.gamma(2.0).cdf(probes),
-                               atol=2e-4)
-    assert rep.to_json_obj()["probes"] == list(probes)
-
-
 def test_steutel_identity_empirical_mu():
     rho = quantize_family("uniform01", 512)
     mu = exp_sample(200_000, 43)

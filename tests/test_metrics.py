@@ -24,7 +24,6 @@ from perpetuity.metrics import (
     RDeltaConfig,
     char_function,
     contraction_ratio,
-    r_delta,
     r_delta_report,
     random_mean_law,
 )
@@ -63,20 +62,20 @@ def test_metric_axioms_random_triples():
     rng = np.random.default_rng(11)
     for _ in range(20):
         a, b, c = (random_mean_law(rng) for _ in range(3))
-        assert r_delta(a, a) == 0.0
-        rab, rba = r_delta(a, b), r_delta(b, a)
+        assert r_delta_report(a, a).value == 0.0
+        rab, rba = r_delta_report(a, b).value, r_delta_report(b, a).value
         assert rab == pytest.approx(rba, rel=1e-12)
-        rac, rbc = r_delta(a, c), r_delta(b, c)
+        rac, rbc = r_delta_report(a, c).value, r_delta_report(b, c).value
         assert rac <= rab + rbc + 1e-12
         assert rab > 0.0 or np.array_equal(a.locations, b.locations)
 
 
 def test_mean_gate():
     with pytest.raises(ValueError, match="means differ"):
-        r_delta(point_mass(1.0), point_mass(1.1))
+        r_delta_report(point_mass(1.0), point_mass(1.1))
     # empirical means carry sampling noise; the gate widens accordingly
     vals = np.random.default_rng(3).exponential(size=50_000)
-    r_delta(EmpiricalSample(vals, 3, "exp"), point_mass(1.0), CLIP)
+    r_delta_report(EmpiricalSample(vals, 3, "exp"), point_mass(1.0), CLIP)
 
 
 def test_two_atom_closed_form():
@@ -90,8 +89,10 @@ def test_two_atom_closed_form():
         # the gap is explained by the reported truncation estimates
         assert abs(rep.value - oracle) < 3 * (rep.truncation_low
                                               + rep.truncation_high)
-    small = r_delta(AtomicDistribution([0.95, 1.05], [0.5, 0.5]), d1)
-    big = r_delta(AtomicDistribution([0.9, 1.1], [0.5, 0.5]), d1)
+    small = r_delta_report(
+        AtomicDistribution([0.95, 1.05], [0.5, 0.5]), d1).value
+    big = r_delta_report(
+        AtomicDistribution([0.9, 1.1], [0.5, 0.5]), d1).value
     assert big / small == pytest.approx(2.0 ** 1.5, rel=5e-3)
 
 
@@ -111,7 +112,7 @@ def test_sample_against_own_law_is_near_zero():
     rho = quantize_family("uniform01", 512)
     u = np.random.default_rng(5).random(200_000)
     sample = EmpiricalSample(rho.quantile(u), 5, "own")
-    r = r_delta(sample, rho, CLIP)
+    r = r_delta_report(sample, rho, CLIP).value
     # dominated by the realized mean offset amplified by s_lo^(1-delta)
     drift = abs(sample.mean() - 0.5)
     assert r < 40.0 * drift + 0.01
@@ -195,10 +196,14 @@ def test_close_pair_is_not_degenerate():
 def test_iteration_distances_decay_geometrically():
     rho = quantize_family("uniform01", 512)
     n = 30_000
-    cfg = McConfig(n_samples=n, master_seed=55, n_transform_iterations=6)
-    states = mc_fixed_point(rho, 1.0, cfg, history=True)
-    seq = [EmpiricalSample(np.full(n, 1.0), 55, "start")] + states
-    dists = [r_delta(seq[k], seq[k + 1], CLIP) for k in range(len(seq) - 1)]
+    # streams derive from (seed, iteration, chunk), so a k-step run is the
+    # state after k steps of any longer run
+    seq = [EmpiricalSample(np.full(n, 1.0), 55, "start")] + [
+        mc_fixed_point(rho, 1.0, McConfig(n_samples=n, master_seed=55,
+                                          n_transform_iterations=k))
+        for k in range(1, 7)]
+    dists = [r_delta_report(seq[k], seq[k + 1], CLIP).value
+             for k in range(len(seq) - 1)]
     factor = rho.mellin(0.5) + 0.05
     floor = 0.25   # empirical-CF noise level at this n in the clipped band
     for k in range(len(dists) - 1):

@@ -106,6 +106,12 @@ def test_log_convexity_of_solution_moments():
         assert min(gaps) >= -1e-9
 
 
+def test_moment_overflow_is_refused():
+    # m^4 = 1e400 overflows a double
+    with pytest.raises(ValueError, match=r"E eta\^4 overflows"):
+        eta_moments(quantize_family("uniform01", 8), 1e100, 8)
+
+
 def test_sb_moments_shift():
     mv = eta_moments(quantize_family("uniform01", 8), 1.0, 6,
                      family_exact=True)
