@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from .montecarlo import (
     derive_seed,
     mc_fixed_point,
     perpetuity_residual,
+    transform_steps,
 )
 from .response import response_from_rho
 from .runconfig import RunConfig, check_manifest, write_run
@@ -82,6 +84,32 @@ def _solve_lst(cfg: RunConfig, rho):
     )
 
 
+def _sample(cfg: RunConfig, rho, grid=None):
+    """MC sample of the solution, run for the transform count T that
+    ``transform_steps`` picks from the LST solve (``grid``, or a solve on
+    the solver.* keys), with mc.iterations as the cap.
+
+    Returns (sample, report): report holds n, the mean, T, the bias left
+    after T steps (None when the grid did not converge) and the layout.
+    """
+    mc_cfg = _mc_config(cfg)
+    if grid is None:
+        grid = _solve_lst(cfg, rho)
+    steps, bias = transform_steps(rho, grid, mc_cfg.n_samples,
+                                  mc_cfg.n_transform_iterations)
+    mc_cfg = replace(mc_cfg, n_transform_iterations=steps)
+    sample = mc_fixed_point(rho, cfg.get_float("mean"), mc_cfg)
+    return sample, {
+        "n": int(sample.values.size),
+        "mean": sample.mean(),
+        "zero_fraction": float(np.mean(sample.values < 1e-9)),
+        "iterations": steps,
+        "transform_bias": bias,
+        "chunk_size": mc_cfg.chunk_slots(rho),
+        "master_seed": mc_cfg.master_seed,
+    }
+
+
 def cmd_diagnose(cfg: RunConfig, args) -> int:
     rho = cfg.rho()
     report = diagnose(rho)
@@ -117,20 +145,10 @@ def cmd_solve(cfg: RunConfig, args) -> int:
 
     sample = None
     if args.method in ("mc", "both"):
-        mc_cfg = _mc_config(cfg)
-        sample = mc_fixed_point(rho, m, mc_cfg)
-        report["mc"] = {
-            "n": int(sample.values.size),
-            "mean": sample.mean(),
-            "zero_fraction": float(np.mean(sample.values < 1e-9)),
-            "iterations": mc_cfg.n_transform_iterations,
-            "chunk_size": mc_cfg.chunk_slots(rho),
-            "master_seed": mc_cfg.master_seed,
-        }
-
-    if grid is not None and sample is not None:
-        report["cross_method"] = cross_oracle_distance(
-            sample, grid).to_json_obj()
+        sample, report["mc"] = _sample(cfg, rho, grid)
+        if grid is not None:
+            report["cross_method"] = cross_oracle_distance(
+                sample, grid).to_json_obj()
 
     files = {"solution.json": json_text(report)}
     if grid is not None:
@@ -139,7 +157,8 @@ def cmd_solve(cfg: RunConfig, args) -> int:
               f"residual={grid.residual:.3g} converged={grid.converged}")
     if sample is not None:
         files.update(sample.to_csv("sample"))
-        print(f"mc: n={sample.values.size} mean={sample.mean():.6g}")
+        print(f"mc: n={sample.values.size} mean={sample.mean():.6g} "
+              f"T={report['mc']['iterations']}")
     _finish(cfg, "solve", files, (f"method={args.method}",))
     return code
 
@@ -159,10 +178,8 @@ def cmd_moments(cfg: RunConfig, args) -> int:
 
 def cmd_levy(cfg: RunConfig, args) -> int:
     rho = cfg.rho()
-    m = cfg.get_float("mean")
-    mc_cfg = _mc_config(cfg)
-    sample = mc_fixed_point(rho, m, mc_cfg)
-    seed = derive_seed(mc_cfg.require_seed(), "levy-command")
+    sample, _ = _sample(cfg, rho)
+    seed = derive_seed(cfg.master_seed(), "levy-command")
     est = levy_from_solution(rho, sample, seed,
                              n_out=cfg.get_int("levy.n_samples"))
     probes = cfg.get_float_list("levy.probes")
@@ -206,10 +223,13 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     rho = cfg.rho()
     m = cfg.get_float("mean")
     master = cfg.master_seed()
+    result: dict = {}
     if args.from_dir:
         sample = _load_prior_sample(args.from_dir)
     else:
-        sample = mc_fixed_point(rho, m, _mc_config(cfg))
+        sample, mc = _sample(cfg, rho)
+        result["mc"] = {"iterations": mc["iterations"],
+                        "transform_bias": mc["transform_bias"]}
 
     checks: dict = {}
 
@@ -274,7 +294,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     if args.from_dir:
         flags += (f"from={args.from_dir}",)
     _finish(cfg, "verify",
-            {"verify.json": json_text({"all_passed": all_pass, "checks": checks})},
+            {"verify.json": json_text({"all_passed": all_pass, "checks": checks,
+                                       **result})},
             flags)
     return EXIT_OK if all_pass else EXIT_VERIFY
 

@@ -422,18 +422,21 @@ def solve(
     grid = init_grid(m, s_min=s_min, s_max=s_max, grid_points=grid_points)
     residuals = []
     converged = False
-    for _ in range(int(max_iter)):
-        grid = iterate_once(grid, rho)
-        if not math.isfinite(grid.residual):
-            bad = int(np.argmin(np.isfinite(grid.psi)))
-            raise ValueError(
-                f"LST iterate {grid.iteration_count} is not finite: psi = "
-                f"{grid.psi[bad]} at node {bad} (s = "
-                f"{grid.s_points[bad]:.6g})")
-        residuals.append(grid.residual)
-        if grid.residual < tol:
-            converged = True
-            break
+    # a non-finite iterate is reported below, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(int(max_iter)):
+            grid = iterate_once(grid, rho)
+            if not math.isfinite(grid.residual):
+                bad = int(np.argmin(np.isfinite(grid.psi)))
+                raise ValueError(
+                    f"LST iterate {grid.iteration_count} is not finite: "
+                    f"psi = {grid.psi[bad]} at node {bad} (s = "
+                    f"{grid.s_points[bad]:.6g}); a larger s_max "
+                    f"(solver.s_max) may help")
+            residuals.append(grid.residual)
+            if grid.residual < tol:
+                converged = True
+                break
     rate = None
     tail = [r for r in residuals[-6:] if r > 0.0]
     if len(tail) >= 2:

@@ -24,7 +24,7 @@ from .distributions import AtomicDistribution, EmpiricalSample
 _BOUND_NOTE = "modulus bound lambda*int h^q derived via exponent comparison"
 
 #: Elements per block in the chunked characteristic-function kernels.
-_CHUNK_ELEMENTS = 4_000_000
+_CHUNK_ELEMENTS = 2 ** 18
 
 #: Multiple of the double-precision input-distance floor below which a
 #: contraction pair counts as degenerate.

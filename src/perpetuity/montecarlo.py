@@ -18,6 +18,16 @@ equivariant (if eta solves it for mean m, c * eta solves it for mean c * m),
 so the mean is known in closed form; sampling it would let it wander as a
 martingale, since marks are resampled from the previous iterate.
 
+Number of transform steps.  Started from the same point mass at m, LST
+iterate k is the Laplace transform of MC iterate k as n -> infinity (both
+apply the same map to the exact law), so phi_k - phi is the bias left after
+k MC steps, known before any sampling.  ``transform_steps`` replays that
+trajectory on the solved grid's nodes and returns the smallest k with
+20 |phi_k(s) - phi(s)| <= se(s) at every node, se(s) = sqrt((phi(2s) -
+phi(s)^2) / n) being the standard error of the n-sample empirical
+transform.  The rule is per node because se shrinks with phi: one sup
+against the largest se would stop too early where phi is small.
+
 Determinism contract: every random stream derives from the master seed,
 a purpose label, and (iteration, chunk) indices, so chunk results are a
 pure function of the inputs and the chunk layout.  Rerunning a pipeline
@@ -35,14 +45,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import stats
 
 from .diagnostics import require_existence
 from .distributions import AtomicDistribution, EmpiricalSample, _categorical
-from .lst_solver import LstGrid
+from .lst_solver import LstGrid, iterate_once
 from .metrics import char_function, empirical_lst
 from .response import ResponseFunction, response_from_rho
 
@@ -117,6 +127,36 @@ def shot_noise_resample(
                 slots, weights=h.values[step_idx] * xi, minlength=n_out
             )
     return EmpiricalSample(out, seed, f"shot-noise({theta.provenance})")
+
+
+def transform_steps(
+    rho: AtomicDistribution,
+    grid: LstGrid,
+    n: int,
+    cap: int,
+) -> tuple[int, float | None]:
+    """(T, bias): the fewest transform steps k <= cap whose bias, replayed
+    on the solved grid of rho from psi_0 = m s, is at most a twentieth of
+    the n-sample standard error at every node, and max |phi_T - phi| there.
+
+    A grid that has not converged gives (cap, None): it is no reference
+    for the bias.  When no k <= cap meets the rule, T is cap.
+    """
+    cap = int(cap)
+    if cap < 1:
+        raise ValueError("need at least one transform iteration")
+    if not grid.converged:
+        return cap, None
+    s = grid.s_points
+    phi = np.exp(-grid.psi)
+    se = np.sqrt(np.maximum(grid.eval_lst(2.0 * s) - phi ** 2, 0.0) / n)
+    state = replace(grid, psi=grid.mean_target * s, iteration_count=0)
+    for k in range(1, cap + 1):
+        state = iterate_once(state, rho)
+        err = np.abs(np.exp(-state.psi) - phi)
+        if np.all(20.0 * err <= se):
+            break
+    return k, float(err.max())
 
 
 def _chunk_slots(chunk_size: int, rate: float) -> int:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,53 @@ def test_solve_stops_at_first_non_finite_iterate(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+def test_solve_both_records_transform_steps(tmp_path, capsys):
+    """The MC runs the T that the LST trajectory picks (10 for uniform01
+    at n = 2e4), capped by mc.iterations = 20."""
+    assert main(["solve", "--method", "both", *UNIFORM, *FAST_MC,
+                 *out(tmp_path)]) == 0
+    rd = only_run_dir(tmp_path, "solve")
+    mc = json.loads((rd / "solution.json").read_text())["mc"]
+    assert mc["iterations"] == 10
+    assert 0.0 < mc["transform_bias"] < 1e-3
+    assert "iters=10," in json.loads((rd / "sample.json").read_text())[
+        "provenance"]
+    assert "T=10" in capsys.readouterr().out
+
+
+def test_solve_mc_transform_steps_cap_and_rough_grid(tmp_path):
+    """mc.iterations caps T; a grid that did not converge gives T = cap
+    and a null bias (the MC-only solve still exits 0)."""
+    two_atom = ["--set", "rho.atoms=0.3:0.5,1.2:0.5",
+                "--set", "mc.n_samples=2000", "--set", "mc.master_seed=3"]
+    for extra, steps, has_bias in ((["mc.iterations=5"], 5, True),
+                                   (["mc.iterations=4", "solver.max_iter=3"],
+                                    4, False)):
+        runs = tmp_path / f"runs{steps}"
+        sets = [a for e in extra for a in ("--set", e)]
+        assert main(["solve", "--method", "mc", *two_atom, *sets,
+                     "--set", f"output.dir={runs}"]) == 0
+        mc = json.loads((next(runs.iterdir()) / "solution.json")
+                        .read_text())["mc"]
+        assert mc["iterations"] == steps
+        assert (mc["transform_bias"] is not None) is has_bias
+
+
+def test_mc_commands_refuse_a_law_the_lst_cannot_solve(tmp_path, capsys):
+    """The MC route now solves the LST first, so a law whose LST iterate
+    goes non-finite fails at once: exit 1, no run directory, and no numpy
+    RuntimeWarning on the way."""
+    law = ["--set", "rho.atoms=0.001:0.7,10000:0.3",
+           "--set", "mc.master_seed=1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["solve", "--method", "mc", *law, *out(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "LST iterate 4 is not finite" in err
+    assert "a larger s_max (solver.s_max) may help" in err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_moments_cli(tmp_path):
     assert main(["moments", "--order", "6", *UNIFORM, *out(tmp_path)]) == 0
     rd = only_run_dir(tmp_path, "moments")
@@ -184,6 +232,8 @@ def test_levy_cli(tmp_path):
                  "--set", "levy.n_samples=20000",
                  "--set", "levy.probes=0.5,1,2", *out(tmp_path)]) == 0
     rd = only_run_dir(tmp_path, "levy")
+    assert "iters=10," in json.loads((rd / "sample.json").read_text())[
+        "provenance"]
     steutel = json.loads((rd / "steutel.json").read_text())
     assert len(steutel["probes"]) == 3
     assert steutel["residual"] < 0.05
@@ -209,6 +259,7 @@ def test_verify_pass_fail_and_reuse(tmp_path, capsys):
     rd = only_run_dir(tmp_path, "verify")
     rep = json.loads((rd / "verify.json").read_text())
     assert rep["all_passed"] is True
+    assert rep["mc"]["iterations"] == 10 and rep["mc"]["transform_bias"] > 0
     assert {"perpetuity", "steutel", "contraction"} <= set(rep["checks"])
     contraction = rep["checks"]["contraction"]
     assert contraction["draws"] == 2
@@ -236,6 +287,9 @@ def test_verify_from_prior_solve(tmp_path):
     solve_dir = only_run_dir(tmp_path, "solve")
     args = [*UNIFORM, *FAST_MC, *FAST_VERIFY, *out(tmp_path)]
     assert main(["verify", "--from", str(solve_dir), *args]) == 0
+    rep = json.loads((only_run_dir(tmp_path, "verify") / "verify.json")
+                     .read_text())
+    assert "mc" not in rep             # no sampling, so no transform count
 
     # tampering with the prior run must be caught before reuse
     sample = solve_dir / "sample.csv"

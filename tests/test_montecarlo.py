@@ -19,7 +19,7 @@ from perpetuity.distributions import (
     point_mass,
     quantize_family,
 )
-from perpetuity.lst_solver import LstGrid, solve
+from perpetuity.lst_solver import LstGrid, iterate_once, solve
 from perpetuity.metrics import char_function, step_char_function
 from perpetuity.montecarlo import (
     _MAX_CHUNK_ARRIVALS,
@@ -33,6 +33,7 @@ from perpetuity.montecarlo import (
     mc_fixed_point,
     perpetuity_residual,
     shot_noise_resample,
+    transform_steps,
 )
 from perpetuity.response import ResponseFunction, response_from_rho
 
@@ -220,6 +221,49 @@ def test_law_no_chunk_can_bound_is_refused():
         mc_fixed_point(law, 1.0, cfg)
     with pytest.raises(ValueError):
         cfg.chunk_slots(law)
+
+
+def _bias_rule_holds(rho, grid, n, k):
+    """20 |phi_k - phi| <= se at every node, with phi_k the k-th iterate
+    from the point mass at m on the grid's nodes."""
+    s = grid.s_points
+    phi = np.exp(-grid.psi)
+    se = np.sqrt(np.maximum(grid.eval_lst(2.0 * s) - phi ** 2, 0.0) / n)
+    state = replace(grid, psi=grid.mean_target * s, iteration_count=0)
+    for _ in range(k):
+        state = iterate_once(state, rho)
+    return bool(np.all(20.0 * np.abs(np.exp(-state.psi) - phi) <= se))
+
+
+@pytest.mark.parametrize("rho,steps", [
+    (STEP_LAWS["uniform01"], {200_000: 11, 20_000: 10}),
+    (STEP_LAWS["half-point"], {200_000: 12, 20_000: 11}),
+    (STEP_LAWS["two-atom"], {200_000: 22, 20_000: 19}),
+    # one sup of the bias against the largest se would stop at 18 here
+    (AtomicDistribution([0.1, 1.5], [0.5, 0.5]), {200_000: 19}),
+], ids=["uniform01", "half-point", "two-atom", "far-atoms"])
+def test_transform_steps_meet_the_bias_rule(rho, steps):
+    """T is the smallest step count whose LST bias is within a twentieth
+    of the standard error at every node: the rule holds at T, not T - 1."""
+    grid = solve(rho, 1.0)
+    for n, expected in steps.items():
+        t, bias = transform_steps(rho, grid, n, 40)
+        assert t == expected
+        assert _bias_rule_holds(rho, grid, n, t)
+        assert not _bias_rule_holds(rho, grid, n, t - 1)
+        assert 0.0 < bias < 1e-3
+        # a cap below T binds; the bias is then the larger one at the cap
+        capped, capped_bias = transform_steps(rho, grid, n, 5)
+        assert capped == 5 and capped_bias > bias
+
+
+def test_transform_steps_without_a_converged_grid():
+    rho = STEP_LAWS["two-atom"]
+    rough = solve(rho, 1.0, max_iter=3)
+    assert not rough.converged
+    assert transform_steps(rho, rough, 20_000, 7) == (7, None)
+    with pytest.raises(ValueError, match="at least one"):
+        transform_steps(rho, solve(rho, 1.0), 20_000, 0)
 
 
 def test_sampler_bytes_are_pinned():
