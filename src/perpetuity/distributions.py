@@ -298,9 +298,6 @@ class EmpiricalSample:
     def __setattr__(self, name, value):
         raise AttributeError("EmpiricalSample is immutable")
 
-    def __len__(self):
-        return self.values.size
-
     def mean(self) -> float:
         return float(self.values.mean())
 

@@ -25,9 +25,8 @@ from .distributions import (
     csv_text,
     json_text,
 )
+from .lst_solver import atom_at_zero
 from .montecarlo import derive_seed
-
-_ZERO_CUTOFF = 1e-9
 
 
 @dataclass(frozen=True)
@@ -38,10 +37,6 @@ class LevyEstimate:
     total_mass_of_m: float   # K (1 - c) / m; inf marker for uniform01 family
     n: int
     seed: int
-
-    def cdf(self, q) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        return np.searchsorted(self.x, q, side="right") / self.x.size
 
     def to_csv(self, stem: str, max_rows: int = 65536) -> dict:
         """{stem}.csv x,cdf plus sidecar {stem}.json {total_mass_of_M, n, seed}.
@@ -70,8 +65,9 @@ def levy_from_solution(
 ) -> LevyEstimate:
     """Sample x M(dx) as A * eta_sb and record M's total mass.
 
-    Total mass uses the exact atomic K = E[1/A] against the sampled zero
-    fraction and mean: K (1 - c_hat) / mean(mu).  Laws tagged with the
+    Total mass is K (1 - c) / mean(mu), with the exact K = E[1/A] and the
+    exact atom at zero c (``lst_solver.atom_at_zero``, the Lambert-W
+    root); only the mean comes from the sample.  Laws tagged with the
     uniform01 family report the family-level value infinity (the exact
     family is not compound Poisson).
     """
@@ -84,8 +80,7 @@ def levy_from_solution(
     if rho.family == FAMILY_UNIFORM01:
         mass = math.inf
     else:
-        c_hat = float(np.mean(mu_sample.values < _ZERO_CUTOFF))
-        mass = rho.mean_inverse() * (1.0 - c_hat) / mean
+        mass = rho.mean_inverse() * (1.0 - atom_at_zero(rho)) / mean
     return LevyEstimate(x=x, total_mass_of_m=float(mass), n=int(n_out),
                         seed=int(seed))
 

@@ -10,12 +10,16 @@ this metric with modulus at most lambda * int h^q = E A^(q-1): bounding
 |e^a - e^b| <= |a - b| on the exponent side and substituting t = s h(u)
 moves the kernel out of the integral.  That bound is derived, not quoted;
 reports carry a note saying so.
+
+Distances and characteristic functions take atomic laws only, whose CFs
+are exact sums over the atoms; a sample raises TypeError.  The one sample
+statistic here, empirical_lst, feeds the Monte Carlo cross-oracle check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -23,7 +27,8 @@ from .distributions import AtomicDistribution, EmpiricalSample
 
 _BOUND_NOTE = "modulus bound lambda*int h^q derived via exponent comparison"
 
-#: Elements per block in the chunked characteristic-function kernels.
+#: Elements per block of the (s, x) products formed by empirical_lst and
+#: step_char_function.
 _CHUNK_ELEMENTS = 2 ** 18
 
 #: Multiple of the double-precision input-distance floor below which a
@@ -47,62 +52,34 @@ class RDeltaConfig:
             raise ValueError("need at least 16 quadrature points")
 
 
-def _sample_sums(values: np.ndarray, s: np.ndarray, *kernels) -> list:
-    """Per grid point s, the sum over the sample of each kernel(s * x).
+def char_function(nu: AtomicDistribution, s_grid) -> np.ndarray:
+    """E exp(isX) of an atomic law, summed exactly over its atoms.
+
+    Samples raise TypeError: the metric is stated for atomic laws, whose
+    characteristic functions are known in closed form.
+    """
+    if not isinstance(nu, AtomicDistribution):
+        raise TypeError("nu must be an AtomicDistribution")
+    block = np.multiply.outer(np.asarray(s_grid, dtype=float), nu.locations)
+    return (np.cos(block) + 1j * np.sin(block)) @ nu.weights
+
+
+def empirical_lst(sample: EmpiricalSample, s_grid) -> np.ndarray:
+    """Mean of exp(-s X) over the sample, per grid point.
 
     The (s, x) products are formed in blocks of at most _CHUNK_ELEMENTS
     entries, so memory stays bounded for large samples.
     """
-    sums = [np.zeros(s.size) for _ in kernels]
-    step = max(1, _CHUNK_ELEMENTS // max(s.size, 1))
-    for lo in range(0, values.size, step):
-        block = np.multiply.outer(s, values[lo:lo + step])
-        for acc, kernel in zip(sums, kernels):
-            acc += kernel(block).sum(axis=1)
-    return sums
-
-
-def char_function(nu, s_grid) -> np.ndarray:
-    """E exp(isX): exact sum for atomic laws, chunked mean for samples."""
-    s = np.asarray(s_grid, dtype=float)
-    if isinstance(nu, AtomicDistribution):
-        block = np.multiply.outer(s, nu.locations)
-        return (np.cos(block) + 1j * np.sin(block)) @ nu.weights
-    if isinstance(nu, EmpiricalSample):
-        re, im = _sample_sums(nu.values, s, np.cos, np.sin)
-        return (re + 1j * im) / nu.values.size
-    raise TypeError("nu must be an AtomicDistribution or an EmpiricalSample")
-
-
-def empirical_lst(sample: EmpiricalSample, s_grid) -> np.ndarray:
-    """Mean of exp(-s X) over the sample, per grid point."""
     s = np.asarray(s_grid, dtype=float)
     if np.any(s < 0.0):
         raise ValueError("Laplace transform grid must be nonnegative")
-    # (-s) x is exactly -(s x), and the block needs no negated copy
-    (acc,) = _sample_sums(sample.values, -s, np.exp)
-    return acc / sample.values.size
-
-
-def _mean_and_se(nu):
-    if isinstance(nu, AtomicDistribution):
-        return nu.mean(), 0.0
-    mean = nu.mean()
-    sd = float(np.std(nu.values))
-    return mean, sd / math.sqrt(nu.values.size)
-
-
-def _check_means(nu1, nu2):
-    m1, se1 = _mean_and_se(nu1)
-    m2, se2 = _mean_and_se(nu2)
-    scale = max(abs(m1), abs(m2), 1e-300)
-    # empirical means carry O(n^-1/2) noise; atomic pairs get the strict gate
-    tol = max(1e-6 * scale, 5.0 * (se1 + se2))
-    if abs(m1 - m2) > tol:
-        raise ValueError(
-            f"means differ: {m1:.12g} vs {m2:.12g} (tolerance {tol:.3g}); "
-            "the metric integral diverges at 0 for unequal means"
-        )
+    values = sample.values
+    acc = np.zeros(s.size)
+    step = max(1, _CHUNK_ELEMENTS // max(s.size, 1))
+    for lo in range(0, values.size, step):
+        # (-s) x is exactly -(s x), and the block needs no negated copy
+        acc += np.exp(np.multiply.outer(-s, values[lo:lo + step])).sum(axis=1)
+    return acc / values.size
 
 
 @dataclass(frozen=True)
@@ -114,13 +91,7 @@ class RDeltaReport:
     delta: float
 
     def to_json_obj(self) -> dict:
-        return {
-            "value": self.value,
-            "doubling_error": self.doubling_error,
-            "truncation_low": self.truncation_low,
-            "truncation_high": self.truncation_high,
-            "delta": self.delta,
-        }
+        return asdict(self)
 
 
 def _log_trapz(y: np.ndarray, x: np.ndarray) -> float:
@@ -161,12 +132,24 @@ def _report_from_cf_diff(cf_diff: np.ndarray, fine: np.ndarray,
     )
 
 
-def r_delta_report(nu1, nu2, cfg: RDeltaConfig = RDeltaConfig()) -> RDeltaReport:
-    """Distance plus quadrature self-diagnostics."""
-    _check_means(nu1, nu2)
+def r_delta_report(nu1: AtomicDistribution, nu2: AtomicDistribution,
+                   cfg: RDeltaConfig = RDeltaConfig()) -> RDeltaReport:
+    """Distance between two atomic laws, plus quadrature self-diagnostics.
+
+    Raises TypeError for a non-atomic argument, and ValueError when the
+    means differ by more than 1e-6 relative: the integral then diverges
+    at 0.
+    """
     fine = _quad_grid(cfg)
-    return _report_from_cf_diff(
-        char_function(nu1, fine) - char_function(nu2, fine), fine, cfg)
+    cf_diff = char_function(nu1, fine) - char_function(nu2, fine)
+    m1, m2 = nu1.mean(), nu2.mean()
+    tol = 1e-6 * max(abs(m1), abs(m2), 1e-300)
+    if abs(m1 - m2) > tol:
+        raise ValueError(
+            f"means differ: {m1:.12g} vs {m2:.12g} (tolerance {tol:.3g}); "
+            "the metric integral diverges at 0 for unequal means"
+        )
+    return _report_from_cf_diff(cf_diff, fine, cfg)
 
 
 def random_mean_law(rng: np.random.Generator, mean: float = 1.0,
@@ -210,16 +193,7 @@ class ContractionReport:
     bound_note: str = _BOUND_NOTE
 
     def to_json_obj(self) -> dict:
-        return {
-            "r_before": self.r_before,
-            "r_after": self.r_after,
-            "ratio": self.ratio,
-            "bound_g": self.bound_g,
-            "q": self.q,
-            "doubling_error": self.doubling_error,
-            "degenerate": self.degenerate,
-            "bound_note": self.bound_note,
-        }
+        return asdict(self)
 
 
 def contraction_ratio(

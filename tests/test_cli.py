@@ -261,6 +261,9 @@ def test_verify_pass_fail_and_reuse(tmp_path, capsys):
     assert rep["all_passed"] is True
     assert rep["mc"]["iterations"] == 10 and rep["mc"]["transform_bias"] > 0
     assert {"perpetuity", "steutel", "contraction"} <= set(rep["checks"])
+    assert set(rep["checks"]["perpetuity"]) == {
+        "passed", "negative_control", "ks_stat", "p_value", "n",
+        "ks_crit_1pct"}
     contraction = rep["checks"]["contraction"]
     assert contraction["draws"] == 2
     assert len(contraction["per_pair"]) == 2
