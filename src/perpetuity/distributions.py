@@ -28,7 +28,8 @@ _WEIGHT_SUM_TOL = 1e-9
 _CSV_BLOCK_ROWS = 65536
 
 #: Draws settled together by _categorical, and the log2 of its largest
-#: guide table (2 MB).  Both keep its temporaries small: with 16k-65k
+#: guide table (2 MB).  Both keep its temporaries small for its callers,
+#: the size-bias resample and ``AtomicDistribution.sample``: with 16k-65k
 #: draws per block, or an 8 MB table, the process's peak RSS rose by
 #: 3-12 MB on the benchmark's MC workloads; with 4096 it matched
 #: rng.choice's.
@@ -188,16 +189,15 @@ class AtomicDistribution:
     # ------------------------------------------------------------------
     # sampling
 
-    def quantile(self, u) -> np.ndarray:
-        """Generalized inverse CDF evaluated at u in [0, 1)."""
-        cum = np.cumsum(self.weights)
-        cum[-1] = 1.0  # guard rounding at the top
-        idx = np.searchsorted(cum, np.asarray(u, dtype=float), side="left")
-        return self.locations[np.minimum(idx, self.locations.size - 1)]
-
     def sample(self, n: int, seed: int) -> np.ndarray:
+        """n draws of A by inverse CDF from ``default_rng(seed).random(n)``.
+
+        Each uniform u maps to the first atom whose cumulative weight
+        exceeds u (``_categorical``), so a u exactly on a CDF boundary
+        goes to the upper atom.
+        """
         rng = np.random.default_rng(seed)
-        return self.quantile(rng.random(int(n)))
+        return self.locations[_categorical(rng, self.weights, int(n))]
 
     # ------------------------------------------------------------------
     # identity and serialization

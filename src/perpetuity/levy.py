@@ -101,20 +101,15 @@ class SteutelReport:
         }
 
 
-def _midpoint_ecdf(sorted_values: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """(count(< t) + count(<= t)) / (2 n): halves the bias at ties/atoms."""
-    left = np.searchsorted(sorted_values, t, side="left")
-    right = np.searchsorted(sorted_values, t, side="right")
-    return (left + right) / (2.0 * sorted_values.size)
-
-
 def steutel_residual(mu: EmpiricalSample, levy: LevyEstimate,
                      x_probes) -> SteutelReport:
     """Evaluate both sides of the convolution identity at the probes.
 
     The left side is the size-biased CDF of the solution sample ``mu``
-    (its value-weighted ECDF).  The right side convolves mu's midpoint
-    ECDF against the levy sample.
+    (its value-weighted ECDF).  The right side convolves mu's ECDF with
+    the levy sample: the share of pairs (v, y) with y + v < x, plus the
+    share with y + v <= x, halved, which halves the bias at ties and atoms.
+    Each probe searches the sorted levy sample once per value of mu.
     """
     if not isinstance(mu, EmpiricalSample):
         raise TypeError("mu must be an EmpiricalSample")
@@ -135,9 +130,10 @@ def steutel_residual(mu: EmpiricalSample, levy: LevyEstimate,
     lhs = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0) / total
     rhs = np.empty(probes.size)
     for i, xp in enumerate(probes):
-        inside = levy.x[levy.x <= xp]
-        rhs[i] = (float(np.sum(_midpoint_ecdf(vals, xp - inside)))
-                  / levy.x.size if inside.size else 0.0)
+        keys = xp - vals
+        rhs[i] = (levy.x.searchsorted(keys, "left").sum()
+                  + levy.x.searchsorted(keys, "right").sum())
+    rhs /= 2.0 * vals.size * levy.x.size
     residual = float(np.max(np.abs(lhs - rhs)))
     return SteutelReport(
         probes=tuple(float(v) for v in probes),

@@ -2,16 +2,16 @@
 
 One transform step replaces each sample slot by sum_i xi_i * h(tau_i) over
 a Poisson flow of intensity lambda, with marks xi drawn from the current
-sample.  For a step kernel this is compound Poisson: the slot's arrival
-count is Poisson of the total rate lambda * support_end, and each arrival
-lands on step k with probability proportional to lambda * d_k, contributing
-v_k * xi.  That superposition form is distributionally identical to one
-Poisson count per step and costs O(expected arrivals) per slot.
-
-The step of each arrival is drawn by ``distributions._categorical``, a
-guide-table lookup that consumes the same uniforms and returns the same
-indices as ``rng.choice(n_steps, p=rates / rates.sum())``, in O(1)
-expected time per arrival instead of a binary search.
+sample.  For a step kernel the arrivals on step k are Poisson(lambda * d_k)
+per slot, independent across steps and slots, and each contributes
+v_k * xi.  A chunk of n slots draws them by Poisson colouring and
+superposition (Kingman 1993, Poisson Processes, sec. 5.1): one
+Poisson(n * lambda * d_k) total per step, then a uniform slot for each
+arrival.  Given the total, the uniform scatter leaves the n slot counts
+multinomial, and a Poisson total split multinomially gives n independent
+Poisson(lambda * d_k) counts, so the law is the per-slot one exactly.  The
+per-arrival work is two bounded-integer draws (mark and slot), one gather
+and one scatter-add.
 
 Every iterate is rescaled to mean exactly m.  The fixed-point map is scale
 equivariant (if eta solves it for mean m, c * eta solves it for mean c * m),
@@ -51,7 +51,7 @@ import numpy as np
 from scipy import stats
 
 from .diagnostics import require_existence
-from .distributions import AtomicDistribution, EmpiricalSample, _categorical
+from .distributions import AtomicDistribution, EmpiricalSample
 from .lst_solver import LstGrid, iterate_once
 from .metrics import empirical_lst
 from .response import ResponseFunction, response_from_rho
@@ -62,7 +62,8 @@ KS_COEFF_1PCT = 1.6276236115189502
 _MIN_VERDICT_SAMPLES = 1000
 
 #: Cap on the expected arrivals of one shot-noise chunk.  An arrival holds
-#: about 48 bytes of temporaries, so a chunk stays near 200 MB.
+#: about 16 bytes of temporaries at the peak, a float64 weight and an int64
+#: mark index or slot (tracemalloc), so a chunk stays near 70 MB.
 _MAX_CHUNK_ARRIVALS = 2 ** 22
 
 
@@ -116,16 +117,13 @@ def shot_noise_resample(
     rng = np.random.default_rng(seed)
     out = np.zeros(n_out)
     if h.n_steps > 0:
-        rates = h.lam * h.durations
-        counts = rng.poisson(float(rates.sum()), size=n_out)
-        total = int(counts.sum())
+        per_step = rng.poisson(n_out * h.lam * h.durations)
+        total = int(per_step.sum())
         if total > 0:
-            step_idx = _categorical(rng, rates, total)
             xi = theta.values[rng.integers(0, theta.values.size, size=total)]
-            slots = np.repeat(np.arange(n_out), counts)
-            out = np.bincount(
-                slots, weights=h.values[step_idx] * xi, minlength=n_out
-            )
+            xi *= np.repeat(h.values, per_step)
+            out = np.bincount(rng.integers(0, n_out, size=total),
+                              weights=xi, minlength=n_out)
     return EmpiricalSample(out, seed, f"shot-noise({theta.provenance})")
 
 

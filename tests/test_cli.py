@@ -144,12 +144,12 @@ def test_solve_mc_reports_effective_chunk(tmp_path):
 
 
 def test_solve_mc_refuses_all_zero_iterate(tmp_path, capsys):
-    """Three half-point slots are all zero at iterate 3 with seed 1: no
+    """Three half-point slots are all zero at iterate 4 with seed 1: no
     mean to rescale, so exit 1 and no run directory."""
     assert main(["solve", "--method", "mc", *HALF,
                  "--set", "mc.n_samples=3", "--set", "mc.master_seed=1",
                  *out(tmp_path)]) == 1
-    assert "iterate 3 of n = 3 samples is all zero" in capsys.readouterr().err
+    assert "iterate 4 of n = 3 samples is all zero" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
 
 

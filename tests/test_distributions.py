@@ -84,10 +84,15 @@ def test_mellin_log_convexity_spot():
         assert mid <= ends * (1 + 1e-12)
 
 
-def test_quantile_boundaries():
+def test_sample_boundaries(monkeypatch):
+    """Inverse CDF at given uniforms: u on the CDF boundary 0.25 goes to
+    the upper atom."""
     rho = AtomicDistribution([1.0, 3.0], [0.25, 0.75])
-    u = np.array([0.0, 0.1, 0.25, 0.2500001, 0.9, 1.0])
-    np.testing.assert_array_equal(rho.quantile(u), [1, 1, 1, 3, 3, 3])
+    u = [0.0, 0.1, 0.25, 0.2500001, 0.9, 1.0 - 2.0 ** -53]
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: _FixedUniforms(u))
+    np.testing.assert_array_equal(rho.sample(len(u), seed=0),
+                                  [1, 1, 3, 3, 3, 3])
 
 
 def test_sample_deterministic_and_distributed():

@@ -91,6 +91,26 @@ def test_steutel_rejects_mismatched_pair():
     assert rep.residual > 0.05
 
 
+def test_steutel_rhs_counts_pairs_exactly():
+    """The right side is the share of pairs (v, y) with y + v < x plus the
+    share with y + v <= x, halved: against a brute-force count over all
+    pairs.  The half-point sample is rounded to multiples of 1/64, so the
+    sums are exact and ties at the probes are real; duplicates and zeros
+    are planted on top of the sample's own."""
+    cfg = McConfig(n_samples=400, master_seed=3, n_transform_iterations=12)
+    v = np.round(mc_fixed_point(DELTA_HALF, 1.0, cfg).values * 64.0) / 64.0
+    v = np.concatenate([v, v[:40], np.zeros(10)])
+    mu = EmpiricalSample(v, 3, "half-point/64")
+    levy = levy_from_solution(DELTA_HALF, mu, seed=5, n_out=700)
+    probes = [0.25, 0.5, 1.0, 1.5, 2.0]
+    rep = steutel_residual(mu, levy, probes)
+    pairs = v[:, None] + levy.x[None, :]
+    assert sum(np.count_nonzero(pairs == xp) for xp in probes) > 0
+    for xp, got in zip(probes, rep.rhs):
+        count = np.count_nonzero(pairs < xp) + np.count_nonzero(pairs <= xp)
+        assert got == count / (2.0 * v.size * levy.x.size)
+
+
 def test_steutel_probe_validation():
     levy = LevyEstimate(x=np.sort(np.linspace(0.01, 3.0, 100)),
                         total_mass_of_m=1.0, n=100, seed=0)

@@ -87,6 +87,36 @@ def test_flat_kernel_unit_marks_gives_poisson_counts():
     assert abs(p0 - math.exp(-1.0)) < 4.0 * math.sqrt(p0 * (1 - p0) / n)
 
 
+def _assert_poisson_slots(counts, rate):
+    """Mean, variance, P(0) and lag-1 correlation of per-slot counts
+    against iid Poisson(rate), each within 4 standard errors."""
+    n = counts.size
+    assert abs(counts.mean() - rate) < 4.0 * math.sqrt(rate / n)
+    # var of the sample variance ~ (mu4 - sigma^4) / n = (L + 2 L^2) / n
+    assert abs(counts.var() - rate) < 4.0 * math.sqrt(
+        (rate + 2.0 * rate ** 2) / n)
+    p0, q0 = float(np.mean(counts == 0)), math.exp(-rate)
+    assert abs(p0 - q0) < 4.0 * math.sqrt(q0 * (1.0 - q0) / n)
+    lag1 = np.corrcoef(counts[:-1], counts[1:])[0, 1]
+    assert abs(lag1) < 4.0 / math.sqrt(n)
+
+
+def test_multi_step_kernel_unit_marks_gives_poisson_counts():
+    """Steps 4096, 64, 1 of lengths 0.2, 0.5, 1.3 with unit marks: the
+    output spells each slot's per-step counts in base 64, and each count,
+    like their total, is iid Poisson over slots (lambda d_k and 2.0)."""
+    h = ResponseFunction([4096.0, 64.0, 1.0], [0.2, 0.5, 1.3], lam=1.0)
+    theta = EmpiricalSample(np.ones(1000), 0, "unit-marks")
+    out = shot_noise_resample(theta, h, seed=99, n_out=200_000).values
+    assert np.all(out == np.round(out))
+    digits = out.astype(np.int64)
+    counts = [digits // 4096, digits // 64 % 64, digits % 64]
+    assert max(c.max() for c in counts) < 64
+    for c, d in zip(counts, h.durations):
+        _assert_poisson_slots(c, float(d))
+    _assert_poisson_slots(sum(counts), h.support_end)
+
+
 def test_resample_deterministic_and_seed_sensitive():
     h = response_from_rho(quantize_family("uniform01", 32), lam=1.0)
     theta = EmpiricalSample(np.random.default_rng(5).exponential(size=4000),
@@ -176,9 +206,9 @@ def test_mc_mean_is_pinned_to_target(name):
 def test_all_zero_iterate_is_refused():
     # each slot of a half-point iterate is zero with probability near the
     # atom at zero, 0.203, so three slots are all zero together now and
-    # then; with seed 1 at iterate 3, which leaves no mean to rescale
+    # then; with seed 1 at iterate 4, which leaves no mean to rescale
     cfg = McConfig(n_samples=3, master_seed=1, n_transform_iterations=40)
-    with pytest.raises(ValueError, match=r"iterate 3 .* all zero.*n_samples"):
+    with pytest.raises(ValueError, match=r"iterate 4 .* all zero.*n_samples"):
         mc_fixed_point(DELTA_HALF, 1.0, cfg)
 
 
@@ -271,7 +301,7 @@ def test_sampler_bytes_are_pinned():
     cfg = McConfig(n_samples=5000, master_seed=2024, n_transform_iterations=3)
     mc = mc_fixed_point(quantize_family("uniform01", 512), 1.0, cfg)
     assert hashlib.sha256(mc.values.tobytes()).hexdigest() == (
-        "615866e1292688c5b6367b18b6989b780537af0c7499181ae04c52888fa177ed")
+        "d7e7dcd802a34d7da64ca2ba3a6fbd3c6914453211ba87678ba7541f3c102082")
     v = np.random.default_rng(5).exponential(size=10_000)
     v[::7] = 0.0
     sb = EmpiricalSample(v, 5, "pin").size_bias_resample(20_000, seed=11)
