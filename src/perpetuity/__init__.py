@@ -35,7 +35,6 @@ from .metrics import (
 from .moments import eta_moments, eta_moments_from_mellin, sb_moments
 from .montecarlo import (
     CrossOracleReport,
-    McConfig,
     PerpetuityReport,
     cross_oracle_distance,
     derive_seed,
@@ -59,7 +58,6 @@ __all__ = [
     "FAMILY_UNIFORM01",
     "LevyEstimate",
     "LstGrid",
-    "McConfig",
     "MomentVector",
     "PerpetuityReport",
     "RDeltaConfig",

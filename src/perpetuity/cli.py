@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,7 @@ from .lst_solver import solve
 from .metrics import RDeltaConfig, contraction_ratio, r_delta_report, random_mean_law
 from .moments import eta_moments, sb_moments
 from .montecarlo import (
-    McConfig,
+    chunk_slots,
     cross_oracle_distance,
     derive_seed,
     mc_fixed_point,
@@ -63,15 +62,6 @@ def _band(cfg: RunConfig, section: str, q: float) -> RDeltaConfig:
     )
 
 
-def _mc_config(cfg: RunConfig) -> McConfig:
-    return McConfig(
-        n_samples=cfg.get_int("mc.n_samples"),
-        master_seed=cfg.master_seed(),
-        n_transform_iterations=cfg.get_int("mc.iterations"),
-        chunk_size=cfg.get_int("mc.chunk_size"),
-    )
-
-
 def _solve_lst(cfg: RunConfig, rho):
     return solve(
         rho,
@@ -92,21 +82,20 @@ def _sample(cfg: RunConfig, rho, grid=None):
     Returns (sample, report): report holds n, the mean, T, the bias left
     after T steps (None when the grid did not converge) and the layout.
     """
-    mc_cfg = _mc_config(cfg)
+    n = cfg.get_int("mc.n_samples")
+    seed = cfg.master_seed()
     if grid is None:
         grid = _solve_lst(cfg, rho)
-    steps, bias = transform_steps(rho, grid, mc_cfg.n_samples,
-                                  mc_cfg.n_transform_iterations)
-    mc_cfg = replace(mc_cfg, n_transform_iterations=steps)
-    sample = mc_fixed_point(rho, cfg.get_float("mean"), mc_cfg)
+    steps, bias = transform_steps(rho, grid, n, cfg.get_int("mc.iterations"))
+    sample = mc_fixed_point(rho, cfg.get_float("mean"), n, seed, steps)
     return sample, {
         "n": int(sample.values.size),
         "mean": sample.mean(),
         "zero_fraction": float(np.mean(sample.values < 1e-9)),
         "iterations": steps,
         "transform_bias": bias,
-        "chunk_size": mc_cfg.chunk_slots(rho),
-        "master_seed": mc_cfg.master_seed,
+        "chunk_size": chunk_slots(rho),
+        "master_seed": seed,
     }
 
 

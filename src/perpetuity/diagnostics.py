@@ -144,9 +144,9 @@ class DiagnosticsReport:
         return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
 
 
-def diagnose(rho: AtomicDistribution, n_cap: int = 64) -> DiagnosticsReport:
+def diagnose(rho: AtomicDistribution) -> DiagnosticsReport:
     exists, e = existence_gate(rho)
-    order = max_integer_moment_order(rho, n_cap) if exists else None
+    order = max_integer_moment_order(rho) if exists else None
     is_uniform = rho.family == FAMILY_UNIFORM01
     return DiagnosticsReport(
         exists=exists,

@@ -28,6 +28,9 @@ from .distributions import (
 from .lst_solver import atom_at_zero
 from .montecarlo import derive_seed
 
+#: Row cap of the thinned levy.csv table.
+_CSV_ROWS = 65536
+
 
 @dataclass(frozen=True)
 class LevyEstimate:
@@ -38,17 +41,17 @@ class LevyEstimate:
     n: int
     seed: int
 
-    def to_csv(self, stem: str, max_rows: int = 65536) -> dict:
+    def to_csv(self, stem: str) -> dict:
         """{stem}.csv x,cdf plus sidecar {stem}.json {total_mass_of_M, n, seed}.
 
-        Rows are thinned deterministically to at most max_rows evenly
+        Rows are thinned deterministically to at most _CSV_ROWS evenly
         spaced ranks.
         """
         n = self.x.size
-        if n <= max_rows:
+        if n <= _CSV_ROWS:
             idx = np.arange(n)
         else:
-            idx = np.unique(np.linspace(0, n - 1, max_rows).astype(np.int64))
+            idx = np.unique(np.linspace(0, n - 1, _CSV_ROWS).astype(np.int64))
         mass = ("infinity" if math.isinf(self.total_mass_of_m)
                 else self.total_mass_of_m)
         sidecar = {"total_mass_of_M": mass, "n": int(self.n), "seed": self.seed}

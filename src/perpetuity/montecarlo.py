@@ -31,14 +31,14 @@ against the largest se would stop too early where phi is small.
 Determinism contract: every random stream derives from the master seed,
 a purpose label, and (iteration, chunk) indices, so chunk results are a
 pure function of the inputs and the chunk layout.  Rerunning a pipeline
-with the same configuration reproduces identical arrays bit for bit;
-changing the chunk size changes the streams but not the statistics.  The
-layout is ``chunk_size`` slots per chunk, capped at
-_MAX_CHUNK_ARRIVALS // ceil(K) slots with K = lambda * support_end = E[1/A]
-the expected arrivals per slot, so memory stays bounded for laws with
-atoms near 0; the cap binds only when chunk_size * ceil(K) > 2**22.  A
-law with ceil(K) > 2**22, where one slot alone passes the cap, is refused
-with ValueError before anything is drawn.
+with the same inputs reproduces identical arrays bit for bit; another
+layout changes the streams but not the statistics.  The layout is a fixed
+_CHUNK_SLOTS = 65536 slots per chunk, capped at
+_MAX_CHUNK_ARRIVALS // ceil(K) slots with K = E[1/A] the expected arrivals
+per slot (``chunk_slots``), so memory stays bounded for laws with atoms
+near 0; the cap binds only when 65536 * ceil(K) > 2**22.  A law with
+ceil(K) > 2**22, where one slot alone passes the cap, is refused with
+ValueError before anything is drawn.
 """
 
 from __future__ import annotations
@@ -66,34 +66,8 @@ _MIN_VERDICT_SAMPLES = 1000
 #: mark index or slot (tracemalloc), so a chunk stays near 70 MB.
 _MAX_CHUNK_ARRIVALS = 2 ** 22
 
-
-@dataclass(frozen=True)
-class McConfig:
-    n_samples: int
-    master_seed: int | None = None
-    n_transform_iterations: int = 40
-    chunk_size: int = 65536
-
-    def __post_init__(self):
-        if int(self.n_samples) < 1:
-            raise ValueError("n_samples must be >= 1")
-        if int(self.n_transform_iterations) < 1:
-            raise ValueError("need at least one transform iteration")
-        if int(self.chunk_size) < 1:
-            raise ValueError("chunk_size must be >= 1")
-
-    def chunk_slots(self, rho: AtomicDistribution) -> int:
-        """Slots per chunk that mc_fixed_point uses for rho."""
-        return _chunk_slots(self.chunk_size,
-                            response_from_rho(rho, lam=1.0).support_end)
-
-    def require_seed(self) -> int:
-        if self.master_seed is None:
-            raise ValueError(
-                "master_seed is unset; sampling without an explicit seed "
-                "is not allowed"
-            )
-        return int(self.master_seed)
+#: Slots per shot-noise chunk where the arrival cap does not bind.
+_CHUNK_SLOTS = 65536
 
 
 def derive_seed(master_seed: int, label: str, *indices: int) -> int:
@@ -140,6 +114,8 @@ def transform_steps(
     A grid that has not converged gives (cap, None): it is no reference
     for the bias.  When no k <= cap meets the rule, T is cap.
     """
+    if n < 1:
+        raise ValueError("n_samples must be >= 1")
     cap = int(cap)
     if cap < 1:
         raise ValueError("need at least one transform iteration")
@@ -157,19 +133,21 @@ def transform_steps(
     return k, float(err.max())
 
 
-def _chunk_slots(chunk_size: int, rate: float) -> int:
-    """Slots per chunk: chunk_size, capped so that the expected arrivals
-    (slots * rate) stay within _MAX_CHUNK_ARRIVALS.
+def chunk_slots(rho: AtomicDistribution) -> int:
+    """Slots per chunk that mc_fixed_point uses for rho: _CHUNK_SLOTS,
+    capped so that the expected arrivals (slots * K, K = E[1/A]) stay
+    within _MAX_CHUNK_ARRIVALS.
 
     Raises ValueError when one slot alone would exceed the cap.
     """
+    rate = rho.mean_inverse()
     per_slot = math.ceil(rate)
     if per_slot > _MAX_CHUNK_ARRIVALS:
         raise ValueError(
             f"K = E[1/A] = {rate:.6g} expected arrivals per sample slot "
             f"exceed the per-chunk cap of {_MAX_CHUNK_ARRIVALS}; the shot-"
             f"noise sampler cannot bound its memory for this law")
-    return min(int(chunk_size), _MAX_CHUNK_ARRIVALS // per_slot)
+    return min(_CHUNK_SLOTS, _MAX_CHUNK_ARRIVALS // per_slot)
 
 
 def _chunk_bounds(n: int, chunk: int):
@@ -179,30 +157,33 @@ def _chunk_bounds(n: int, chunk: int):
 def mc_fixed_point(
     rho: AtomicDistribution,
     m: float,
-    cfg: McConfig,
+    n: int,
+    seed: int,
+    steps: int,
 ) -> EmpiricalSample:
-    """Iterate the transform from the point mass at m, rescaling each
-    iterate to mean m.
+    """n samples after ``steps`` transform steps from the point mass at m,
+    each iterate rescaled to mean m; every stream derives from ``seed``.
 
     Raises ValueError when an iterate is all zero: it has no mean to
-    rescale, which happens when n_samples is too small for the law's atom
-    at zero.
+    rescale, which happens when n is too small for the law's atom at zero.
     """
+    n, steps = int(n), int(steps)
+    if n < 1:
+        raise ValueError("n_samples must be >= 1")
+    if steps < 1:
+        raise ValueError("need at least one transform iteration")
     require_existence(rho)
-    master = cfg.require_seed()
+    master = int(seed)
     if not (m > 0.0 and math.isfinite(m)):
         raise ValueError("mean target m must be a positive real")
     h = response_from_rho(rho, lam=1.0)
-    h.assert_normalized()
-    n = int(cfg.n_samples)
-    chunk = cfg.chunk_slots(rho)
+    chunk = chunk_slots(rho)
     provenance = (
         f"mc-fixed-point(rho={rho.digest()}, m={m:.17g}, n={n}, "
-        f"iters={cfg.n_transform_iterations}, chunk={chunk}, "
-        f"seed={master})"
+        f"iters={steps}, chunk={chunk}, seed={master})"
     )
     current = EmpiricalSample(np.full(n, float(m)), master, provenance)
-    for it in range(int(cfg.n_transform_iterations)):
+    for it in range(steps):
         parts = []
         for ci, (lo, hi) in enumerate(_chunk_bounds(n, chunk)):
             child = derive_seed(master, "shot-noise-transform", it, ci)
@@ -238,7 +219,6 @@ def perpetuity_residual(
     mu_sample: EmpiricalSample,
     rho: AtomicDistribution,
     seed: int,
-    n_pairs: int | None = None,
 ) -> PerpetuityReport:
     """Two-sample KS test of the defining identity on resampled pairs.
 
@@ -247,7 +227,7 @@ def perpetuity_residual(
     four streams derive from the given seed.  The report carries the
     asymptotic KS statistic and p-value and the 1% critical value at n.
     """
-    n = mu_sample.values.size if n_pairs is None else int(n_pairs)
+    n = mu_sample.values.size
     if n < _MIN_VERDICT_SAMPLES:
         raise ValueError(f"need at least {_MIN_VERDICT_SAMPLES} pairs for a verdict")
     left = mu_sample.size_bias_resample(n, derive_seed(seed, "perp-left"))

@@ -16,8 +16,6 @@ import numpy as np
 
 from .distributions import AtomicDistribution, csv_text, json_text
 
-_NORMALIZATION_TOL = 1e-9
-
 
 @dataclass(frozen=True, eq=False)
 class ResponseFunction:
@@ -79,13 +77,6 @@ class ResponseFunction:
     def power_integral(self, q: float) -> float:
         """lambda * int h^q du; equals E A^(q-1) for the dual law."""
         return self.lam * float(np.dot(self.values ** float(q), self.durations))
-
-    def assert_normalized(self, tol: float = _NORMALIZATION_TOL) -> None:
-        total = self.integral()
-        if abs(total - 1.0) > tol:
-            raise ValueError(
-                f"lambda * int h = {total:.12g}; must be within {tol:g} of 1"
-            )
 
     # ------------------------------------------------------------------
     # evaluation

@@ -32,7 +32,6 @@ DEFAULTS = {
     "mc.n_samples": "200000",
     "mc.iterations": "40",
     "mc.master_seed": None,
-    "mc.chunk_size": "65536",
     "moments.order": "8",
     "levy.n_samples": "1000000",
     "levy.probes": "0.5,1,2,4",

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from perpetuity import montecarlo
 from perpetuity.diagnostics import (
     TailClass,
     diagnose,
@@ -35,7 +36,6 @@ from perpetuity.metrics import (
 )
 from perpetuity.moments import eta_moments
 from perpetuity.montecarlo import (
-    McConfig,
     cross_oracle_distance,
     mc_fixed_point,
     perpetuity_residual,
@@ -62,22 +62,13 @@ def uniform_rho():
 @pytest.fixture(scope="module")
 def uniform_mc(uniform_rho):
     t0 = time.monotonic()
-    sample = mc_fixed_point(
-        uniform_rho, 1.0,
-        McConfig(n_samples=N_MC, master_seed=2024,
-                 n_transform_iterations=ITERS),
-    )
+    sample = mc_fixed_point(uniform_rho, 1.0, n=N_MC, seed=2024, steps=ITERS)
     return sample, time.monotonic() - t0
 
 
 @pytest.fixture(scope="module")
 def half_mc():
-    sample = mc_fixed_point(
-        DELTA_HALF, 1.0,
-        McConfig(n_samples=N_MC, master_seed=2025,
-                 n_transform_iterations=ITERS),
-    )
-    return sample
+    return mc_fixed_point(DELTA_HALF, 1.0, n=N_MC, seed=2025, steps=ITERS)
 
 
 def test_uniform01_exponential_law():
@@ -242,7 +233,8 @@ def test_duality_round_trip():
           f"worst deviation {worst:.2e} over 100 random laws (tol 1e-12)")
 
 
-def test_cross_oracle_agreement(uniform_rho, uniform_mc, half_mc):
+def test_cross_oracle_agreement(uniform_rho, uniform_mc, half_mc,
+                                monkeypatch):
     results = []
     ok = True
     for name, rho, sample, seed in (
@@ -251,15 +243,12 @@ def test_cross_oracle_agreement(uniform_rho, uniform_mc, half_mc):
     ):
         grid = solve(rho, 1.0)
         rep = cross_oracle_distance(sample, grid)
-        base_cfg = McConfig(n_samples=N_MC, master_seed=seed,
-                            n_transform_iterations=ITERS)
-        rerun = mc_fixed_point(rho, 1.0, base_cfg)
+        rerun = mc_fixed_point(rho, 1.0, n=N_MC, seed=seed, steps=ITERS)
         byte_stable = bool(np.array_equal(sample.values, rerun.values))
-        rechunked = mc_fixed_point(
-            rho, 1.0,
-            McConfig(n_samples=N_MC, master_seed=seed,
-                     n_transform_iterations=ITERS, chunk_size=25_000),
-        )
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "_CHUNK_SLOTS", 25_000)
+            rechunked = mc_fixed_point(rho, 1.0, n=N_MC, seed=seed,
+                                       steps=ITERS)
         alt = cross_oracle_distance(rechunked, grid)
         ok = ok and rep.passed and alt.passed and byte_stable
         results.append(

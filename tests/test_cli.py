@@ -153,6 +153,19 @@ def test_solve_mc_refuses_all_zero_iterate(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+def test_solve_mc_refuses_no_samples(tmp_path, capsys):
+    """mc.n_samples=0 exits 1 with one error line, before any sampling and
+    without a numpy RuntimeWarning."""
+    for method in ("mc", "both"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["solve", "--method", method, *HALF,
+                         "--set", "mc.n_samples=0", "--set", "mc.master_seed=1",
+                         *out(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: n_samples must be >= 1\n"
+    assert not (tmp_path / "runs").exists()
+
+
 def test_solve_stops_at_first_non_finite_iterate(tmp_path, capsys):
     """The slope continuation overflows for this law at iterate 4: the
     solve stops there at the default max_iter and writes nothing, so no

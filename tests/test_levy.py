@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from perpetuity import levy as levy_module
 from perpetuity.distributions import (
     AtomicDistribution,
     EmpiricalSample,
     quantize_family,
 )
 from perpetuity.levy import LevyEstimate, levy_from_solution, steutel_residual
-from perpetuity.montecarlo import McConfig, mc_fixed_point
+from perpetuity.montecarlo import mc_fixed_point
 
 DELTA_HALF = AtomicDistribution([0.5], [1.0])
 ATOM_DELTA_HALF = 0.20318786997997992
@@ -42,9 +43,7 @@ def test_tilted_levy_uniform01_is_exponential():
 
 
 def test_total_mass_from_zero_fraction():
-    cfg = McConfig(n_samples=40_000, master_seed=23,
-                   n_transform_iterations=40)
-    mu = mc_fixed_point(DELTA_HALF, 1.0, cfg)
+    mu = mc_fixed_point(DELTA_HALF, 1.0, n=40_000, seed=23, steps=40)
     levy = levy_from_solution(DELTA_HALF, mu, seed=5, n_out=50_000)
     want = 2.0 * (1.0 - ATOM_DELTA_HALF)   # K (1 - c) / m at m = 1
     assert levy.total_mass_of_m == pytest.approx(want, rel=1e-12)
@@ -83,9 +82,7 @@ def test_steutel_identity_empirical_mu():
 
 def test_steutel_rejects_mismatched_pair():
     # levy sample from the half-point solution against an Exp(1) mu
-    cfg = McConfig(n_samples=40_000, master_seed=29,
-                   n_transform_iterations=40)
-    mu_half = mc_fixed_point(DELTA_HALF, 1.0, cfg)
+    mu_half = mc_fixed_point(DELTA_HALF, 1.0, n=40_000, seed=29, steps=40)
     levy = levy_from_solution(DELTA_HALF, mu_half, seed=13, n_out=50_000)
     rep = steutel_residual(exp_sample(100_000, 45), levy, [0.5, 1.0, 2.0])
     assert rep.residual > 0.05
@@ -97,8 +94,8 @@ def test_steutel_rhs_counts_pairs_exactly():
     pairs.  The half-point sample is rounded to multiples of 1/64, so the
     sums are exact and ties at the probes are real; duplicates and zeros
     are planted on top of the sample's own."""
-    cfg = McConfig(n_samples=400, master_seed=3, n_transform_iterations=12)
-    v = np.round(mc_fixed_point(DELTA_HALF, 1.0, cfg).values * 64.0) / 64.0
+    half = mc_fixed_point(DELTA_HALF, 1.0, n=400, seed=3, steps=12)
+    v = np.round(half.values * 64.0) / 64.0
     v = np.concatenate([v, v[:40], np.zeros(10)])
     mu = EmpiricalSample(v, 3, "half-point/64")
     levy = levy_from_solution(DELTA_HALF, mu, seed=5, n_out=700)
@@ -134,11 +131,12 @@ def _levy_csv_reference(levy, max_rows):
         f"{levy.x[i]:.17g},{(i + 1) / n:.17g}\n" for i in idx)
 
 
-def test_levy_csv_thinning_and_sidecar():
+def test_levy_csv_thinning_and_sidecar(monkeypatch):
     rho = quantize_family("uniform01", 64)
     levy = levy_from_solution(rho, exp_sample(20_000, 4), seed=6,
                               n_out=10_000)
-    files = levy.to_csv("levy", max_rows=256)
+    monkeypatch.setattr(levy_module, "_CSV_ROWS", 256)
+    files = levy.to_csv("levy")
     assert sorted(files) == ["levy.csv", "levy.json"]
     text = "".join(files["levy.csv"])
     assert text == _levy_csv_reference(levy, 256)

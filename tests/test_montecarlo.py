@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from perpetuity import montecarlo
 from perpetuity.distributions import (
     AtomicDistribution,
     EmpiricalSample,
@@ -24,9 +25,8 @@ from perpetuity.metrics import step_char_function
 from perpetuity.montecarlo import (
     _MAX_CHUNK_ARRIVALS,
     KS_COEFF_1PCT,
-    McConfig,
     _chunk_bounds,
-    _chunk_slots,
+    chunk_slots,
     cross_oracle_distance,
     derive_seed,
     empirical_lst,
@@ -49,16 +49,15 @@ def test_ks_coefficient_closed_form():
                                           abs=1e-6)
 
 
-def test_mc_config_validation():
-    with pytest.raises(ValueError):
-        McConfig(n_samples=0)
-    with pytest.raises(ValueError):
-        McConfig(n_samples=10, n_transform_iterations=0)
-    with pytest.raises(ValueError):
-        McConfig(n_samples=10, chunk_size=0)
-    with pytest.raises(ValueError):
-        McConfig(n_samples=10).require_seed()
-    assert McConfig(n_samples=10, master_seed=7).require_seed() == 7
+def test_mc_fixed_point_argument_validation():
+    with pytest.raises(ValueError, match="n_samples must be >= 1"):
+        mc_fixed_point(DELTA_HALF, 1.0, n=0, seed=7, steps=1)
+    with pytest.raises(ValueError, match="at least one transform iteration"):
+        mc_fixed_point(DELTA_HALF, 1.0, n=10, seed=7, steps=0)
+    with pytest.raises(TypeError):
+        mc_fixed_point(DELTA_HALF, 1.0, n=10, steps=1)   # seed is required
+    out = mc_fixed_point(DELTA_HALF, 1.0, n=10, seed=7, steps=1)
+    assert out.seed == 7 and "seed=7)" in out.provenance
 
 
 def test_derive_seed_stable_and_distinct():
@@ -187,19 +186,17 @@ def test_sampled_step_matches_exact_step_cf(name):
 
 
 def test_mc_fixed_point_deterministic():
-    cfg = McConfig(n_samples=3000, master_seed=42, n_transform_iterations=8)
-    a = mc_fixed_point(DELTA_HALF, 1.0, cfg)
-    b = mc_fixed_point(DELTA_HALF, 1.0, cfg)
+    a = mc_fixed_point(DELTA_HALF, 1.0, n=3000, seed=42, steps=8)
+    b = mc_fixed_point(DELTA_HALF, 1.0, n=3000, seed=42, steps=8)
     np.testing.assert_array_equal(a.values, b.values)
     assert a.seed == 42 and "mc-fixed-point" in a.provenance
 
 
 @pytest.mark.parametrize("name", sorted(STEP_LAWS))
 def test_mc_mean_is_pinned_to_target(name):
-    cfg = McConfig(n_samples=20_000, master_seed=2024,
-                   n_transform_iterations=5)
     for m in (1.0, 2.5):
-        sample = mc_fixed_point(STEP_LAWS[name], m, cfg)
+        sample = mc_fixed_point(STEP_LAWS[name], m, n=20_000, seed=2024,
+                                steps=5)
         assert sample.mean() == pytest.approx(m, rel=1e-12, abs=0.0)
 
 
@@ -207,18 +204,16 @@ def test_all_zero_iterate_is_refused():
     # each slot of a half-point iterate is zero with probability near the
     # atom at zero, 0.203, so three slots are all zero together now and
     # then; with seed 1 at iterate 4, which leaves no mean to rescale
-    cfg = McConfig(n_samples=3, master_seed=1, n_transform_iterations=40)
     with pytest.raises(ValueError, match=r"iterate 4 .* all zero.*n_samples"):
-        mc_fixed_point(DELTA_HALF, 1.0, cfg)
+        mc_fixed_point(DELTA_HALF, 1.0, n=3, seed=1, steps=40)
 
 
-def test_chunking_changes_bits_not_statistics():
+def test_chunking_changes_bits_not_statistics(monkeypatch):
     n = 40_000
-    base = McConfig(n_samples=n, master_seed=9, n_transform_iterations=10)
-    fine = McConfig(n_samples=n, master_seed=9, n_transform_iterations=10,
-                    chunk_size=1024)
-    a = mc_fixed_point(DELTA_HALF, 1.0, base)
-    b = mc_fixed_point(DELTA_HALF, 1.0, fine)
+    a = mc_fixed_point(DELTA_HALF, 1.0, n=n, seed=9, steps=10)
+    monkeypatch.setattr(montecarlo, "_CHUNK_SLOTS", 1024)
+    b = mc_fixed_point(DELTA_HALF, 1.0, n=n, seed=9, steps=10)
+    assert "chunk=65536," in a.provenance and "chunk=1024," in b.provenance
     assert not np.array_equal(a.values, b.values)
     # both means are pinned to m, so compare the whole laws
     ks = stats.ks_2samp(a.values, b.values).statistic
@@ -227,18 +222,17 @@ def test_chunking_changes_bits_not_statistics():
 
 def test_chunk_plan_caps_arrivals():
     """Slots per chunk shrink so that slots * K stays within the arrival
-    cap; laws with small K = E[1/A] keep the configured layout."""
+    cap; laws with small K = E[1/A] keep the 65536-slot layout."""
     slow = AtomicDistribution([1e-4, 1.5], [0.5, 0.5])      # K = 5000.3
-    k_slow = response_from_rho(slow).support_end
-    slots = _chunk_slots(65536, k_slow)
+    k_slow = slow.mean_inverse()
+    slots = chunk_slots(slow)
     assert slots == 838 and slots * k_slow <= _MAX_CHUNK_ARRIVALS
-    out = mc_fixed_point(slow, 1.0, McConfig(
-        n_samples=3000, master_seed=5, n_transform_iterations=1))
+    out = mc_fixed_point(slow, 1.0, n=3000, seed=5, steps=1)
     assert out.values.size == 3000 and "chunk=838," in out.provenance
 
-    k_u = response_from_rho(quantize_family("uniform01", 512)).support_end
-    assert _chunk_slots(65536, k_u) == 65536
-    assert _chunk_bounds(200_000, _chunk_slots(65536, k_u)) == [
+    uniform = quantize_family("uniform01", 512)
+    assert chunk_slots(uniform) == 65536
+    assert _chunk_bounds(200_000, chunk_slots(uniform)) == [
         (0, 65536), (65536, 131072), (131072, 196608), (196608, 200_000)]
 
 
@@ -246,11 +240,10 @@ def test_law_no_chunk_can_bound_is_refused():
     """ceil(K) > _MAX_CHUNK_ARRIVALS: one slot alone passes the cap, so the
     sampler refuses before drawing anything."""
     law = AtomicDistribution([1e-7, 1.5], [0.5, 0.5])       # K = 5e6
-    cfg = McConfig(n_samples=3, master_seed=5, n_transform_iterations=1)
     with pytest.raises(ValueError, match=r"K = E\[1/A\] = 5e\+06 .* 4194304"):
-        mc_fixed_point(law, 1.0, cfg)
+        mc_fixed_point(law, 1.0, n=3, seed=5, steps=1)
     with pytest.raises(ValueError):
-        cfg.chunk_slots(law)
+        chunk_slots(law)
 
 
 def _bias_rule_holds(rho, grid, n, k):
@@ -294,12 +287,18 @@ def test_transform_steps_without_a_converged_grid():
     assert transform_steps(rho, rough, 20_000, 7) == (7, None)
     with pytest.raises(ValueError, match="at least one"):
         transform_steps(rho, solve(rho, 1.0), 20_000, 0)
+    # n < 1 has no standard error: refused before any division by n, also
+    # on a grid that did not converge
+    for grid in (solve(rho, 1.0), rough):
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="n_samples must be >= 1"):
+                transform_steps(rho, grid, n, 40)
 
 
 def test_sampler_bytes_are_pinned():
     """sha256 of sampler outputs: a change to any draw moves these."""
-    cfg = McConfig(n_samples=5000, master_seed=2024, n_transform_iterations=3)
-    mc = mc_fixed_point(quantize_family("uniform01", 512), 1.0, cfg)
+    mc = mc_fixed_point(quantize_family("uniform01", 512), 1.0, n=5000,
+                        seed=2024, steps=3)
     assert hashlib.sha256(mc.values.tobytes()).hexdigest() == (
         "d7e7dcd802a34d7da64ca2ba3a6fbd3c6914453211ba87678ba7541f3c102082")
     v = np.random.default_rng(5).exponential(size=10_000)
@@ -312,9 +311,7 @@ def test_sampler_bytes_are_pinned():
 def test_mc_history_and_validation():
     """The state after k steps is the k-step run: step k draws from
     streams of (seed, k, chunk) alone, then rescales to mean m."""
-    cfg = McConfig(n_samples=500, master_seed=1, n_transform_iterations=4)
-    states = [mc_fixed_point(DELTA_HALF, 1.0,
-                             replace(cfg, n_transform_iterations=k))
+    states = [mc_fixed_point(DELTA_HALF, 1.0, n=500, seed=1, steps=k)
               for k in range(1, 5)]
     assert all(s.values.size == 500 for s in states)
     h = response_from_rho(DELTA_HALF)
@@ -324,25 +321,22 @@ def test_mc_history_and_validation():
         np.testing.assert_array_equal(states[k].values,
                                       step.values * (1.0 / step.mean()))
     with pytest.raises(ValueError):
-        mc_fixed_point(DELTA_HALF, -1.0, cfg)
-    with pytest.raises(Exception):
-        mc_fixed_point(point_mass(2.0), 1.0, cfg)   # existence gate
+        mc_fixed_point(DELTA_HALF, -1.0, n=500, seed=1, steps=4)
+    with pytest.raises(Exception):   # existence gate
+        mc_fixed_point(point_mass(2.0), 1.0, n=500, seed=1, steps=4)
 
 
 def test_zero_fraction_matches_atom_mass():
-    cfg = McConfig(n_samples=40_000, master_seed=14,
-                   n_transform_iterations=40)
-    sample = mc_fixed_point(DELTA_HALF, 1.0, cfg)
+    n = 40_000
+    sample = mc_fixed_point(DELTA_HALF, 1.0, n=n, seed=14, steps=40)
     frac = float(np.mean(sample.values == 0.0))
     c = ATOM_DELTA_HALF
-    assert abs(frac - c) < 5.0 * math.sqrt(c * (1 - c) / cfg.n_samples)
+    assert abs(frac - c) < 5.0 * math.sqrt(c * (1 - c) / n)
 
 
 def test_perpetuity_residual_accepts_true_solution():
     rho = quantize_family("uniform01", 512)
-    cfg = McConfig(n_samples=30_000, master_seed=3,
-                   n_transform_iterations=40)
-    sample = mc_fixed_point(rho, 1.0, cfg)
+    sample = mc_fixed_point(rho, 1.0, n=30_000, seed=3, steps=40)
     rep = perpetuity_residual(sample, rho, seed=1001)
     assert rep.n == 30_000
     assert rep.ks_crit_1pct == pytest.approx(
@@ -352,18 +346,16 @@ def test_perpetuity_residual_accepts_true_solution():
 
 def test_perpetuity_residual_rejects_wrong_mixing_law():
     rho = quantize_family("uniform01", 512)
-    cfg = McConfig(n_samples=30_000, master_seed=3,
-                   n_transform_iterations=40)
-    sample = mc_fixed_point(rho, 1.0, cfg)
+    sample = mc_fixed_point(rho, 1.0, n=30_000, seed=3, steps=40)
     rep = perpetuity_residual(sample, DELTA_HALF, seed=1001)
     assert rep.ks_stat > 3.0 * rep.ks_crit_1pct
     assert rep.p_value < 1e-4
 
 
 def test_perpetuity_residual_needs_enough_pairs():
-    sample = EmpiricalSample(np.arange(1.0, 2001.0), 0, "x")
-    with pytest.raises(ValueError):
-        perpetuity_residual(sample, DELTA_HALF, seed=0, n_pairs=500)
+    sample = EmpiricalSample(np.arange(1.0, 501.0), 0, "x")
+    with pytest.raises(ValueError, match="at least 1000 pairs"):
+        perpetuity_residual(sample, DELTA_HALF, seed=0)
 
 
 def test_empirical_lst_rules():
@@ -378,9 +370,7 @@ def test_empirical_lst_rules():
 def test_cross_oracle_agreement_reduced_scale():
     rho = quantize_family("uniform01", 512)
     grid = solve(rho, 1.0)
-    cfg = McConfig(n_samples=20_000, master_seed=17,
-                   n_transform_iterations=40)
-    sample = mc_fixed_point(rho, 1.0, cfg)
+    sample = mc_fixed_point(rho, 1.0, n=20_000, seed=17, steps=40)
     rep = cross_oracle_distance(sample, grid)
     assert rep.passed
     assert rep.sup_distance <= rep.sup_allowed
@@ -408,9 +398,7 @@ def test_cross_oracle_zero_tolerance():
 def test_cross_oracle_flags_wrong_mean():
     rho = quantize_family("uniform01", 512)
     wrong = solve(rho, 1.05)
-    cfg = McConfig(n_samples=20_000, master_seed=17,
-                   n_transform_iterations=40)
-    sample = mc_fixed_point(rho, 1.0, cfg)
+    sample = mc_fixed_point(rho, 1.0, n=20_000, seed=17, steps=40)
     rep = cross_oracle_distance(sample, wrong)
     assert not rep.passed
     assert rep.max_ratio > 1.0

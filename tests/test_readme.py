@@ -6,6 +6,7 @@ import shlex
 from pathlib import Path
 
 from perpetuity.cli import main
+from perpetuity.runconfig import DEFAULTS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -28,3 +29,13 @@ def test_verify_example_passes_at_defaults(tmp_path):
     assert contraction["draws"] == 20 and contraction["pairs"] == 19
     # draw 11: two point masses at the mean one ulp apart
     assert contraction["per_pair"][10]["ratio"] is None
+
+
+def test_config_tables_list_every_key():
+    """The "Configuration keys" tables name exactly the keys of DEFAULTS."""
+    text = README.read_text()
+    section = text[text.index("## Configuration keys"):]
+    section = section[:section.index("\n## ", 1)]
+    listed = [key for row in re.findall(r"^\|([^|]*)\|", section, re.M)
+              for key in re.findall(r"`([^`]+)`", row)]
+    assert sorted(listed) == sorted(DEFAULTS)

@@ -55,7 +55,7 @@ def test_dual_layout():
     np.testing.assert_array_equal(h.values, [2.0, 0.5])
     np.testing.assert_allclose(h.durations, [0.4 / 2.0, 0.6 / 0.5])
     assert h.support_end == pytest.approx(1.4)
-    h.assert_normalized()
+    assert h.integral() == pytest.approx(1.0)
 
 
 def test_eval_conventions():
@@ -101,10 +101,10 @@ def test_lambda_rescale_invariance():
     np.testing.assert_allclose(back.weights, rho.weights)
 
 
-def test_assert_normalized_rejects():
+def test_unnormalized_kernel_has_no_dual_law():
     h = ResponseFunction([1.0], [2.0], lam=1.0)  # integral 2
-    with pytest.raises(ValueError, match="must be within"):
-        h.assert_normalized()
+    with pytest.raises(ValueError, match="must be within 1e-9 of 1"):
+        rho_from_response(h)
 
 
 def test_rho_from_empty_response():

@@ -78,10 +78,10 @@ def test_typed_accessor_errors():
 
 def test_get_int_accepts_only_exact_integers():
     cfg = RunConfig.load(None, ["mc.iterations=40.0", "mc.n_samples=2e3",
-                                "mc.chunk_size=+64"])
+                                "moments.order=+64"])
     assert cfg.get_int("mc.iterations") == 40
     assert cfg.get_int("mc.n_samples") == 2000
-    assert cfg.get_int("mc.chunk_size") == 64
+    assert cfg.get_int("moments.order") == 64
     for key, value in (("mc.iterations", "4.05e1"), ("mc.n_samples", "2.5e0"),
                        ("mc.iterations", "inf"), ("mc.iterations", "nan"),
                        ("mc.iterations", "forty")):
