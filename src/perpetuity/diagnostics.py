@@ -83,11 +83,6 @@ def max_integer_moment_order(rho: AtomicDistribution, n_cap: int = 64):
     return best
 
 
-def compound_poisson_check(rho: AtomicDistribution) -> bool:
-    """Atomic-level check K = E[1/A] < inf; trivially true for finite atoms."""
-    return math.isfinite(rho.mean_inverse())
-
-
 @dataclass(frozen=True)
 class DiagnosticsReport:
     exists: bool
@@ -155,7 +150,7 @@ def diagnose(rho: AtomicDistribution) -> DiagnosticsReport:
         tail_class=tail_class(rho),
         determinate=is_determinate(rho),
         max_integer_moment_order=order,
-        compound_poisson=compound_poisson_check(rho),
+        compound_poisson=math.isfinite(rho.mean_inverse()),
         e_inv_a=rho.mean_inverse(),
         family=rho.family,
         family_tail_class=family_tail_class(rho),

@@ -32,6 +32,7 @@ whatever J is.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -203,7 +204,10 @@ def _build_operator(s, m, rho) -> _LatticeOperator:
         nb = n_lo[j0:j0 + step]
         jj = np.repeat(np.arange(j0, j0 + nb.size), nb)
         ii = np.arange(jj.size) - np.repeat(np.cumsum(nb) - nb, nb)
-        below += np.bincount(ii, c[jj] * -np.expm1(-m * (a[jj] * s[ii])), g)
+        # in place: four pair-sized arrays instead of eight
+        t = a[jj] * s[ii]
+        np.expm1(np.multiply(t, -m, out=t), out=t)
+        below -= np.bincount(ii, np.multiply(t, c[jj], out=t), g)
         sel = slice(*np.searchsorted(inside, [j0, j0 + step]))
         ja, o = inside[sel], shift[sel]
         cw = c[ja, None] * _lagrange4(np.log(a[ja]) / h - o)
@@ -442,7 +446,7 @@ def solve(
     if len(tail) >= 2:
         ratios = [b / a for a, b in zip(tail, tail[1:]) if a > 0.0]
         if ratios:
-            rate = float(np.median(ratios))
+            rate = statistics.median(ratios)
     return replace(
         grid,
         converged=converged,

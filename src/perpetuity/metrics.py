@@ -68,7 +68,7 @@ def empirical_lst(sample: EmpiricalSample, s_grid) -> np.ndarray:
     """Mean of exp(-s X) over the sample, per grid point.
 
     The (s, x) products are formed in blocks of at most _CHUNK_ELEMENTS
-    entries, so memory stays bounded for large samples.
+    entries, all in one buffer, so memory stays bounded for large samples.
     """
     s = np.asarray(s_grid, dtype=float)
     if np.any(s < 0.0):
@@ -76,9 +76,12 @@ def empirical_lst(sample: EmpiricalSample, s_grid) -> np.ndarray:
     values = sample.values
     acc = np.zeros(s.size)
     step = max(1, _CHUNK_ELEMENTS // max(s.size, 1))
+    buf = np.empty((s.size, min(step, values.size)))
     for lo in range(0, values.size, step):
+        out = buf[:, :min(step, values.size - lo)]
         # (-s) x is exactly -(s x), and the block needs no negated copy
-        acc += np.exp(np.multiply.outer(-s, values[lo:lo + step])).sum(axis=1)
+        np.multiply.outer(-s, values[lo:lo + step], out=out)
+        acc += np.exp(out, out=out).sum(axis=1)
     return acc / values.size
 
 

@@ -32,13 +32,12 @@ Determinism contract: every random stream derives from the master seed,
 a purpose label, and (iteration, chunk) indices, so chunk results are a
 pure function of the inputs and the chunk layout.  Rerunning a pipeline
 with the same inputs reproduces identical arrays bit for bit; another
-layout changes the streams but not the statistics.  The layout is a fixed
-_CHUNK_SLOTS = 65536 slots per chunk, capped at
-_MAX_CHUNK_ARRIVALS // ceil(K) slots with K = E[1/A] the expected arrivals
-per slot (``chunk_slots``), so memory stays bounded for laws with atoms
-near 0; the cap binds only when 65536 * ceil(K) > 2**22.  A law with
-ceil(K) > 2**22, where one slot alone passes the cap, is refused with
-ValueError before anything is drawn.
+layout changes the streams but not the statistics.  A chunk has
+2**17 // ceil(K) slots (at least one), K = E[1/A] the expected arrivals
+per slot (``chunk_slots``), so its per-arrival arrays hold about 1 MB each
+whatever the law: 14563 slots for uniform01/512 (K = 8.2), 65536 for the
+point mass at 1/2, 26 for K = 5000.  A law with ceil(K) > 2**22, where one
+slot alone passes that cap, is refused with ValueError before drawing.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy import stats
 
 from .diagnostics import require_existence
 from .distributions import AtomicDistribution, EmpiricalSample
@@ -66,8 +64,8 @@ _MIN_VERDICT_SAMPLES = 1000
 #: mark index or slot (tracemalloc), so a chunk stays near 70 MB.
 _MAX_CHUNK_ARRIVALS = 2 ** 22
 
-#: Slots per shot-noise chunk where the arrival cap does not bind.
-_CHUNK_SLOTS = 65536
+#: Expected arrivals per shot-noise chunk (see ``chunk_slots``).
+_CHUNK_ARRIVALS = 2 ** 17
 
 
 def derive_seed(master_seed: int, label: str, *indices: int) -> int:
@@ -134,12 +132,8 @@ def transform_steps(
 
 
 def chunk_slots(rho: AtomicDistribution) -> int:
-    """Slots per chunk that mc_fixed_point uses for rho: _CHUNK_SLOTS,
-    capped so that the expected arrivals (slots * K, K = E[1/A]) stay
-    within _MAX_CHUNK_ARRIVALS.
-
-    Raises ValueError when one slot alone would exceed the cap.
-    """
+    """Slots per mc_fixed_point chunk for rho: _CHUNK_ARRIVALS // ceil(K),
+    at least one, K = E[1/A]; ValueError if one slot alone passes the cap."""
     rate = rho.mean_inverse()
     per_slot = math.ceil(rate)
     if per_slot > _MAX_CHUNK_ARRIVALS:
@@ -147,7 +141,7 @@ def chunk_slots(rho: AtomicDistribution) -> int:
             f"K = E[1/A] = {rate:.6g} expected arrivals per sample slot "
             f"exceed the per-chunk cap of {_MAX_CHUNK_ARRIVALS}; the shot-"
             f"noise sampler cannot bound its memory for this law")
-    return min(_CHUNK_SLOTS, _MAX_CHUNK_ARRIVALS // per_slot)
+    return max(1, _CHUNK_ARRIVALS // per_slot)
 
 
 def _chunk_bounds(n: int, chunk: int):
@@ -202,6 +196,26 @@ def mc_fixed_point(
     return current
 
 
+def _ks_statistic(x: np.ndarray, y: np.ndarray) -> float:
+    """Two-sample KS statistic sup |F_x - F_y|, with the right-continuous
+    empirical CDFs of both samples read at every pooled value."""
+    x, y = np.sort(x), np.sort(y)
+    pooled = np.concatenate([x, y])
+    cdf_x = np.searchsorted(x, pooled, side="right") / x.size
+    cdf_y = np.searchsorted(y, pooled, side="right") / y.size
+    return float(np.max(np.abs(cdf_x - cdf_y)))
+
+
+def _kolmogorov_sf(z: float) -> float:
+    """Kolmogorov tail 2 sum_{k<=100} (-1)^(k-1) exp(-2 k^2 z^2) in [0, 1];
+    below z = 0.1, where 100 terms fall short, it is 1 within 1e-50."""
+    if z < 0.1:
+        return 1.0
+    k = np.arange(1, 101)
+    terms = (-1.0) ** (k - 1) * np.exp(-2.0 * (k * z) ** 2)
+    return min(max(2.0 * float(terms.sum()), 0.0), 1.0)
+
+
 @dataclass(frozen=True)
 class PerpetuityReport:
     """Two-sample comparison of eta_sb against A * eta_sb + eta."""
@@ -224,8 +238,8 @@ def perpetuity_residual(
 
     Left side: a size-biased resample of mu.  Right side: A * (independent
     size-biased resample) + (plain resample), with A drawn from rho.  All
-    four streams derive from the given seed.  The report carries the
-    asymptotic KS statistic and p-value and the 1% critical value at n.
+    four streams derive from the given seed.  The report carries the KS
+    statistic, its Kolmogorov-limit p-value and the 1% critical value at n.
     """
     n = mu_sample.values.size
     if n < _MIN_VERDICT_SAMPLES:
@@ -234,10 +248,10 @@ def perpetuity_residual(
     sb = mu_sample.size_bias_resample(n, derive_seed(seed, "perp-right-sb")).values
     eta = mu_sample.resample(n, derive_seed(seed, "perp-right-eta")).values
     a = rho.sample(n, derive_seed(seed, "perp-right-a"))
-    ks = stats.ks_2samp(left.values, a * sb + eta, method="asymp")
+    d = _ks_statistic(left.values, a * sb + eta)
     return PerpetuityReport(
-        ks_stat=float(ks.statistic),
-        p_value=float(ks.pvalue),
+        ks_stat=d,
+        p_value=_kolmogorov_sf(math.sqrt(n / 2.0) * d),
         n=n,
         ks_crit_1pct=KS_COEFF_1PCT * math.sqrt(2.0 / n),
     )

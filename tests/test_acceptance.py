@@ -246,7 +246,7 @@ def test_cross_oracle_agreement(uniform_rho, uniform_mc, half_mc,
         rerun = mc_fixed_point(rho, 1.0, n=N_MC, seed=seed, steps=ITERS)
         byte_stable = bool(np.array_equal(sample.values, rerun.values))
         with monkeypatch.context() as patch:
-            patch.setattr(montecarlo, "_CHUNK_SLOTS", 25_000)
+            patch.setattr(montecarlo, "_CHUNK_ARRIVALS", 50_000)
             rechunked = mc_fixed_point(rho, 1.0, n=N_MC, seed=seed,
                                        steps=ITERS)
         alt = cross_oracle_distance(rechunked, grid)

@@ -131,15 +131,16 @@ def test_solve_mc_refuses_unboundable_law(tmp_path, capsys):
 
 
 def test_solve_mc_reports_effective_chunk(tmp_path):
-    """The arrival cap binds for K = 5000: 838 slots per chunk, not 65536."""
+    """K = 5000 gives 2**17 // 5000 = 26 slots per chunk, and the report
+    carries that size."""
     assert main(["solve", "--method", "mc",
                  "--set", "rho.atoms=1e-4:0.5,1.5:0.5",
                  "--set", "mc.n_samples=2000", "--set", "mc.iterations=1",
                  "--set", "mc.master_seed=7", *out(tmp_path)]) == 0
     rd = only_run_dir(tmp_path, "solve")
     report = json.loads((rd / "solution.json").read_text())
-    assert report["mc"]["chunk_size"] == 838
-    assert "chunk=838," in json.loads((rd / "sample.json").read_text())[
+    assert report["mc"]["chunk_size"] == 26
+    assert "chunk=26," in json.loads((rd / "sample.json").read_text())[
         "provenance"]
 
 
@@ -339,3 +340,25 @@ def test_console_script(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "exists" in proc.stdout or "wrote" in proc.stdout
+
+
+def test_runtime_imports_neither_scipy_nor_numpy_ma(tmp_path):
+    """A solve imports no scipy (a test-only oracle) and no numpy.ma, whose
+    lazy import inside a run would be paid by every call."""
+    src = str(Path(perpetuity.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    script = (
+        "import sys\n"
+        "from perpetuity.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, 'scipy' in sys.modules, 'numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "solve", "--method", "both", *HALF,
+         "--set", "mc.n_samples=2000", "--set", "mc.master_seed=3",
+         *out(tmp_path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False False"

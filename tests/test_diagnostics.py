@@ -16,7 +16,6 @@ from perpetuity.diagnostics import (
     DiagnosticsReport,
     ExistenceError,
     TailClass,
-    compound_poisson_check,
     diagnose,
     existence_gate,
     family_tail_class,
@@ -102,8 +101,14 @@ def test_moment_order_requires_existence():
 
 
 def test_compound_poisson_check():
-    assert compound_poisson_check(point_mass(0.5))
-    assert compound_poisson_check(quantize_family("uniform01", 8))
+    """K = E[1/A] is finite for every atomic law, so the atomic-level
+    field is true; the uniform01 family's own K is infinite."""
+    for rho in (point_mass(0.5), quantize_family("uniform01", 8)):
+        rep = diagnose(rho)
+        assert rep.compound_poisson is True
+        assert rep.e_inv_a == rho.mean_inverse()
+    assert diagnose(quantize_family("uniform01", 8)).family_compound_poisson \
+        is False
 
 
 def test_diagnose_report_uniform01():

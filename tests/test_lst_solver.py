@@ -18,6 +18,7 @@ from perpetuity.diagnostics import ExistenceError
 from perpetuity.distributions import AtomicDistribution, point_mass, quantize_family
 from perpetuity.lst_solver import (
     LstGrid,
+    _build_operator,
     atom_at_zero,
     init_grid,
     iterate_once,
@@ -145,6 +146,22 @@ def test_iterate_equals_direct_sum_through_eval_psi(name):
     new = iterate_once(grid, rho).psi
     assert np.max(np.abs(new - direct) / direct) <= 1e-13
     assert grid.extrapolation_used == bool(np.any(targets > grid.s_points[-1]))
+
+
+@pytest.mark.parametrize("rho", [quantize_family("uniform01", 512),
+                                 TWO_ATOMS, DELTA_HALF])
+def test_below_term_is_the_pairwise_sum(rho):
+    """The operator's exact term for targets under s_min equals
+    sum_j (w_j/a_j)(1 - exp(-m a_j s_i)), summed over atoms in order, bit
+    for bit (one block of atoms at 256 nodes)."""
+    s, m = np.geomspace(1e-3, 1e3, 256), 1.7
+    a, c = rho.locations, rho.weights / rho.locations
+    expect = np.zeros(s.size)
+    for i in range(s.size):
+        under = a * s[i] < s[0]
+        for term in c[under] * -np.expm1(-m * (a[under] * s[i])):
+            expect[i] += term
+    np.testing.assert_array_equal(_build_operator(s, m, rho).below, expect)
 
 
 def test_eval_psi_finite_where_f_rounds_to_one():

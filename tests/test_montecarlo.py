@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from perpetuity import montecarlo
+from perpetuity import metrics, montecarlo
 from perpetuity.distributions import (
     AtomicDistribution,
     EmpiricalSample,
@@ -211,7 +211,7 @@ def test_all_zero_iterate_is_refused():
 def test_chunking_changes_bits_not_statistics(monkeypatch):
     n = 40_000
     a = mc_fixed_point(DELTA_HALF, 1.0, n=n, seed=9, steps=10)
-    monkeypatch.setattr(montecarlo, "_CHUNK_SLOTS", 1024)
+    monkeypatch.setattr(montecarlo, "_CHUNK_ARRIVALS", 2048)   # ceil(K) = 2
     b = mc_fixed_point(DELTA_HALF, 1.0, n=n, seed=9, steps=10)
     assert "chunk=65536," in a.provenance and "chunk=1024," in b.provenance
     assert not np.array_equal(a.values, b.values)
@@ -221,19 +221,21 @@ def test_chunking_changes_bits_not_statistics(monkeypatch):
 
 
 def test_chunk_plan_caps_arrivals():
-    """Slots per chunk shrink so that slots * K stays within the arrival
-    cap; laws with small K = E[1/A] keep the 65536-slot layout."""
+    """Slots per chunk are 2**17 // ceil(K), K = E[1/A], so every chunk
+    holds about 2**17 expected arrivals, well within the arrival cap."""
     slow = AtomicDistribution([1e-4, 1.5], [0.5, 0.5])      # K = 5000.3
     k_slow = slow.mean_inverse()
     slots = chunk_slots(slow)
-    assert slots == 838 and slots * k_slow <= _MAX_CHUNK_ARRIVALS
+    assert slots == 26 and slots * k_slow <= _MAX_CHUNK_ARRIVALS
     out = mc_fixed_point(slow, 1.0, n=3000, seed=5, steps=1)
-    assert out.values.size == 3000 and "chunk=838," in out.provenance
+    assert out.values.size == 3000 and "chunk=26," in out.provenance
 
-    uniform = quantize_family("uniform01", 512)
-    assert chunk_slots(uniform) == 65536
-    assert _chunk_bounds(200_000, chunk_slots(uniform)) == [
-        (0, 65536), (65536, 131072), (131072, 196608), (196608, 200_000)]
+    uniform = quantize_family("uniform01", 512)             # K = 8.2
+    assert chunk_slots(uniform) == 14563
+    bounds = _chunk_bounds(200_000, chunk_slots(uniform))
+    assert len(bounds) == 14 and bounds[-1] == (189_319, 200_000)
+    assert all(hi - lo == 14563 for lo, hi in bounds[:-1])
+    assert chunk_slots(DELTA_HALF) == 65536                 # ceil(K) = 2
 
 
 def test_law_no_chunk_can_bound_is_refused():
@@ -352,6 +354,36 @@ def test_perpetuity_residual_rejects_wrong_mixing_law():
     assert rep.p_value < 1e-4
 
 
+@pytest.mark.parametrize("sizes", [(20_000, 20_000), (3000, 7001)])
+def test_ks_statistic_equals_scipy(sizes):
+    """Bit for bit against scipy's two-sample statistic, on continuous
+    samples and on tied ones with an atom at zero (as the solutions of
+    atomic laws have) and repeated values."""
+    rng = np.random.default_rng(sum(sizes))
+    for tied in (False, True):
+        x = rng.exponential(size=sizes[0])
+        y = 1.01 * rng.exponential(size=sizes[1])
+        if tied:
+            x[rng.random(x.size) < 0.2] = 0.0
+            y[rng.random(y.size) < 0.2] = 0.0
+            x, y = np.round(x, 2), np.round(y, 2)
+        assert montecarlo._ks_statistic(x, y) == (
+            stats.ks_2samp(x, y, method="asymp").statistic)
+
+
+def test_kolmogorov_p_value_against_scipy():
+    """The Kolmogorov limit stays within 2% of scipy's finite-n kstwo
+    law at n = 2e5 pairs, down to p near 1e-31, and is 1 as d -> 0."""
+    n = 200_000
+    for z in np.linspace(0.5, 6.0, 23):
+        d = z / math.sqrt(n / 2.0)
+        exact = stats.kstwo.sf(d, round(n / 2.0))
+        assert montecarlo._kolmogorov_sf(z) == pytest.approx(exact, rel=0.02)
+    for z in (0.0, 1e-9, 0.05, 0.1):
+        assert montecarlo._kolmogorov_sf(z) == 1.0
+    assert montecarlo._kolmogorov_sf(40.0) == 0.0
+
+
 def test_perpetuity_residual_needs_enough_pairs():
     sample = EmpiricalSample(np.arange(1.0, 501.0), 0, "x")
     with pytest.raises(ValueError, match="at least 1000 pairs"):
@@ -365,6 +397,27 @@ def test_empirical_lst_rules():
                                rtol=1e-14)
     with pytest.raises(ValueError):
         empirical_lst(sample, [-1.0])
+
+
+def _empirical_lst_by_blocks(values, s, step):
+    acc = np.zeros(s.size)
+    for lo in range(0, values.size, step):
+        acc += np.exp(np.multiply.outer(-s, values[lo:lo + step])).sum(axis=1)
+    return acc / values.size
+
+
+def test_empirical_lst_equals_fresh_blocks():
+    """The reused block buffer changes no bit against a fresh allocation
+    per block, for one value, one block less or more than a step, and a
+    many-block sample with a partial last block."""
+    s = np.geomspace(1e-2, 1e2, 32)
+    step = metrics._CHUNK_ELEMENTS // s.size
+    rng = np.random.default_rng(8)
+    for n in (1, step - 1, step, step + 1, 200_000):
+        values = rng.exponential(size=n)
+        np.testing.assert_array_equal(
+            empirical_lst(EmpiricalSample(values, 0, "x"), s),
+            _empirical_lst_by_blocks(values, s, step))
 
 
 def test_cross_oracle_agreement_reduced_scale():
