@@ -35,6 +35,7 @@ from .montecarlo import (
     derive_seed,
     mc_fixed_point,
     perpetuity_residual,
+    start_law,
     transform_steps,
 )
 from .response import response_from_rho
@@ -79,19 +80,22 @@ def _sample(cfg: RunConfig, rho, grid=None):
     ``transform_steps`` picks from the LST solve (``grid``, or a solve on
     the solver.* keys), with mc.iterations as the cap.
 
-    Returns (sample, report): report holds n, the mean, T, the bias left
-    after T steps (None when the grid did not converge) and the layout.
+    Returns (sample, report): report holds n, the mean, the start law, T,
+    the bias left after T steps (None when the grid did not converge) and
+    the layout.
     """
     n = cfg.get_int("mc.n_samples")
+    m = cfg.get_float("mean")
     seed = cfg.master_seed()
     if grid is None:
         grid = _solve_lst(cfg, rho)
     steps, bias = transform_steps(rho, grid, n, cfg.get_int("mc.iterations"))
-    sample = mc_fixed_point(rho, cfg.get_float("mean"), n, seed, steps)
+    sample = mc_fixed_point(rho, m, n, seed, steps)
     return sample, {
         "n": int(sample.values.size),
         "mean": sample.mean(),
         "zero_fraction": float(np.mean(sample.values < 1e-9)),
+        "start": start_law(rho, m),
         "iterations": steps,
         "transform_bias": bias,
         "chunk_size": chunk_slots(rho),
@@ -217,8 +221,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         sample = _load_prior_sample(args.from_dir)
     else:
         sample, mc = _sample(cfg, rho)
-        result["mc"] = {"iterations": mc["iterations"],
-                        "transform_bias": mc["transform_bias"]}
+        result["mc"] = {key: mc[key] for key in
+                        ("start", "iterations", "transform_bias")}
 
     checks: dict = {}
 

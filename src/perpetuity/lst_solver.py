@@ -13,17 +13,20 @@ Grid scheme: G log-spaced points on [s_min, s_max], read on the log
 lattice x_k = log s_min + k h.  Between nodes, evaluation interpolates
 f = 1 - exp(-psi) with 4-point (cubic) Lagrange weights in log s and reads
 psi back from the interpolated f (from the interpolated phi = 1 - f where
-f > 1/2, so that psi stays finite where f rounds to 1); below s_min the
-exact first-order law psi(s) = m*s is used, and it also gives the
-stencil's lattice nodes below s_min; above s_max a constant-slope
-continuation in log s applies, gives the stencil's nodes above s_max, and
-is flagged in the report.
+f > 1/2, so that psi stays finite where f rounds to 1).  Below s_min psi
+is read from its cumulant series to second order, psi(s) = m s - k2 s^2/2
+with k2 = Var(eta) from the moment recursion; its error is O(k3 s^3).
+Where E eta^2 does not exist (E A >= 1), or where k2 s_min > m would let
+that law fall before s_min, the first-order m s is used instead, with an
+O(k2 s^2) error.  The same law gives the stencil's lattice nodes below
+s_min.  Above s_max a constant-slope continuation in log s applies, gives
+the stencil's nodes above s_max, and is flagged in the report.
 
 Since each target s_i a_j is s_i shifted by log(a_j) / h lattice steps,
 one iteration is a single discrete correlation of f with a kernel built
 once from (w_j / a_j, log a_j), plus boundary terms for targets outside
-[s_min, s_max]: the exact values below s_min are fixed and are summed once
-per solve; the continuation above s_max is summed in closed form over the
+[s_min, s_max]: the values below s_min are fixed and are summed once per
+solve; the continuation above s_max is summed in closed form over the
 atoms above 1.  After that set-up an iteration costs O(G * kernel length)
 <= O(G^2) for the correlation and O(G + #atoms above 1) for the rest,
 whatever J is.
@@ -32,13 +35,13 @@ whatever J is.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .diagnostics import require_existence
 from .distributions import FAMILY_UNIFORM01, AtomicDistribution, csv_text
+from .moments import eta_variance
 
 #: Lattice nodes carried beyond each end of the grid: the cubic stencil of
 #: a target in [s_min, s_max] reaches two nodes past either end.
@@ -62,15 +65,21 @@ def _slope(x, psi):
     return (psi[-1] - psi[-2]) / (x[-1] - x[-2])
 
 
-def _lattice(x, h, psi, m):
-    """psi on the lattice nodes -_PAD .. G-1+_PAD: the exact law below
-    s_min, the grid values, and the slope continuation above s_max."""
+def _below(t, m, k2):
+    """The law below s_min: psi(t) = m t - k2 t^2 / 2 to second order in
+    the cumulants (m t, to first order, where k2 = 0)."""
+    return t * (m - 0.5 * k2 * t)
+
+
+def _lattice(x, h, psi, m, k2):
+    """psi on the lattice nodes -_PAD .. G-1+_PAD: the law below s_min,
+    the grid values, and the slope continuation above s_max."""
     k = np.arange(1.0, _PAD + 1.0)
-    return np.concatenate((m * np.exp(x[0] - h * k[::-1]), psi,
+    return np.concatenate((_below(np.exp(x[0] - h * k[::-1]), m, k2), psi,
                            psi[-1] + _slope(x, psi) * h * k))
 
 
-def _eval_psi(s_points, psi, m, t):
+def _eval_psi(s_points, psi, m, k2, t):
     """Evaluate the grid's psi at arbitrary points t > 0.
 
     Returns (values, used_extrapolation).
@@ -80,22 +89,22 @@ def _eval_psi(s_points, psi, m, t):
     below = t < s_points[0]
     above = t > s_points[-1]
     mid = ~(below | above)
-    out[below] = m * t[below]
+    out[below] = _below(t[below], m, k2)
     x = np.log(s_points)
     if mid.any():
-        out[mid] = _read_grid(s_points, x, psi, m, t[mid])
+        out[mid] = _read_grid(s_points, x, psi, m, k2, t[mid])
     used_extrapolation = bool(above.any())
     if used_extrapolation:
         out[above] = psi[-1] + _slope(x, psi) * (np.log(t[above]) - x[-1])
     return out, used_extrapolation
 
 
-def _read_grid(s_points, x, psi, m, t):
+def _read_grid(s_points, x, psi, m, k2, t):
     """psi at points t in [s_min, s_max] by the cubic-in-f rule; stored
     values on exact node hits."""
     g = s_points.size
     h = (x[-1] - x[0]) / (g - 1)
-    lat = _lattice(x, h, psi, m)
+    lat = _lattice(x, h, psi, m, k2)
     p = (np.log(t) - x[0]) / h
     b = np.clip(np.floor(p), 0, g - 2).astype(np.intp)
     w = _lagrange4(p - b)
@@ -134,15 +143,16 @@ class _LatticeOperator:
     """The fixed-point map for one (grid, rho, m), built once per solve.
 
     new_psi = correlate(f on the lattice, kernel) + below + edge @ f[edge
-    nodes] + above, where ``below`` is the exact contribution of targets
-    under s_min, ``edge`` undoes the lattice reads of targets outside
-    [s_min, s_max], and ``above`` sums the slope continuation for targets
-    over s_max.
+    nodes] + above, where ``below`` is the contribution of targets under
+    s_min by the law there, ``edge`` undoes the lattice reads of targets
+    outside [s_min, s_max], and ``above`` sums the slope continuation for
+    targets over s_max.
     """
 
     rho: AtomicDistribution
     s_points: np.ndarray
     m: float
+    k2: float
     x: np.ndarray
     h: float
     kernel: np.ndarray
@@ -161,7 +171,7 @@ class _LatticeOperator:
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         x = self.x
-        f = -np.expm1(-_lattice(x, self.h, psi, self.m))
+        f = -np.expm1(-_lattice(x, self.h, psi, self.m, self.k2))
         pad = np.zeros(psi.size + self.kernel.size - 1)
         p0, l0, n = self.lat_span
         pad[p0:p0 + n] = f[l0:l0 + n]
@@ -176,7 +186,7 @@ class _LatticeOperator:
         return new
 
 
-def _build_operator(s, m, rho) -> _LatticeOperator:
+def _build_operator(s, m, k2, rho) -> _LatticeOperator:
     g = s.size
     a = rho.locations
     c = rho.weights / a
@@ -204,10 +214,15 @@ def _build_operator(s, m, rho) -> _LatticeOperator:
         nb = n_lo[j0:j0 + step]
         jj = np.repeat(np.arange(j0, j0 + nb.size), nb)
         ii = np.arange(jj.size) - np.repeat(np.cumsum(nb) - nb, nb)
-        # in place: four pair-sized arrays instead of eight
-        t = a[jj] * s[ii]
-        np.expm1(np.multiply(t, -m, out=t), out=t)
-        below -= np.bincount(ii, np.multiply(t, c[jj], out=t), g)
+        # in place: at most four pair-sized arrays at a time
+        t = a[jj]
+        t *= s[ii]
+        u = np.multiply(t, 0.5 * k2)
+        u -= m
+        t *= u                                  # -_below(t, m, k2)
+        np.expm1(t, out=t)
+        t *= np.take(c, jj, out=u)
+        below -= np.bincount(ii, t, g)
         sel = slice(*np.searchsorted(inside, [j0, j0 + step]))
         ja, o = inside[sel], shift[sel]
         cw = c[ja, None] * _lagrange4(np.log(a[ja]) / h - o)
@@ -234,7 +249,8 @@ def _build_operator(s, m, rho) -> _LatticeOperator:
     up_start = np.searchsorted(-n_up, -np.arange(g), side="left")
     up_c = np.append(np.cumsum(c[up][::-1])[::-1], 0.0)[up_start]
     return _LatticeOperator(
-        rho=rho, s_points=s, m=m, x=x, h=h, kernel=kernel, lat_span=lat_span,
+        rho=rho, s_points=s, m=m, k2=k2, x=x, h=h, kernel=kernel,
+        lat_span=lat_span,
         below=below, edge_nodes=edge_nodes,
         edge=edge.reshape(g, edge_nodes.size),
         up_log_c=np.log(c[up]), up_log_a=np.log(a[up]), up_start=up_start,
@@ -254,12 +270,13 @@ class LstGrid:
     extrapolation_used: bool
     atom_at_zero: float | None = None
     rate_estimate: float | None = None
+    k2: float = 0.0           # second cumulant of the law below s_min
     _operator: _LatticeOperator | None = field(
         default=None, repr=False, compare=False)
 
     def eval_psi(self, s) -> np.ndarray:
         vals, _ = _eval_psi(self.s_points, self.psi, self.mean_target,
-                            np.asarray(s, dtype=float))
+                            self.k2, np.asarray(s, dtype=float))
         return vals
 
     def eval_lst(self, s) -> np.ndarray:
@@ -274,8 +291,9 @@ class LstGrid:
         in f, so this is a smoothness scale, not that rule's interpolation
         error) with the final update residual, scaled by phi since
         d(e^-psi) = -phi d(psi).  It leaves out the quantization of rho
-        and the first-order law below s_min, so it can undersize the error
-        against a continuous law's closed form.
+        and the truncated cumulant series below s_min (O(k3 s_min^3) at
+        second order, O(k2 s_min^2) where the first-order law is used), so
+        it can undersize the error against a continuous law's closed form.
         """
         s = np.asarray(s, dtype=float)
         x = np.log(self.s_points)
@@ -345,9 +363,9 @@ def iterate_once(grid: LstGrid, rho: AtomicDistribution) -> LstGrid:
     """
     op = grid._operator
     if not (op is not None and op.rho is rho and op.m == grid.mean_target
-            and op.s_points is grid.s_points):
+            and op.k2 == grid.k2 and op.s_points is grid.s_points):
         require_existence(rho)
-        op = _build_operator(grid.s_points, grid.mean_target, rho)
+        op = _build_operator(grid.s_points, grid.mean_target, grid.k2, rho)
     new_psi = op.apply(grid.psi)
     residual = float(np.max(np.abs(new_psi - grid.psi)))
     return replace(
@@ -424,6 +442,10 @@ def solve(
     if int(max_iter) < 1:
         raise ValueError("max_iter must be >= 1")
     grid = init_grid(m, s_min=s_min, s_max=s_max, grid_points=grid_points)
+    # the second-order law below s_min where Var(eta) exists and the law
+    # stays increasing up to s_min; the first-order m s elsewhere
+    k2 = eta_variance(rho, m)
+    grid = replace(grid, k2=k2 if k2 * s_min <= m else 0.0)
     residuals = []
     converged = False
     # a non-finite iterate is reported below, not as numpy warnings
@@ -444,9 +466,11 @@ def solve(
     rate = None
     tail = [r for r in residuals[-6:] if r > 0.0]
     if len(tail) >= 2:
-        ratios = [b / a for a, b in zip(tail, tail[1:]) if a > 0.0]
+        ratios = sorted(b / a for a, b in zip(tail, tail[1:]) if a > 0.0)
         if ratios:
-            rate = statistics.median(ratios)
+            mid = len(ratios) // 2
+            rate = (ratios[mid] if len(ratios) % 2
+                    else (ratios[mid - 1] + ratios[mid]) / 2)
     return replace(
         grid,
         converged=converged,

@@ -89,6 +89,13 @@ def eta_moments(
     return eta_moments_from_mellin(g, m, n_max)
 
 
+def eta_variance(rho: AtomicDistribution, m: float) -> float:
+    """Var(eta) = E eta^2 - m^2 from the recursion, or 0.0 where E eta^2
+    does not exist (E A >= 1, or a marginal stop)."""
+    mv = eta_moments(rho, m, 2)
+    return mv.values[2] - m * m if mv.max_order >= 2 else 0.0
+
+
 def sb_moments(mv: MomentVector) -> MomentVector:
     """Moments of the size-biased solution: E eta_sb^n = m_{n+1} / m."""
     if mv.max_order < 1:

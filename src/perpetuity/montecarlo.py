@@ -18,26 +18,36 @@ equivariant (if eta solves it for mean m, c * eta solves it for mean c * m),
 so the mean is known in closed form; sampling it would let it wander as a
 martingale, since marks are resampled from the previous iterate.
 
-Number of transform steps.  Started from the same point mass at m, LST
-iterate k is the Laplace transform of MC iterate k as n -> infinity (both
-apply the same map to the exact law), so phi_k - phi is the bias left after
-k MC steps, known before any sampling.  ``transform_steps`` replays that
+Start law.  Iterate 0 is drawn from the Gamma law that matches the
+solution's first two moments, mean m and variance k2 = Var(eta) from the
+moment recursion, with Laplace exponent psi_0(s) = (m^2/k2) log1p((k2/m) s).
+It is exact for the continuous uniform01 law (Exp(1) at m = 1), so the MC
+starts close to the answer and needs few steps.  Where E eta^2 does not
+exist (E A >= 1) it is the point mass at m, psi_0(s) = m s.
+
+Number of transform steps.  Started from the same law, LST iterate k is
+the Laplace transform of MC iterate k as n -> infinity (both apply the
+same map to the same law), so phi_k - phi is the bias left after k MC
+steps, known before any sampling.  ``transform_steps`` replays that
 trajectory on the solved grid's nodes and returns the smallest k with
 20 |phi_k(s) - phi(s)| <= se(s) at every node, se(s) = sqrt((phi(2s) -
 phi(s)^2) / n) being the standard error of the n-sample empirical
 transform.  The rule is per node because se shrinks with phi: one sup
-against the largest se would stop too early where phi is small.
+against the largest se would stop too early where phi is small.  At
+n = 2e5 it gives T = 1, 9 and 14 for uniform01/512, the point mass at 1/2
+and {0.3, 1.2}.
 
 Determinism contract: every random stream derives from the master seed,
-a purpose label, and (iteration, chunk) indices, so chunk results are a
-pure function of the inputs and the chunk layout.  Rerunning a pipeline
-with the same inputs reproduces identical arrays bit for bit; another
-layout changes the streams but not the statistics.  A chunk has
-2**17 // ceil(K) slots (at least one), K = E[1/A] the expected arrivals
-per slot (``chunk_slots``), so its per-arrival arrays hold about 1 MB each
-whatever the law: 14563 slots for uniform01/512 (K = 8.2), 65536 for the
-point mass at 1/2, 26 for K = 5000.  A law with ceil(K) > 2**22, where one
-slot alone passes that cap, is refused with ValueError before drawing.
+a purpose label and, for the transform steps, (iteration, chunk) indices,
+so chunk results are a pure function of the inputs and the chunk layout.
+Rerunning a pipeline with the same inputs reproduces identical arrays bit
+for bit; another layout changes the streams but not the statistics.  A
+chunk has 2**17 // ceil(K) slots (at least one), K = E[1/A] the expected
+arrivals per slot (``chunk_slots``), so its per-arrival arrays hold about
+1 MB each whatever the law: 14563 slots for uniform01/512 (K = 8.2), 65536
+for the point mass at 1/2, 26 for K = 5000.  A law with ceil(K) > 2**22,
+where one slot alone passes that cap, is refused with ValueError before
+drawing.
 """
 
 from __future__ import annotations
@@ -52,6 +62,7 @@ from .diagnostics import require_existence
 from .distributions import AtomicDistribution, EmpiricalSample
 from .lst_solver import LstGrid, iterate_once
 from .metrics import empirical_lst
+from .moments import eta_variance
 from .response import ResponseFunction, response_from_rho
 
 #: Two-sided asymptotic KS coefficient at the 1% level: sqrt(-ln(0.005)/2).
@@ -99,6 +110,16 @@ def shot_noise_resample(
     return EmpiricalSample(out, seed, f"shot-noise({theta.provenance})")
 
 
+def start_law(rho: AtomicDistribution, m: float) -> dict:
+    """The law of MC iterate 0: the Gamma law with the solution's mean m
+    and variance k2 = Var(eta) from the moment recursion, or the point
+    mass at m where E eta^2 does not exist (E A >= 1)."""
+    k2 = eta_variance(rho, m)
+    if k2 > 0.0:
+        return {"law": "gamma", "shape": m * m / k2, "scale": k2 / m}
+    return {"law": "point-mass", "at": m}
+
+
 def transform_steps(
     rho: AtomicDistribution,
     grid: LstGrid,
@@ -106,8 +127,9 @@ def transform_steps(
     cap: int,
 ) -> tuple[int, float | None]:
     """(T, bias): the fewest transform steps k <= cap whose bias, replayed
-    on the solved grid of rho from psi_0 = m s, is at most a twentieth of
-    the n-sample standard error at every node, and max |phi_T - phi| there.
+    on the solved grid of rho from the MC start law (``start_law``), is at
+    most a twentieth of the n-sample standard error at every node, and
+    max |phi_T - phi| there.
 
     A grid that has not converged gives (cap, None): it is no reference
     for the bias.  When no k <= cap meets the rule, T is cap.
@@ -122,7 +144,10 @@ def transform_steps(
     s = grid.s_points
     phi = np.exp(-grid.psi)
     se = np.sqrt(np.maximum(grid.eval_lst(2.0 * s) - phi ** 2, 0.0) / n)
-    state = replace(grid, psi=grid.mean_target * s, iteration_count=0)
+    law = start_law(rho, grid.mean_target)
+    psi0 = (law["shape"] * np.log1p(law["scale"] * s)
+            if law["law"] == "gamma" else grid.mean_target * s)
+    state = replace(grid, psi=psi0, iteration_count=0)
     for k in range(1, cap + 1):
         state = iterate_once(state, rho)
         err = np.abs(np.exp(-state.psi) - phi)
@@ -155,11 +180,13 @@ def mc_fixed_point(
     seed: int,
     steps: int,
 ) -> EmpiricalSample:
-    """n samples after ``steps`` transform steps from the point mass at m,
-    each iterate rescaled to mean m; every stream derives from ``seed``.
+    """n samples after ``steps`` transform steps from ``start_law``, each
+    iterate rescaled to mean m; every stream derives from ``seed``.  A
+    Gamma start is n draws from the ``"mc-start"`` stream, also rescaled.
 
     Raises ValueError when an iterate is all zero: it has no mean to
-    rescale, which happens when n is too small for the law's atom at zero.
+    rescale, which happens when n is too small for the law's atom at zero
+    or for a Gamma start of tiny shape (E A near 1).
     """
     n, steps = int(n), int(steps)
     if n < 1:
@@ -172,11 +199,19 @@ def mc_fixed_point(
         raise ValueError("mean target m must be a positive real")
     h = response_from_rho(rho, lam=1.0)
     chunk = chunk_slots(rho)
+    law = start_law(rho, m)
+    params = ", ".join(f"{k}={v:.17g}" for k, v in law.items() if k != "law")
     provenance = (
         f"mc-fixed-point(rho={rho.digest()}, m={m:.17g}, n={n}, "
-        f"iters={steps}, chunk={chunk}, seed={master})"
+        f"start={law['law']}({params}), iters={steps}, chunk={chunk}, "
+        f"seed={master})"
     )
-    current = EmpiricalSample(np.full(n, float(m)), master, provenance)
+    if law["law"] == "gamma":
+        rng = np.random.default_rng(derive_seed(master, "mc-start"))
+        values = _rescale(rng.gamma(law["shape"], law["scale"], n), m, 0)
+    else:
+        values = np.full(n, float(m))
+    current = EmpiricalSample(values, master, provenance)
     for it in range(steps):
         parts = []
         for ci, (lo, hi) in enumerate(_chunk_bounds(n, chunk)):
@@ -184,16 +219,23 @@ def mc_fixed_point(
             parts.append(
                 shot_noise_resample(current, h, child, n_out=hi - lo).values
             )
-        values = np.concatenate(parts)
-        mean = values.mean()
-        if mean == 0.0:
-            raise ValueError(
-                f"Monte Carlo iterate {it + 1} of n = {n} samples is all "
-                f"zero, so it has no mean to rescale to m; use a larger "
-                f"mc.n_samples")
-        values *= m / mean
+        values = _rescale(np.concatenate(parts), m, it + 1)
         current = EmpiricalSample(values, master, provenance)
     return current
+
+
+def _rescale(values: np.ndarray, m: float, it: int) -> np.ndarray:
+    """Iterate ``it`` rescaled in place to mean m.  ValueError when its
+    mean is 0, or so small that m / mean overflows (a Gamma start of tiny
+    shape can underflow): it has no mean to rescale."""
+    mean = float(values.mean())
+    if not (mean > 0.0 and math.isfinite(m / mean)):
+        raise ValueError(
+            f"Monte Carlo iterate {it} of n = {values.size} samples is all "
+            f"zero, so it has no mean to rescale to m; use a larger "
+            f"mc.n_samples")
+    values *= m / mean
+    return values
 
 
 def _ks_statistic(x: np.ndarray, y: np.ndarray) -> float:

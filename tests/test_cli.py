@@ -145,12 +145,12 @@ def test_solve_mc_reports_effective_chunk(tmp_path):
 
 
 def test_solve_mc_refuses_all_zero_iterate(tmp_path, capsys):
-    """Three half-point slots are all zero at iterate 4 with seed 1: no
-    mean to rescale, so exit 1 and no run directory."""
+    """n = 3 half-point slots run T = 3 steps and are all zero at iterate
+    3 with seed 8: no mean to rescale, so exit 1 and no run directory."""
     assert main(["solve", "--method", "mc", *HALF,
-                 "--set", "mc.n_samples=3", "--set", "mc.master_seed=1",
+                 "--set", "mc.n_samples=3", "--set", "mc.master_seed=8",
                  *out(tmp_path)]) == 1
-    assert "iterate 4 of n = 3 samples is all zero" in capsys.readouterr().err
+    assert "iterate 3 of n = 3 samples is all zero" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
 
 
@@ -183,17 +183,19 @@ def test_solve_stops_at_first_non_finite_iterate(tmp_path, capsys):
 
 
 def test_solve_both_records_transform_steps(tmp_path, capsys):
-    """The MC runs the T that the LST trajectory picks (10 for uniform01
-    at n = 2e4), capped by mc.iterations = 20."""
+    """The MC runs the T that the LST trajectory picks from the Gamma
+    start (1 for uniform01 at n = 2e4, whose start is Exp(1)), capped by
+    mc.iterations = 20; the start law is recorded."""
     assert main(["solve", "--method", "both", *UNIFORM, *FAST_MC,
                  *out(tmp_path)]) == 0
     rd = only_run_dir(tmp_path, "solve")
     mc = json.loads((rd / "solution.json").read_text())["mc"]
-    assert mc["iterations"] == 10
+    assert mc["iterations"] == 1
+    assert mc["start"] == {"law": "gamma", "shape": 1.0, "scale": 1.0}
     assert 0.0 < mc["transform_bias"] < 1e-3
-    assert "iters=10," in json.loads((rd / "sample.json").read_text())[
-        "provenance"]
-    assert "T=10" in capsys.readouterr().out
+    assert "start=gamma(shape=1, scale=1), iters=1," in json.loads(
+        (rd / "sample.json").read_text())["provenance"]
+    assert "T=1\n" in capsys.readouterr().out
 
 
 def test_solve_mc_transform_steps_cap_and_rough_grid(tmp_path):
@@ -246,7 +248,7 @@ def test_levy_cli(tmp_path):
                  "--set", "levy.n_samples=20000",
                  "--set", "levy.probes=0.5,1,2", *out(tmp_path)]) == 0
     rd = only_run_dir(tmp_path, "levy")
-    assert "iters=10," in json.loads((rd / "sample.json").read_text())[
+    assert "iters=1," in json.loads((rd / "sample.json").read_text())[
         "provenance"]
     steutel = json.loads((rd / "steutel.json").read_text())
     assert len(steutel["probes"]) == 3
@@ -273,7 +275,8 @@ def test_verify_pass_fail_and_reuse(tmp_path, capsys):
     rd = only_run_dir(tmp_path, "verify")
     rep = json.loads((rd / "verify.json").read_text())
     assert rep["all_passed"] is True
-    assert rep["mc"]["iterations"] == 10 and rep["mc"]["transform_bias"] > 0
+    assert rep["mc"]["iterations"] == 1 and rep["mc"]["transform_bias"] > 0
+    assert rep["mc"]["start"]["law"] == "gamma"
     assert {"perpetuity", "steutel", "contraction"} <= set(rep["checks"])
     assert set(rep["checks"]["perpetuity"]) == {
         "passed", "negative_control", "ks_stat", "p_value", "n",
@@ -343,8 +346,9 @@ def test_console_script(tmp_path):
 
 
 def test_runtime_imports_neither_scipy_nor_numpy_ma(tmp_path):
-    """A solve imports no scipy (a test-only oracle) and no numpy.ma, whose
-    lazy import inside a run would be paid by every call."""
+    """A solve imports no scipy (a test-only oracle), no numpy.ma and no
+    statistics (with fractions and decimal), whose import inside a run
+    would be paid by every call."""
     src = str(Path(perpetuity.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
@@ -352,7 +356,8 @@ def test_runtime_imports_neither_scipy_nor_numpy_ma(tmp_path):
         "import sys\n"
         "from perpetuity.cli import main\n"
         "code = main(sys.argv[1:])\n"
-        "print(code, 'scipy' in sys.modules, 'numpy.ma' in sys.modules)\n"
+        "print(code, *(name in sys.modules\n"
+        "              for name in ('scipy', 'numpy.ma', 'statistics')))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, "solve", "--method", "both", *HALF,
@@ -361,4 +366,4 @@ def test_runtime_imports_neither_scipy_nor_numpy_ma(tmp_path):
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 False False"
+    assert proc.stdout.splitlines()[-1] == "0 False False False"

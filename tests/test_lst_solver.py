@@ -16,6 +16,7 @@ from scipy import integrate, special
 
 from perpetuity.diagnostics import ExistenceError
 from perpetuity.distributions import AtomicDistribution, point_mass, quantize_family
+from perpetuity.moments import eta_moments, eta_variance
 from perpetuity.lst_solver import (
     LstGrid,
     _build_operator,
@@ -148,20 +149,25 @@ def test_iterate_equals_direct_sum_through_eval_psi(name):
     assert grid.extrapolation_used == bool(np.any(targets > grid.s_points[-1]))
 
 
+@pytest.mark.parametrize("second_order", [True, False])
 @pytest.mark.parametrize("rho", [quantize_family("uniform01", 512),
                                  TWO_ATOMS, DELTA_HALF])
-def test_below_term_is_the_pairwise_sum(rho):
-    """The operator's exact term for targets under s_min equals
-    sum_j (w_j/a_j)(1 - exp(-m a_j s_i)), summed over atoms in order, bit
-    for bit (one block of atoms at 256 nodes)."""
+def test_below_term_is_the_pairwise_sum(rho, second_order):
+    """The operator's term for targets under s_min equals
+    sum_j (w_j/a_j)(1 - exp(-psi(a_j s_i))), psi(t) = t (m - k2 t / 2),
+    summed over atoms in order, bit for bit (one block of atoms at 256
+    nodes); k2 = 0 gives the first-order law m t."""
     s, m = np.geomspace(1e-3, 1e3, 256), 1.7
+    k2 = eta_variance(rho, m) if second_order else 0.0
     a, c = rho.locations, rho.weights / rho.locations
     expect = np.zeros(s.size)
     for i in range(s.size):
         under = a * s[i] < s[0]
-        for term in c[under] * -np.expm1(-m * (a[under] * s[i])):
+        t = a[under] * s[i]
+        for term in c[under] * -np.expm1(-(t * (m - 0.5 * k2 * t))):
             expect[i] += term
-    np.testing.assert_array_equal(_build_operator(s, m, rho).below, expect)
+    np.testing.assert_array_equal(_build_operator(s, m, k2, rho).below,
+                                  expect)
 
 
 def test_eval_psi_finite_where_f_rounds_to_one():
@@ -174,7 +180,7 @@ def test_eval_psi_finite_where_f_rounds_to_one():
 @pytest.mark.parametrize("rho, count", [
     (quantize_family("uniform01", 512), 31),
     (DELTA_HALF, 22),
-    (TWO_ATOMS, 79),
+    (TWO_ATOMS, 80),
 ])
 def test_iteration_counts(rho, count):
     grid = solve(rho, 1.0)
@@ -187,6 +193,16 @@ def test_uniform01_accuracy_at_default_grid():
     grid = solve(quantize_family("uniform01", 512), 1.0)
     s = grid.s_points
     assert np.max(np.abs(grid.eval_lst(s) - 1.0 / (1.0 + s))) <= 1.5e-4
+
+
+def test_uniform01_fine_quantization_at_default_grid():
+    """With 4096 atoms the quantization no longer hides the law below
+    s_min: the second-order law there keeps the error near 2.5e-6, where
+    the first-order m s left a floor of 0.0625 s_min = 6.2e-5."""
+    grid = solve(quantize_family("uniform01", 4096), 1.0)
+    s = grid.s_points
+    assert grid.k2 == 1.0
+    assert np.max(np.abs(grid.eval_lst(s) - 1.0 / (1.0 + s))) <= 5e-6
 
 
 def test_solve_memory_does_not_grow_with_atoms_times_grid():
@@ -215,11 +231,17 @@ def test_solve_delta_half_self_consistency():
 
 
 def test_converged_mean_slope_reference_laws():
+    """psi at s_min follows the cumulant series m s - k2 s^2 / 2 up to its
+    third-order term k3 s^3 / 6 (measured: 0.67-0.75 of that term)."""
     for rho in (DELTA_HALF, quantize_family("uniform01", 128)):
         for m in (1.0, 2.5):
             grid = solve(rho, m)
             s1 = grid.s_points[0]
-            assert abs(grid.psi[0] / s1 - m) <= m * s1
+            e1, e2, e3 = eta_moments(rho, m, 3).values[1:]
+            k2, k3 = e2 - e1 ** 2, e3 - 3.0 * e1 * e2 + 2.0 * e1 ** 3
+            assert grid.k2 == pytest.approx(k2, rel=1e-15)
+            assert abs(grid.psi[0] - (m * s1 - k2 * s1 ** 2 / 2.0)) <= (
+                k3 * s1 ** 3 / 6.0)
 
 
 def test_scale_equivariance():
@@ -275,9 +297,27 @@ def test_eval_rules_and_small_s():
     # on-grid read-out returns stored values
     np.testing.assert_array_equal(grid.eval_psi(grid.s_points[5]),
                                   grid.psi[5])
-    # below s_min the exact first-order law applies
-    assert grid.eval_psi(1e-5) == 1e-5
+    # below s_min the second-order law m s - k2 s^2 / 2 applies, with
+    # k2 = Var(eta) = 1 for the point mass at 1/2 and m = 1
+    assert grid.k2 == 1.0
+    assert grid.eval_psi(1e-5) == 1e-5 * (1.0 - 0.5 * 1e-5)
     assert grid.eval_lst(1e-5) == pytest.approx(1.0 - 1e-5, abs=1e-9)
+
+
+def test_first_order_fallback_below_s_min():
+    """m s is kept below s_min where E eta^2 does not exist (E A = 1.55
+    here) and where k2 s_min > m would let the second-order law fall
+    before s_min (k2 = 1 and s_min = 2 for the point mass at 1/2)."""
+    no_variance = AtomicDistribution([0.1, 3.0], [0.5, 0.5])
+    assert no_variance.mean() >= 1.0 and eta_variance(no_variance, 1.0) == 0.0
+    for grid in (solve(no_variance, 1.0, max_iter=3),
+                 solve(DELTA_HALF, 1.0, s_min=2.0, s_max=2e3,
+                       grid_points=64)):
+        s0 = grid.s_points[0]
+        assert grid.k2 == 0.0
+        assert grid.eval_psi(s0 / 3.0) == grid.mean_target * (s0 / 3.0)
+    # with s_min = 1 the point mass at 1/2 keeps the second-order law
+    assert solve(DELTA_HALF, 1.0, s_min=1.0, max_iter=3).k2 == 1.0
 
 
 def test_error_estimate_shape():
@@ -286,7 +326,7 @@ def test_error_estimate_shape():
     err = grid.error_estimate(s)
     assert np.all(err >= 0.0)
     assert np.all(err < 1.0)
-    assert err[0] < 1e-10    # exact region below s_min
+    assert err[0] < 1e-10    # the law below s_min is left out
 
 
 def test_solver_failure_modes():

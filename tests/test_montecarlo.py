@@ -33,6 +33,7 @@ from perpetuity.montecarlo import (
     mc_fixed_point,
     perpetuity_residual,
     shot_noise_resample,
+    start_law,
     transform_steps,
 )
 from perpetuity.response import ResponseFunction, response_from_rho
@@ -203,9 +204,16 @@ def test_mc_mean_is_pinned_to_target(name):
 def test_all_zero_iterate_is_refused():
     # each slot of a half-point iterate is zero with probability near the
     # atom at zero, 0.203, so three slots are all zero together now and
-    # then; with seed 1 at iterate 4, which leaves no mean to rescale
+    # then; with seed 1 at iterate 4, which leaves no mean to rescale (the
+    # zeros come from the Poisson counts, so the start law does not matter)
     with pytest.raises(ValueError, match=r"iterate 4 .* all zero.*n_samples"):
         mc_fixed_point(DELTA_HALF, 1.0, n=3, seed=1, steps=40)
+    # E A = 0.9995 gives a Gamma start of shape 5e-4, whose draws underflow
+    # to zero about two times in three: refused before the division by 0
+    near_one = AtomicDistribution([0.001, 1.998], [0.5, 0.5])
+    assert start_law(near_one, 1.0)["shape"] < 1e-3
+    with pytest.raises(ValueError, match=r"iterate 0 of n = 1 .* all zero"):
+        mc_fixed_point(near_one, 1.0, n=1, seed=1, steps=1)
 
 
 def test_chunking_changes_bits_not_statistics(monkeypatch):
@@ -250,26 +258,32 @@ def test_law_no_chunk_can_bound_is_refused():
 
 def _bias_rule_holds(rho, grid, n, k):
     """20 |phi_k - phi| <= se at every node, with phi_k the k-th iterate
-    from the point mass at m on the grid's nodes."""
+    from the Gamma start law (1 + scale s)^-shape on the grid's nodes."""
     s = grid.s_points
     phi = np.exp(-grid.psi)
     se = np.sqrt(np.maximum(grid.eval_lst(2.0 * s) - phi ** 2, 0.0) / n)
-    state = replace(grid, psi=grid.mean_target * s, iteration_count=0)
+    law = start_law(rho, grid.mean_target)
+    assert law["law"] == "gamma"
+    psi0 = law["shape"] * np.log1p(law["scale"] * s)
+    state = replace(grid, psi=psi0, iteration_count=0)
     for _ in range(k):
         state = iterate_once(state, rho)
     return bool(np.all(20.0 * np.abs(np.exp(-state.psi) - phi) <= se))
 
 
 @pytest.mark.parametrize("rho,steps", [
-    (STEP_LAWS["uniform01"], {200_000: 11, 20_000: 10}),
-    (STEP_LAWS["half-point"], {200_000: 12, 20_000: 11}),
-    (STEP_LAWS["two-atom"], {200_000: 22, 20_000: 19}),
-    # one sup of the bias against the largest se would stop at 18 here
-    (AtomicDistribution([0.1, 1.5], [0.5, 0.5]), {200_000: 19}),
-], ids=["uniform01", "half-point", "two-atom", "far-atoms"])
+    # the Gamma start is Exp(1), the continuous law's solution: one step
+    (STEP_LAWS["uniform01"], {200_000: 1, 20_000: 1}),
+    (STEP_LAWS["half-point"], {200_000: 9, 20_000: 8}),
+    (STEP_LAWS["two-atom"], {200_000: 14, 20_000: 11}),
+    (AtomicDistribution([0.1, 1.5], [0.5, 0.5]), {200_000: 16}),
+    # one sup of the bias against the largest se would stop at 11 here
+    (AtomicDistribution([0.05, 1.8], [0.6, 0.4]), {200_000: 12}),
+], ids=["uniform01", "half-point", "two-atom", "far-atoms", "wide-atoms"])
 def test_transform_steps_meet_the_bias_rule(rho, steps):
     """T is the smallest step count whose LST bias is within a twentieth
-    of the standard error at every node: the rule holds at T, not T - 1."""
+    of the standard error at every node: the rule holds at T, not T - 1
+    (for T = 1, not at the start law itself)."""
     grid = solve(rho, 1.0)
     for n, expected in steps.items():
         t, bias = transform_steps(rho, grid, n, 40)
@@ -277,9 +291,10 @@ def test_transform_steps_meet_the_bias_rule(rho, steps):
         assert _bias_rule_holds(rho, grid, n, t)
         assert not _bias_rule_holds(rho, grid, n, t - 1)
         assert 0.0 < bias < 1e-3
-        # a cap below T binds; the bias is then the larger one at the cap
-        capped, capped_bias = transform_steps(rho, grid, n, 5)
-        assert capped == 5 and capped_bias > bias
+        if t > 1:
+            # a cap below T binds; the bias is then the larger one there
+            capped, capped_bias = transform_steps(rho, grid, n, t - 1)
+            assert capped == t - 1 and capped_bias > bias
 
 
 def test_transform_steps_without_a_converged_grid():
@@ -302,7 +317,7 @@ def test_sampler_bytes_are_pinned():
     mc = mc_fixed_point(quantize_family("uniform01", 512), 1.0, n=5000,
                         seed=2024, steps=3)
     assert hashlib.sha256(mc.values.tobytes()).hexdigest() == (
-        "d7e7dcd802a34d7da64ca2ba3a6fbd3c6914453211ba87678ba7541f3c102082")
+        "a856d9b3f26e20d7461b573002ea125c83c0c33769a8417f2304fa80829ebbee")
     v = np.random.default_rng(5).exponential(size=10_000)
     v[::7] = 0.0
     sb = EmpiricalSample(v, 5, "pin").size_bias_resample(20_000, seed=11)
@@ -326,6 +341,30 @@ def test_mc_history_and_validation():
         mc_fixed_point(DELTA_HALF, -1.0, n=500, seed=1, steps=4)
     with pytest.raises(Exception):   # existence gate
         mc_fixed_point(point_mass(2.0), 1.0, n=500, seed=1, steps=4)
+
+
+def test_iterate_zero_is_the_start_law():
+    """Step 1 maps the rescaled Gamma(m^2/k2, k2/m) draws of the
+    "mc-start" stream (Exp(1) for the point mass at 1/2, m = 1); a law
+    without E eta^2 (E A = 1.55) starts from the point mass at m."""
+    law = start_law(DELTA_HALF, 1.0)
+    assert law == {"law": "gamma", "shape": 1.0, "scale": 1.0}
+    gamma = np.random.default_rng(derive_seed(3, "mc-start")).gamma(
+        1.0, 1.0, 500)
+    no_variance = AtomicDistribution([0.1, 3.0], [0.5, 0.5])
+    assert start_law(no_variance, 2.0) == {"law": "point-mass", "at": 2.0}
+    for rho, m, start in ((DELTA_HALF, 1.0, gamma * (1.0 / gamma.mean())),
+                          (no_variance, 2.0, np.full(500, 2.0))):
+        one = mc_fixed_point(rho, m, n=500, seed=3, steps=1)
+        step = shot_noise_resample(
+            EmpiricalSample(start, 3, "start"), response_from_rho(rho),
+            derive_seed(3, "shot-noise-transform", 0, 0))
+        np.testing.assert_array_equal(one.values,
+                                      step.values * (m / step.mean()))
+    assert "start=gamma(shape=1, scale=1)," in mc_fixed_point(
+        DELTA_HALF, 1.0, n=10, seed=3, steps=1).provenance
+    assert "start=point-mass(at=2)," in mc_fixed_point(
+        no_variance, 2.0, n=10, seed=3, steps=1).provenance
 
 
 def test_zero_fraction_matches_atom_mass():
