@@ -149,16 +149,12 @@ def test_iterate_equals_direct_sum_through_eval_psi(name):
     assert grid.extrapolation_used == bool(np.any(targets > grid.s_points[-1]))
 
 
-@pytest.mark.parametrize("second_order", [True, False])
-@pytest.mark.parametrize("rho", [quantize_family("uniform01", 512),
-                                 TWO_ATOMS, DELTA_HALF])
-def test_below_term_is_the_pairwise_sum(rho, second_order):
-    """The operator's term for targets under s_min equals
-    sum_j (w_j/a_j)(1 - exp(-psi(a_j s_i))), psi(t) = t (m - k2 t / 2),
-    summed over atoms in order, bit for bit (one block of atoms at 256
-    nodes); k2 = 0 gives the first-order law m t."""
-    s, m = np.geomspace(1e-3, 1e3, 256), 1.7
-    k2 = eta_variance(rho, m) if second_order else 0.0
+BELOW_TERM_LAWS = [quantize_family("uniform01", 512), TWO_ATOMS, DELTA_HALF]
+
+
+def _pairwise_below(s, m, k2, rho):
+    """sum_j (w_j/a_j)(1 - exp(-psi(a_j s_i))) over the atoms with
+    a_j s_i < s_min, in atom order, psi(t) = t (m - k2 t / 2)."""
     a, c = rho.locations, rho.weights / rho.locations
     expect = np.zeros(s.size)
     for i in range(s.size):
@@ -166,8 +162,26 @@ def test_below_term_is_the_pairwise_sum(rho, second_order):
         t = a[under] * s[i]
         for term in c[under] * -np.expm1(-(t * (m - 0.5 * k2 * t))):
             expect[i] += term
+    return expect
+
+
+@pytest.mark.parametrize("rho", BELOW_TERM_LAWS)
+def test_below_term_is_the_pairwise_sum(rho):
+    """The operator's term for targets under s_min equals the pairwise sum
+    with the second-order law psi(t) = m t - k2 t^2 / 2, bit for bit (one
+    block of atoms at 256 nodes)."""
+    s, m = np.geomspace(1e-3, 1e3, 256), 1.7
+    k2 = eta_variance(rho, m)
     np.testing.assert_array_equal(_build_operator(s, m, k2, rho).below,
-                                  expect)
+                                  _pairwise_below(s, m, k2, rho))
+
+
+@pytest.mark.parametrize("rho", BELOW_TERM_LAWS)
+def test_below_term_first_order_is_the_pairwise_sum(rho):
+    """k2 = 0 gives the first-order law psi(t) = m t, bit for bit."""
+    s, m = np.geomspace(1e-3, 1e3, 256), 1.7
+    np.testing.assert_array_equal(_build_operator(s, m, 0.0, rho).below,
+                                  _pairwise_below(s, m, 0.0, rho))
 
 
 def test_eval_psi_finite_where_f_rounds_to_one():
