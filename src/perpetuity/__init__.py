@@ -22,7 +22,7 @@ from .distributions import (
     validate,
 )
 from .levy import LevyEstimate, SteutelReport, levy_from_solution, steutel_residual
-from .lst_solver import LstGrid, atom_at_zero, init_grid, iterate_once, solve
+from .lst_solver import LstGrid, atom_at_zero, iterate_once, solve
 from .metrics import (
     ContractionReport,
     RDeltaConfig,
@@ -32,7 +32,7 @@ from .metrics import (
     empirical_lst,
     r_delta_report,
 )
-from .moments import eta_moments, eta_moments_from_mellin, sb_moments
+from .moments import eta_moments, sb_moments
 from .montecarlo import (
     CrossOracleReport,
     PerpetuityReport,
@@ -74,9 +74,7 @@ __all__ = [
     "diagnose",
     "empirical_lst",
     "eta_moments",
-    "eta_moments_from_mellin",
     "existence_gate",
-    "init_grid",
     "is_determinate",
     "iterate_once",
     "levy_from_solution",

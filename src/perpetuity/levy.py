@@ -55,8 +55,7 @@ class LevyEstimate:
         mass = ("infinity" if math.isinf(self.total_mass_of_m)
                 else self.total_mass_of_m)
         sidecar = {"total_mass_of_M": mass, "n": int(self.n), "seed": self.seed}
-        return {f"{stem}.csv": csv_text("x,cdf", "%.17g,%.17g",
-                                        self.x[idx], (idx + 1) / n),
+        return {f"{stem}.csv": csv_text("x,cdf", self.x[idx], (idx + 1) / n),
                 f"{stem}.json": json_text(sidecar)}
 
 

@@ -312,8 +312,8 @@ class LstGrid:
         """{stem}.csv s,psi,phi across the grid."""
         # phi per node by math.exp: np.exp may differ in the last bit
         phi = [math.exp(-p) for p in self.psi.tolist()]
-        return {f"{stem}.csv": csv_text("s,psi,phi", "%.17g,%.17g,%.17g",
-                                        self.s_points, self.psi, phi)}
+        return {f"{stem}.csv": csv_text("s,psi,phi", self.s_points, self.psi,
+                                        phi)}
 
     def report_obj(self) -> dict:
         return {

@@ -104,10 +104,10 @@ class ResponseFunction:
         u = np.repeat(bounds, 2)[1:]
         h = np.append(np.repeat(self.values, 2), 0.0)
         return {
-            f"{stem}.csv": csv_text("value,duration", "%.17g,%.17g",
-                                    self.values, self.durations),
+            f"{stem}.csv": csv_text("value,duration", self.values,
+                                    self.durations),
             f"{stem}.json": json_text({"lambda": self.lam}),
-            f"{stem}_curve.csv": csv_text("u,h", "%.17g,%.17g", u, h),
+            f"{stem}_curve.csv": csv_text("u,h", u, h),
         }
 
 

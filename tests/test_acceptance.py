@@ -94,12 +94,12 @@ def test_moment_closed_forms():
     fam = eta_moments(quantize_family("uniform01", 64), 1.0, 6,
                       family_exact=True)
     fact_err = max(
-        abs(fam.moment(n) - math.factorial(n)) / math.factorial(n)
+        abs(fam.values[n] - math.factorial(n)) / math.factorial(n)
         for n in range(1, 7)
     )
     half = eta_moments(DELTA_HALF, 1.0, 3)
-    half_err = max(abs(half.moment(2) - 2.0) / 2.0,
-                   abs(half.moment(3) - 16.0 / 3.0) / (16.0 / 3.0))
+    half_err = max(abs(half.values[2] - 2.0) / 2.0,
+                   abs(half.values[3] - 16.0 / 3.0) / (16.0 / 3.0))
     ok = fact_err <= 1e-12 and half_err <= 1e-12
     check("moment recursion reproduces closed forms", ok,
           f"uniform01 n<=6 worst rel err {fact_err:.2e}, "

@@ -1,6 +1,7 @@
 """End-to-end CLI runs against temp directories: artifacts, exit codes,
 manifest integrity, and byte-level reproducibility."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -367,3 +368,50 @@ def test_runtime_imports_neither_scipy_nor_numpy_ma(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 False False False"
+
+
+# sha256 of every CSV artifact of small runs; any change to the CSV
+# rendering that moves a byte shows here
+GOLDEN_RUNS = [
+    (["solve", "--method", "both", *UNIFORM, *FAST_MC], {
+        "grid.csv":
+            "1aa7f874ea9a79518fd294c5412e3b8a2f5eec8d8044c92458531d886ee967d1",
+        "sample.csv":
+            "93119f7f963f8c2492be749c6f56d58ad4e7aefd32bd70faac2d9320334f921c",
+    }),
+    (["solve", "--method", "both", "--set", "rho.atoms=0.3:0.5,1.2:0.5",
+      *FAST_MC], {
+        "grid.csv":
+            "5772c741659dceebcc0a045ed55c00b75b49eda02741193930f874543962af7b",
+        "sample.csv":
+            "2e28154390891b16740e3238ffda403718b357fd8c36e66397d8538fe37e07c8",
+    }),
+    (["levy", *UNIFORM, *FAST_MC, "--set", "levy.n_samples=20000"], {
+        "levy.csv":
+            "d16f90336df1578cc807567414f31755d65e53e35b64b8f0a5f23ded76fe2c4b",
+        "sample.csv":
+            "93119f7f963f8c2492be749c6f56d58ad4e7aefd32bd70faac2d9320334f921c",
+    }),
+    (["response", *UNIFORM], {
+        "response.csv":
+            "5d78513e3784d5e215b0bd48e9b44280aa552e39f409a1b371f4ee06b2bf13fe",
+        "response_curve.csv":
+            "214eed352b9b918c2e9b9a2b1cf41d5a53074271b1f9eeff36d1ed3dab75a0ad",
+    }),
+    (["moments", "--order", "6", "--set", "rho.atoms=0.3:0.5,1.2:0.5"], {
+        "moments.csv":
+            "94b982416cc68e5c2c4ebfa9cce988e3d866562cb607b45a3ac555139adf2f29",
+        "sb_moments.csv":
+            "41c756d0c666022710582c8437892bff056705175b11a1f1eea0e19cc466a598",
+    }),
+]
+
+
+@pytest.mark.parametrize("argv,digests", GOLDEN_RUNS, ids=[
+    "solve-uniform01", "solve-atoms", "levy", "response", "moments"])
+def test_csv_artifact_digests_are_pinned(tmp_path, argv, digests):
+    assert main([*argv, *out(tmp_path)]) == 0
+    rd = only_run_dir(tmp_path, argv[0])
+    got = {name: hashlib.sha256((rd / name).read_bytes()).hexdigest()
+           for name in digests}
+    assert got == digests

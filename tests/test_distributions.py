@@ -2,6 +2,8 @@
 
 import json
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -139,7 +141,7 @@ def test_artifact_writers_refuse_non_finite():
         with pytest.raises(ValueError):
             json_text({"residual": bad})
         with pytest.raises(ValueError, match="non-finite"):
-            csv_text("s,psi", "%.17g,%.17g", [1.0, 2.0], [0.5, bad])
+            csv_text("s,psi", [1.0, 2.0], [0.5, bad])
 
 
 def test_csv_rejects_wrong_header(tmp_path):
@@ -316,21 +318,65 @@ def test_empirical_csv_detects_truncation(tmp_path):
 
 
 def test_csv_text_blocks():
-    """One header block, then one block per 65536 rows; empty tables
-    render as the header alone."""
-    assert csv_text("x,y", "%.17g,%.17g", [], []) == ["x,y\n"]
-    assert csv_text("x,y", "%.17g,%.17g", [0.1], [2.0]) == [
+    """One header block, then one block per 4096 rows; empty tables
+    render as the header alone; integer columns render as %d."""
+    assert csv_text("x,y", [], []) == ["x,y\n"]
+    assert csv_text("x,y", [0.1], [2.0]) == [
         "x,y\n", "0.10000000000000001,2\n"]
-    blocks = csv_text("k,v", "%d,%.17g", range(65537), np.full(65537, 0.5))
-    assert [b.count("\n") for b in blocks] == [1, 65536, 1]
-    assert blocks[-1] == "65536,0.5\n"
+    blocks = csv_text("k,v", range(4097), np.full(4097, 0.5))
+    assert [b.count("\n") for b in blocks] == [1, 4096, 1]
+    assert blocks[-1] == "4096,0.5\n"
+    big = [-2 ** 63, -7, 0, 2 ** 62 + 1]
+    assert "".join(csv_text("k,v", big, [-0.0, -1e-5, 3e16, 123.5])) == (
+        "k,v\n-9223372036854775808,-0\n-7,-1.0000000000000001e-05\n"
+        "0,30000000000000000\n4611686018427387905,123.5\n")
+
+
+def _percent_17g(values):
+    return "".join("%.17g\n" % v for v in values.tolist())
+
+
+def test_csv_text_matches_percent_17g():
+    """The vectorized cells are the bytes of '%.17g' % v on random doubles,
+    on round-half-even ties at the 17th digit, around the powers of ten
+    where the notation or the digit count changes, and on the values left
+    to %; none raises a numpy warning."""
+    rng = np.random.default_rng(13)
+    bits = rng.integers(0, 2 ** 64, size=100_000, dtype=np.uint64)
+    random = bits.view(np.float64)
+    random = random[np.isfinite(random)]
+    ties = []
+    for q in range(21):
+        # odd / 2**(q+1) with 17 digits before the tie: |v| * 10**q is
+        # odd * 5**q / 2, halfway between two integers
+        lo = math.ceil(Fraction(10) ** (16 - q) * 2 ** (q + 1)) // 2
+        hi = min(math.floor(Fraction(10) ** (17 - q) * 2 ** (q + 1)),
+                 2 ** 53) // 2
+        if lo < hi:
+            ties.append((2 * rng.integers(lo, hi, 500) + 1) / 2.0 ** (q + 1))
+    ties = np.concatenate(ties + [[1 + 2 ** -17, 1 + 3 * 2 ** -17]])
+    assert ties.size > 7000
+    powers = np.array([float(f"1e{e}") for e in range(-8, 24)])
+    near, down, up = [powers], powers, powers
+    for _ in range(3):
+        down, up = np.nextafter(down, 0.0), np.nextafter(up, np.inf)
+        near += [down, up]
+    near = np.concatenate(near)
+    near = np.concatenate([near, -near])
+    special = np.array([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for values in (random, ties, near, special):
+            assert "".join(csv_text("v", values)) == "v\n" + _percent_17g(values)
+    tie_text = "".join(csv_text("v", ties[-2:]))
+    assert tie_text == "v\n1.0000076293945312\n1.0000228881835938\n"
+    assert "".join(csv_text("v", special)) == (
+        "v\n0\n-0\n4.9406564584124654e-324\n2.2250738585072014e-308\n"
+        "1.0000000000000001e+300\n")
 
 
 def test_moment_vector():
     mv = MomentVector(values=(1.0, 1.0, 2.0, 6.0), mean=1.0, max_order=3)
-    assert mv.moment(2) == 2.0
-    with pytest.raises(ValueError):
-        mv.moment(4)
     # factorial sequence is log convex (Lyapunov)
     v = mv.values
     assert all(v[n - 1] * v[n + 1] >= v[n] ** 2 for n in range(1, 3))
