@@ -428,12 +428,13 @@ class EmpiricalSample:
     @classmethod
     def from_csv(cls, path) -> "EmpiricalSample":
         path = Path(path)
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["value"]:
-                raise ValueError(f"{path}: expected header 'value', got {header}")
-            values = [float(row[0]) for row in reader if row]
+        header, _, body = path.read_text().partition("\n")
+        if header != "value":
+            raise ValueError(f"{path}: expected header 'value', got {header!r}")
+        try:
+            values = np.array(body.splitlines(), dtype=float)
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad row ({exc})") from exc
         meta = json.loads(path.with_suffix(".json").read_text())
         if meta.get("n") != len(values):
             raise ValueError(f"{path}: sidecar n={meta.get('n')} != {len(values)} rows")

@@ -111,7 +111,8 @@ def steutel_residual(mu: EmpiricalSample, levy: LevyEstimate,
     (its value-weighted ECDF).  The right side convolves mu's ECDF with
     the levy sample: the share of pairs (v, y) with y + v < x, plus the
     share with y + v <= x, halved, which halves the bias at ties and atoms.
-    Each probe searches the sorted levy sample once per value of mu.
+    Each probe searches the sorted levy sample once per value of mu, and
+    counts ties again only for the keys that hit a levy value exactly.
     """
     if not isinstance(mu, EmpiricalSample):
         raise TypeError("mu must be an EmpiricalSample")
@@ -130,12 +131,18 @@ def steutel_residual(mu: EmpiricalSample, levy: LevyEstimate,
     cum = np.cumsum(vals)
     idx = np.searchsorted(vals, probes, side="right")
     lhs = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0) / total
+    x = levy.x
     rhs = np.empty(probes.size)
     for i, xp in enumerate(probes):
+        # keys fall as vals rise; those below x[0] count no pair at all,
+        # and no key exceeds xp <= x[-1], so every x[left] exists
         keys = xp - vals
-        rhs[i] = (levy.x.searchsorted(keys, "left").sum()
-                  + levy.x.searchsorted(keys, "right").sum())
-    rhs /= 2.0 * vals.size * levy.x.size
+        keys = keys[:np.count_nonzero(keys >= x[0])]
+        left = x.searchsorted(keys, "left")
+        hit = x[left] == keys
+        ties = x.searchsorted(keys[hit], "right") - left[hit]
+        rhs[i] = 2 * left.sum() + ties.sum()
+    rhs /= 2.0 * vals.size * x.size
     residual = float(np.max(np.abs(lhs - rhs)))
     return SteutelReport(
         probes=tuple(float(v) for v in probes),

@@ -61,7 +61,10 @@ def char_function(nu: AtomicDistribution, s_grid) -> np.ndarray:
     if not isinstance(nu, AtomicDistribution):
         raise TypeError("nu must be an AtomicDistribution")
     block = np.multiply.outer(np.asarray(s_grid, dtype=float), nu.locations)
-    return (np.cos(block) + 1j * np.sin(block)) @ nu.weights
+    cis = np.empty(block.shape, dtype=complex)
+    np.cos(block, out=cis.real)
+    np.sin(block, out=cis.imag)
+    return cis @ nu.weights
 
 
 def empirical_lst(sample: EmpiricalSample, s_grid) -> np.ndarray:
@@ -180,7 +183,8 @@ def step_char_function(rho: AtomicDistribution, theta: AtomicDistribution,
     for lo in range(0, s.size, rows):
         inner = char_function(
             theta, np.multiply.outer(s[lo:lo + rows], rho.locations))
-        out[lo:lo + rows] = np.exp((inner - 1.0) @ rates)
+        inner -= 1.0
+        out[lo:lo + rows] = np.exp(inner @ rates)
     return out
 
 

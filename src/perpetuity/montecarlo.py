@@ -240,11 +240,17 @@ def _rescale(values: np.ndarray, m: float, it: int) -> np.ndarray:
 
 def _ks_statistic(x: np.ndarray, y: np.ndarray) -> float:
     """Two-sample KS statistic sup |F_x - F_y|, with the right-continuous
-    empirical CDFs of both samples read at every pooled value."""
-    x, y = np.sort(x), np.sort(y)
-    pooled = np.concatenate([x, y])
-    cdf_x = np.searchsorted(x, pooled, side="right") / x.size
-    cdf_y = np.searchsorted(y, pooled, side="right") / y.size
+    empirical CDFs of both samples read at every pooled value.
+
+    A stable argsort of the two sorted runs merges them in one linear
+    pass; both counts are read at the last element of each tie group."""
+    pooled = np.concatenate([np.sort(x), np.sort(y)])
+    order = pooled.argsort(kind="stable")
+    merged = pooled[order]
+    ends = np.flatnonzero(np.append(merged[1:] != merged[:-1], True))
+    count_x = np.cumsum(order < x.size)[ends]
+    cdf_x = count_x / x.size
+    cdf_y = (ends + 1 - count_x) / y.size
     return float(np.max(np.abs(cdf_x - cdf_y)))
 
 

@@ -415,3 +415,31 @@ def test_csv_artifact_digests_are_pinned(tmp_path, argv, digests):
     got = {name: hashlib.sha256((rd / name).read_bytes()).hexdigest()
            for name in digests}
     assert got == digests
+
+
+# sha256 of the JSON reports of the check kernels (KS statistic, Steutel
+# pair counts, characteristic functions), taken before those kernels were
+# rewritten; a kernel that counts or sums differently moves a byte here.
+# The two-atom run's levy sample of 1e6 values is mostly exact ties.
+CHECK_RUNS = [
+    (["verify", *UNIFORM, *FAST_MC, *FAST_VERIFY], 0, "verify.json",
+     "714a7a52b3c60192fccbadf1dabf007744bdd170f614812fe4a50d45f943b09e"),
+    (["verify", "--negative-control", *UNIFORM, *FAST_MC, *FAST_VERIFY], 4,
+     "verify.json",
+     "595758ad1c9819cef5028b1899b423c08bca31444bcb1b988d3f18b2229d3d99"),
+    (["verify", "--set", "rho.atoms=0.3:0.5,1.2:0.5", *FAST_MC,
+      "--set", "verify.pairs=2", "--set", "verify.quad_points=128",
+      "--set", "verify.steutel_tol=0.05"], 0, "verify.json",
+     "92e06180071a53b868f781dd910750ef995d0a02c5852d01fcdb442a268147b0"),
+    (["levy", *UNIFORM, *FAST_MC, "--set", "levy.n_samples=20000"], 0,
+     "steutel.json",
+     "c6c6b73455e78bf28d720b6a7d405bff6ff06e92bd649c421d4e5847879f8a4e"),
+]
+
+
+@pytest.mark.parametrize("argv,code,name,digest", CHECK_RUNS, ids=[
+    "verify-uniform01", "verify-negative-control", "verify-atoms", "levy"])
+def test_check_report_digests_are_pinned(tmp_path, argv, code, name, digest):
+    assert main([*argv, *out(tmp_path)]) == code
+    rd = only_run_dir(tmp_path, argv[0])
+    assert hashlib.sha256((rd / name).read_bytes()).hexdigest() == digest

@@ -317,6 +317,19 @@ def test_empirical_csv_detects_truncation(tmp_path):
         EmpiricalSample.from_csv(p)
 
 
+def test_empirical_csv_names_the_file_on_bad_rows(tmp_path):
+    s = EmpiricalSample([1.0, 2.0, 3.0], seed=1, provenance="p")
+    write_files(tmp_path, s.to_csv("s"))
+    p = tmp_path / "s.csv"
+    for body in ("1\n\n3\n", "1\nabc\n3\n", "1\n2\n3\n\n"):
+        p.write_text("value\n" + body)
+        with pytest.raises(ValueError, match="s.csv: bad row"):
+            EmpiricalSample.from_csv(p)
+    p.write_text("x\n1\n2\n3\n")
+    with pytest.raises(ValueError, match="expected header"):
+        EmpiricalSample.from_csv(p)
+
+
 def test_csv_text_blocks():
     """One header block, then one block per 4096 rows; empty tables
     render as the header alone; integer columns render as %d."""

@@ -108,6 +108,27 @@ def test_steutel_rhs_counts_pairs_exactly():
         assert got == count / (2.0 * v.size * levy.x.size)
 
 
+def test_steutel_rhs_counts_pairs_on_hostile_probes():
+    """Against the brute-force pair count on a grid of 1/64, where every
+    sum and difference is exact: the levy sample starts at 0.25 and ends
+    on an isolated 64, mu holds zeros and repeats, and the probes fall
+    below every pair sum, on levy values, between grid points, above
+    every sum but those with 64, and on 64 itself."""
+    rng = np.random.default_rng(23)
+    x = np.sort(np.append(rng.integers(16, 513, 500) / 64.0, 64.0))
+    levy = LevyEstimate(x=x, total_mass_of_m=1.0, n=x.size, seed=0)
+    v = np.concatenate([rng.integers(0, 257, 300) / 64.0, np.zeros(20),
+                        np.full(10, 1.0)])
+    mu = EmpiricalSample(v, 0, "grid/64")
+    probes = [0.125, 0.25, x[0], x[7], x[250], 2.0, 1.3, 12.0, 64.0]
+    rep = steutel_residual(mu, levy, probes)
+    pairs = v[:, None] + x[None, :]
+    for xp, got in zip(probes, rep.rhs):
+        count = np.count_nonzero(pairs < xp) + np.count_nonzero(pairs <= xp)
+        assert got == count / (2.0 * v.size * x.size)
+    assert rep.rhs[0] == 0.0 < rep.rhs[2] < rep.rhs[-1] < 1.0
+
+
 def test_steutel_probe_validation():
     levy = LevyEstimate(x=np.sort(np.linspace(0.01, 3.0, 100)),
                         total_mass_of_m=1.0, n=100, seed=0)

@@ -410,6 +410,27 @@ def test_ks_statistic_equals_scipy(sizes):
             stats.ks_2samp(x, y, method="asymp").statistic)
 
 
+def test_ks_statistic_equals_scipy_on_hostile_samples():
+    """Bit for bit against scipy where the merged count walks tie groups:
+    a constant sample, two samples drawn from the same three values,
+    sizes 1000 against 1, and n = 2e5 a side with an atom at zero."""
+    rng = np.random.default_rng(17)
+    cases = [
+        (np.full(50, 2.0), rng.exponential(size=80)),
+        (np.full(30, 1.5), np.full(40, 1.5)),
+        (rng.choice([0.0, 1.0, 2.0], 500), rng.choice([0.0, 1.0, 2.0], 700)),
+        (rng.exponential(size=1000), np.array([0.7])),
+        (np.array([0.7]), rng.exponential(size=1000)),
+    ]
+    x, y = rng.exponential(size=(2, 200_000))
+    x[rng.random(x.size) < 0.3] = 0.0
+    y[rng.random(y.size) < 0.3] = 0.0
+    cases.append((x, y))
+    for x, y in cases:
+        assert montecarlo._ks_statistic(x, y) == (
+            stats.ks_2samp(x, y, method="asymp").statistic)
+
+
 def test_kolmogorov_p_value_against_scipy():
     """The Kolmogorov limit stays within 2% of scipy's finite-n kstwo
     law at n = 2e5 pairs, down to p near 1e-31, and is 1 as d -> 0."""
