@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -109,7 +110,7 @@ def cmd_diagnose(cfg: RunConfig, args) -> int:
     table = report.render_table()
     print(table)
     # the report is the result here: a failed gate still writes it
-    _finish(cfg, "diagnose", {"diagnostics.json": json_text(report.to_json_obj()),
+    _finish(cfg, "diagnose", {"diagnostics.json": json_text(report),
                               "diagnostics.txt": table + "\n"})
     return EXIT_OK if report.exists else EXIT_GATE
 
@@ -140,8 +141,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     if args.method in ("mc", "both"):
         sample, report["mc"] = _sample(cfg, rho, grid)
         if grid is not None:
-            report["cross_method"] = cross_oracle_distance(
-                sample, grid).to_json_obj()
+            report["cross_method"] = cross_oracle_distance(sample, grid)
 
     files = {"solution.json": json_text(report)}
     if grid is not None:
@@ -158,14 +158,12 @@ def cmd_solve(cfg: RunConfig, args) -> int:
 
 def cmd_moments(cfg: RunConfig, args) -> int:
     rho = cfg.rho()
-    order = args.order if args.order is not None else cfg.get_int("moments.order")
-    mv = eta_moments(rho, cfg.get_float("mean"), order)
+    mv = eta_moments(rho, cfg.get_float("mean"), cfg.get_int("moments.order"))
     shown = ", ".join(f"{v:.12g}" for v in mv.values)
     print(f"moments 0..{mv.max_order}: {shown}"
           + (" (marginal stop)" if mv.marginal else ""))
     _finish(cfg, "moments",
-            {**mv.to_csv("moments"), **sb_moments(mv).to_csv("sb_moments")},
-            (f"order={order}",))
+            {**mv.to_csv("moments"), **sb_moments(mv).to_csv("sb_moments")})
     return EXIT_OK
 
 
@@ -180,13 +178,13 @@ def cmd_levy(cfg: RunConfig, args) -> int:
     print(f"levy sample n={est.n}, total mass of M = {est.total_mass_of_m:.6g}, "
           f"steutel residual {steutel.residual:.3g}")
     _finish(cfg, "levy", {**sample.to_csv("sample"), **est.to_csv("levy"),
-                          "steutel.json": json_text(steutel.to_json_obj())})
+                          "steutel.json": json_text(steutel)})
     return EXIT_OK
 
 
 def cmd_metric(cfg: RunConfig, args) -> int:
     rho = cfg.rho()
-    q = args.q if args.q is not None else cfg.get_float("metric.q")
+    q = cfg.get_float("metric.q")
     theta1, theta2 = cfg.theta_pair()
     distance = r_delta_report(theta1, theta2, _band(cfg, "metric", q))
     # the distance uses the metric.* band; the contraction ratio uses the
@@ -197,9 +195,8 @@ def cmd_metric(cfg: RunConfig, args) -> int:
     print(f"r_{q:g} = {distance.value:.6g}, contraction ratio {shown} "
           f"(bound {ratio.bound_g:.4f})")
     _finish(cfg, "metric",
-            {"metric.json": json_text({"r_delta": distance.to_json_obj(),
-                                       "contraction": ratio.to_json_obj()})},
-            (f"q={q!r}",))
+            {"metric.json": json_text({"r_delta": distance,
+                                       "contraction": ratio})})
     return EXIT_OK
 
 
@@ -233,7 +230,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     checks["perpetuity"] = {
         "passed": bool(perp_pass),
         "negative_control": bool(args.negative_control),
-        **perp.to_json_obj(),
+        **asdict(perp),
     }
 
     # 2. Steutel convolution identity
@@ -244,7 +241,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     checks["steutel"] = {
         "passed": bool(steutel.residual < tol),
         "tolerance": tol,
-        **steutel.to_json_obj(),
+        **asdict(steutel),
     }
 
     # 3. contraction sweep over random equal-mean pairs
@@ -313,9 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--method", choices=["lst", "mc", "both"],
                          default="lst")
 
-    p_moments = sub.add_parser("moments", help="integer moments")
-    common(p_moments)
-    p_moments.add_argument("--order", type=int, default=None)
+    common(sub.add_parser("moments", help="integer moments"))
 
     common(sub.add_parser("levy", help="Levy measure sample and Steutel check"))
 
@@ -328,9 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="RUN_DIR",
                           help="reuse a prior solve run's sample artifacts")
 
-    p_metric = sub.add_parser("metric", help="r_q distance and contraction")
-    common(p_metric)
-    p_metric.add_argument("--q", type=float, default=None)
+    common(sub.add_parser("metric", help="r_q distance and contraction"))
 
     return parser
 

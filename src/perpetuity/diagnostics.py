@@ -98,23 +98,6 @@ class DiagnosticsReport:
     family_tail_class: TailClass | None = None
     family_compound_poisson: bool | None = None
 
-    def to_json_obj(self) -> dict:
-        return {
-            "exists": self.exists,
-            "e_log_a": self.e_log_a,
-            "ess_sup": self.ess_sup,
-            "tail_class": self.tail_class.value,
-            "determinate": self.determinate,
-            "max_integer_moment_order": self.max_integer_moment_order,
-            "compound_poisson": self.compound_poisson,
-            "e_inv_a": self.e_inv_a,
-            "family": self.family,
-            "family_tail_class": (
-                self.family_tail_class.value if self.family_tail_class else None
-            ),
-            "family_compound_poisson": self.family_compound_poisson,
-        }
-
     def render_table(self) -> str:
         rows = [
             ("exists", "yes" if self.exists else "no"),

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -72,10 +72,11 @@ _GUIDE_MAX_BITS = 18
 def json_text(obj) -> str:
     """The artifact JSON format: sorted keys, 2-space indent, final newline.
 
-    NaN and infinities are refused with ValueError: JSON has no token for
-    them.
+    A dataclass (a report) serializes as the dict of its fields.  NaN and
+    infinities are refused with ValueError: JSON has no token for them.
     """
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
+                      default=asdict) + "\n"
 
 
 def csv_text(header: str, *columns) -> list[str]:

@@ -94,14 +94,6 @@ class SteutelReport:
     rhs: tuple
     residual: float
 
-    def to_json_obj(self) -> dict:
-        return {
-            "probes": list(self.probes),
-            "lhs": list(self.lhs),
-            "rhs": list(self.rhs),
-            "residual": self.residual,
-        }
-
 
 def steutel_residual(mu: EmpiricalSample, levy: LevyEstimate,
                      x_probes) -> SteutelReport:

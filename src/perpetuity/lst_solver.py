@@ -9,27 +9,30 @@ iterated from psi_0(s) = m*s (the point mass at m).  Starting there makes
 phi_n nondecreasing, hence psi_n nonincreasing and convergent; psi stays
 nonnegative, nondecreasing, and concave in s at every step.
 
-Grid scheme: G log-spaced points on [s_min, s_max], read on the log
-lattice x_k = log s_min + k h.  Between nodes, evaluation interpolates
-f = 1 - exp(-psi) with 4-point (cubic) Lagrange weights in log s and reads
-psi back from the interpolated f (from the interpolated phi = 1 - f where
-f > 1/2, so that psi stays finite where f rounds to 1).  Below s_min psi
-is read from its cumulant series to second order, psi(s) = m s - k2 s^2/2
-with k2 = Var(eta) from the moment recursion; its error is O(k3 s^3).
-Where E eta^2 does not exist (E A >= 1), or where k2 s_min > m would let
-that law fall before s_min, the first-order m s is used instead, with an
-O(k2 s^2) error.  The same law gives the stencil's lattice nodes below
-s_min.  Above s_max a constant-slope continuation in log s applies, gives
-the stencil's nodes above s_max, and is flagged in the report.
+One lattice: psi is defined on every node x_k = log s_min + k h of the
+log lattice through the G grid points on [s_min, s_max].  The nodes
+0 <= k < G hold the grid values.  The nodes k < 0 hold the cumulant
+series to second order, psi(s) = m s - k2 s^2/2 with k2 = Var(eta) from
+the moment recursion; its error is O(k3 s^3).  Where E eta^2 does not
+exist (E A >= 1), or where k2 s_min > m would let that law fall before
+s_min, they hold the first-order m s instead, with an O(k2 s^2) error.
+The nodes k >= G continue psi at its last slope in log s; a solve whose
+targets reach them is flagged in the report.
+
+One read rule: every target, in an iteration and in ``eval_psi`` alike,
+interpolates f = 1 - exp(-psi) between its four nearest nodes with cubic
+Lagrange weights in log s and reads psi back from the interpolated f
+(from the interpolated phi = 1 - f where f > 1/2, so that psi stays
+finite where f rounds to 1).  A read whose cubic phi overshoots past 0
+takes the upper bracketing node; a grid point reads its stored value, and
+psi(0) = 0.
 
 Since each target s_i a_j is s_i shifted by log(a_j) / h lattice steps,
-one iteration is a single discrete correlation of f with a kernel built
-once from (w_j / a_j, log a_j), plus boundary terms for targets outside
-[s_min, s_max]: the values below s_min are fixed and are summed once per
-solve; the continuation above s_max is summed in closed form over the
-atoms above 1.  After that set-up an iteration costs O(G * kernel length)
-<= O(G^2) for the correlation and O(G + #atoms above 1) for the rest,
-whatever J is.
+one iteration is a single discrete correlation of f on the nodes with a
+kernel built once from every atom's (w_j / a_j, log a_j / h).  Kernel
+offsets below -(G - 1) read only nodes below s_min, whose values are
+fixed, so their sum is folded once per solve.  An iteration then costs
+O(G * kernel length) however small the smallest atom is.
 """
 
 from __future__ import annotations
@@ -43,12 +46,9 @@ from .diagnostics import require_existence
 from .distributions import FAMILY_UNIFORM01, AtomicDistribution, csv_text
 from .moments import eta_variance
 
-#: Lattice nodes carried beyond each end of the grid: the cubic stencil of
-#: a target in [s_min, s_max] reaches two nodes past either end.
-_PAD = 2
-
-#: Targets per block while the operator is built; bounds its memory.
-_BLOCK_TARGETS = 2 ** 18
+#: Node reads per block of the fold of far kernel offsets; bounds its
+#: memory whatever the number of tiny atoms.
+_FOLD_BLOCK = 2 ** 16
 
 
 def _lagrange4(u):
@@ -71,190 +71,75 @@ def _below(t, m, k2):
     return t * (m - 0.5 * k2 * t)
 
 
-def _lattice(x, h, psi, m, k2):
-    """psi on the lattice nodes -_PAD .. G-1+_PAD: the law below s_min,
-    the grid values, and the slope continuation above s_max."""
-    k = np.arange(1.0, _PAD + 1.0)
-    return np.concatenate((_below(np.exp(x[0] - h * k[::-1]), m, k2), psi,
-                           psi[-1] + _slope(x, psi) * h * k))
-
-
-def _eval_psi(s_points, psi, m, k2, t):
-    """Evaluate the grid's psi at arbitrary points t > 0.
-
-    Returns (values, used_extrapolation).
-    """
-    t = np.asarray(t, dtype=float)
-    out = np.empty(t.shape)
-    below = t < s_points[0]
-    above = t > s_points[-1]
-    mid = ~(below | above)
-    out[below] = _below(t[below], m, k2)
+def _axis(s_points):
+    """The grid's log nodes x and its lattice step h."""
     x = np.log(s_points)
-    if mid.any():
-        out[mid] = _read_grid(s_points, x, psi, m, k2, t[mid])
-    used_extrapolation = bool(above.any())
-    if used_extrapolation:
-        out[above] = psi[-1] + _slope(x, psi) * (np.log(t[above]) - x[-1])
-    return out, used_extrapolation
+    return x, (x[-1] - x[0]) / (x.size - 1)
 
 
-def _read_grid(s_points, x, psi, m, k2, t):
-    """psi at points t in [s_min, s_max] by the cubic-in-f rule; stored
-    values on exact node hits."""
-    g = s_points.size
-    h = (x[-1] - x[0]) / (g - 1)
-    lat = _lattice(x, h, psi, m, k2)
-    p = (np.log(t) - x[0]) / h
-    b = np.clip(np.floor(p), 0, g - 2).astype(np.intp)
-    w = _lagrange4(p - b)
-    nodes = b[:, None] + np.arange(_PAD - 1, _PAD + 3)
-    f = np.einsum("ij,ij->i", w, -np.expm1(-lat)[nodes])
-    phi = np.einsum("ij,ij->i", w, np.exp(-lat)[nodes])
-    # where f is near 1 its complement phi carries the digits; a cubic
-    # overshoot past phi = 0 reads as the upper bracketing node
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = np.where(f <= 0.5, -np.log1p(-np.minimum(f, 0.5)),
-                       -np.log(phi))
-    val = np.where(phi > 0.0, val, psi[b + 1])
-    k = np.minimum(np.searchsorted(s_points, t), g - 1)
-    hit = s_points[k] == t
-    val[hit] = psi[k[hit]]
-    return val
-
-
-def _count_below(a, s, bound, strict):
-    """Per atom a_j, the number of nodes with a_j * s_i < bound (strict)
-    or <= bound: the same float products the evaluation rules compare."""
-    g = s.size
-    n = np.searchsorted(s, bound / a, side="left" if strict else "right")
-
-    def inside(i):
-        t = a * s[np.clip(i, 0, g - 1)]
-        return t < bound if strict else t <= bound
-
-    # rounding of bound / a can put the count one node off either way
-    n = n - ((n > 0) & ~inside(n - 1))
-    return n + ((n < g) & inside(n))
+def _node_psi(grid, k):
+    """psi on the lattice nodes k (an integer array): the law below
+    s_min for k < 0, the grid values, the slope continuation for k >= G."""
+    x, h = _axis(grid.s_points)
+    psi = grid.psi
+    g = psi.size
+    out = np.empty(k.shape)
+    lo, hi = k < 0, k >= g
+    mid = ~(lo | hi)
+    out[lo] = _below(np.exp(x[0] + h * k[lo]), grid.mean_target, grid.k2)
+    out[mid] = psi[k[mid]]
+    out[hi] = psi[-1] + _slope(x, psi) * h * (k[hi] - (g - 1))
+    return out
 
 
 @dataclass(frozen=True)
 class _LatticeOperator:
-    """The fixed-point map for one (grid, rho, m), built once per solve.
+    """The fixed-point map for one (grid, rho, m, k2), built once per solve.
 
-    new_psi = correlate(f on the lattice, kernel) + below + edge @ f[edge
-    nodes] + above, where ``below`` is the contribution of targets under
-    s_min by the law there, ``edge`` undoes the lattice reads of targets
-    outside [s_min, s_max], and ``above`` sums the slope continuation for
-    targets over s_max.
+    new_psi_i = sum_n kernel[n] f(i + d_lo + n) + far_i, with f = 1 - e^-psi
+    on the lattice nodes and ``far`` the fixed sum over the kernel offsets
+    below -(G - 1).
     """
 
     rho: AtomicDistribution
     s_points: np.ndarray
     m: float
     k2: float
-    x: np.ndarray
-    h: float
     kernel: np.ndarray
-    lat_span: tuple           # (first pad index, first lat index, count)
-    below: np.ndarray
-    edge_nodes: np.ndarray
-    edge: np.ndarray
-    up_log_c: np.ndarray      # log(w_j / a_j) of atoms with targets > s_max
-    up_log_a: np.ndarray
-    up_start: np.ndarray      # per node: first such atom above s_max there
-    up_c: np.ndarray          # per node: sum of their w_j / a_j
+    d_lo: int                 # lattice offset of kernel[0]
+    far: np.ndarray
+    extrapolates: bool        # some target lies above s_max
 
-    @property
-    def extrapolates(self) -> bool:
-        return self.up_log_a.size > 0
-
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        x = self.x
-        f = -np.expm1(-_lattice(x, self.h, psi, self.m, self.k2))
-        pad = np.zeros(psi.size + self.kernel.size - 1)
-        p0, l0, n = self.lat_span
-        pad[p0:p0 + n] = f[l0:l0 + n]
-        new = np.correlate(pad, self.kernel, "valid")
-        new += self.below + self.edge @ f[self.edge_nodes]
-        if self.extrapolates:
-            sigma = _slope(x, psi)
-            log_sum = np.append(np.logaddexp.accumulate(
-                (self.up_log_c - sigma * self.up_log_a)[::-1])[::-1], -np.inf)
-            new += self.up_c - np.exp(-psi[-1] - sigma * (x - x[-1])
-                                      + log_sum[self.up_start])
-        return new
+    def apply(self, grid) -> np.ndarray:
+        nodes = np.arange(self.d_lo, self.d_lo + grid.psi.size
+                          + self.kernel.size - 1)
+        f = -np.expm1(-_node_psi(grid, nodes))
+        return np.correlate(f, self.kernel, "valid") + self.far
 
 
-def _build_operator(s, m, k2, rho) -> _LatticeOperator:
+def _build_operator(grid, rho) -> _LatticeOperator:
+    s = grid.s_points
     g = s.size
-    a = rho.locations
-    c = rho.weights / a
-    x = np.log(s)
-    h = (x[-1] - x[0]) / (g - 1)
-    n_lo = _count_below(a, s, s[0], strict=True)       # targets < s_min
-    n_in = _count_below(a, s, s[-1], strict=False)     # targets <= s_max
-    # atoms with a target inside the grid enter the kernel; the others are
-    # wholly below s_min (only in ``below``) or above s_max (in ``above``)
-    inside = np.flatnonzero((n_lo < g) & (n_in > 0))
-    shift = np.floor(np.log(a[inside]) / h).astype(np.intp)
-    d_min = int(shift.min()) - 1 if inside.size else 0
-    d_max = int(shift.max()) + 2 if inside.size else 0
-    kernel = np.zeros(d_max - d_min + 1)
-    below = np.zeros(g)
-    edge_nodes = np.r_[0:2 * _PAD + 1, g - 1:g + 2 * _PAD]
-    edge = np.zeros(g * edge_nodes.size)
-    # below-s_min targets sit in the last 2*_PAD+2 rows under n_lo, those
-    # above s_max in the first 2*_PAD+2 rows from n_in: beyond them their
-    # stencils read no lattice node
-    near = np.arange(2 * _PAD + 2)
-    rows_of = np.concatenate((-1 - near, near))
-    step = max(1, _BLOCK_TARGETS // g)
-    for j0 in range(0, a.size, step):
-        nb = n_lo[j0:j0 + step]
-        jj = np.repeat(np.arange(j0, j0 + nb.size), nb)
-        ii = np.arange(jj.size) - np.repeat(np.cumsum(nb) - nb, nb)
-        # in place: at most four pair-sized arrays at a time
-        t = a[jj]
-        t *= s[ii]
-        u = np.multiply(t, 0.5 * k2)
-        u -= m
-        t *= u                                  # -_below(t, m, k2)
-        np.expm1(t, out=t)
-        t *= np.take(c, jj, out=u)
-        below -= np.bincount(ii, t, g)
-        sel = slice(*np.searchsorted(inside, [j0, j0 + step]))
-        ja, o = inside[sel], shift[sel]
-        cw = c[ja, None] * _lagrange4(np.log(a[ja]) / h - o)
-        d = o[:, None] + np.arange(-1, 3)
-        kernel += np.bincount((d - d_min).ravel(), cw.ravel(), kernel.size)
-        rows = np.where(rows_of < 0, n_lo[ja, None], n_in[ja, None]) + rows_of
-        node = rows[:, :, None] + d[:, None, :] + _PAD       # lattice index
-        keep = ((rows >= 0) & (rows < g))[:, :, None] & (node >= 0) & (
-            node <= g - 1 + 2 * _PAD)
-        col = np.searchsorted(edge_nodes, node[keep])
-        rr = np.broadcast_to(rows[:, :, None], node.shape)[keep]
-        edge -= np.bincount(rr * edge_nodes.size + col,
-                            np.broadcast_to(cw[:, None, :], node.shape)[keep],
-                            edge.size)
-    # the lattice values the correlation reads: nodes -_PAD .. g-1+_PAD
-    # within reach of the kernel offsets [d_min, d_max]
-    lo = max(-_PAD, d_min)
-    hi = min(g - 1 + _PAD, g - 1 + d_max)
-    lat_span = (lo - d_min, lo + _PAD, max(0, hi - lo + 1))
-    # atoms above s_max at node i: those with n_in <= i, a suffix of the
-    # sorted atoms since the products a_j * s_i are monotone in a_j
-    up = n_in < g
-    n_up = n_in[up]
-    up_start = np.searchsorted(-n_up, -np.arange(g), side="left")
-    up_c = np.append(np.cumsum(c[up][::-1])[::-1], 0.0)[up_start]
+    _, h = _axis(s)
+    q = np.log(rho.locations) / h
+    o = np.floor(q)
+    d = (o[:, None] + np.arange(-1.0, 3.0)).astype(np.intp)
+    w = (rho.weights / rho.locations)[:, None] * _lagrange4(q - o)
+    near = d > -g
+    d_lo = int(d[near].min(initial=0))
+    kernel = np.bincount(d[near] - d_lo, w[near], minlength=1)
+    # an offset d <= -G reads the node i + d < 0 from every node i
+    far_d, slot = np.unique(d[~near], return_inverse=True)
+    far_w = np.bincount(slot, w[~near], minlength=far_d.size)
+    far = np.zeros(g)
+    rows = max(1, _FOLD_BLOCK // g)
+    for lo in range(0, far_d.size, rows):
+        nodes = far_d[lo:lo + rows, None] + np.arange(g)
+        far += far_w[lo:lo + rows] @ -np.expm1(-_node_psi(grid, nodes))
     return _LatticeOperator(
-        rho=rho, s_points=s, m=m, k2=k2, x=x, h=h, kernel=kernel,
-        lat_span=lat_span,
-        below=below, edge_nodes=edge_nodes,
-        edge=edge.reshape(g, edge_nodes.size),
-        up_log_c=np.log(c[up]), up_log_a=np.log(a[up]), up_start=up_start,
-        up_c=up_c)
+        rho=rho, s_points=s, m=grid.mean_target, k2=grid.k2, kernel=kernel,
+        d_lo=d_lo, far=far,
+        extrapolates=bool(rho.locations[-1] * s[-1] > s[-1]))
 
 
 @dataclass(frozen=True)
@@ -275,9 +160,30 @@ class LstGrid:
         default=None, repr=False, compare=False)
 
     def eval_psi(self, s) -> np.ndarray:
-        vals, _ = _eval_psi(self.s_points, self.psi, self.mean_target,
-                            self.k2, np.asarray(s, dtype=float))
-        return vals
+        """psi at points s >= 0 by the read rule on the lattice nodes."""
+        s = np.asarray(s, dtype=float)
+        out = np.zeros(s.shape)
+        pos = s > 0.0
+        t = s[pos]
+        x, h = _axis(self.s_points)
+        p = (np.log(t) - x[0]) / h
+        b = np.floor(p)
+        w = _lagrange4(p - b)
+        lat = _node_psi(self, b.astype(np.intp)[:, None] + np.arange(-1, 3))
+        f = np.einsum("ij,ij->i", w, -np.expm1(-lat))
+        phi = np.einsum("ij,ij->i", w, np.exp(-lat))
+        # where f is near 1 its complement phi carries the digits; a cubic
+        # overshoot past phi = 0 reads as the upper bracketing node
+        with np.errstate(divide="ignore", invalid="ignore"):
+            val = np.where(f <= 0.5, -np.log1p(-np.minimum(f, 0.5)),
+                           -np.log(phi))
+        val = np.where(phi > 0.0, val, lat[:, 2])
+        k = np.minimum(np.searchsorted(self.s_points, t),
+                       self.s_points.size - 1)
+        hit = self.s_points[k] == t
+        val[hit] = self.psi[k[hit]]
+        out[pos] = val
+        return out
 
     def eval_lst(self, s) -> np.ndarray:
         """phi(s) = exp(-psi(s)) under the same evaluation rules."""
@@ -365,8 +271,8 @@ def iterate_once(grid: LstGrid, rho: AtomicDistribution) -> LstGrid:
     if not (op is not None and op.rho is rho and op.m == grid.mean_target
             and op.k2 == grid.k2 and op.s_points is grid.s_points):
         require_existence(rho)
-        op = _build_operator(grid.s_points, grid.mean_target, grid.k2, rho)
-    new_psi = op.apply(grid.psi)
+        op = _build_operator(grid, rho)
+    new_psi = op.apply(grid)
     residual = float(np.max(np.abs(new_psi - grid.psi)))
     return replace(
         grid,

@@ -19,7 +19,7 @@ statistic here, empirical_lst, feeds the Monte Carlo cross-oracle check.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -95,9 +95,6 @@ class RDeltaReport:
     truncation_low: float        # local power-law continuation below s_lo
     truncation_high: float       # 2 s_hi^-delta / delta tail bound
     delta: float
-
-    def to_json_obj(self) -> dict:
-        return asdict(self)
 
 
 def _log_trapz(y: np.ndarray, x: np.ndarray) -> float:
@@ -198,9 +195,6 @@ class ContractionReport:
     doubling_error: float
     degenerate: bool
     bound_note: str = _BOUND_NOTE
-
-    def to_json_obj(self) -> dict:
-        return asdict(self)
 
 
 def contraction_ratio(

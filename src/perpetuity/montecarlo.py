@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -273,9 +273,6 @@ class PerpetuityReport:
     n: int
     ks_crit_1pct: float
 
-    def to_json_obj(self) -> dict:
-        return asdict(self)
-
 
 def perpetuity_residual(
     mu_sample: EmpiricalSample,
@@ -314,15 +311,6 @@ class CrossOracleReport:
     sup_allowed: float
     max_ratio: float          # max over s of |diff| / (3 (se + grid_err))
     passed: bool
-
-    def to_json_obj(self) -> dict:
-        return {
-            "s_grid": list(self.s_grid),
-            "sup_distance": self.sup_distance,
-            "sup_allowed": self.sup_allowed,
-            "max_ratio": self.max_ratio,
-            "passed": self.passed,
-        }
 
 
 def cross_oracle_distance(

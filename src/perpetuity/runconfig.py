@@ -208,9 +208,6 @@ class RunConfig:
         root = Path(str(self._get("output.dir")))
         return root / f"{command}-{self.digest(command, flags)[:12]}"
 
-    def to_json_obj(self) -> dict:
-        return self.resolved()
-
 
 def write_manifest(run_dir: Path, command: str, cfg: RunConfig,
                    digests: dict, flags: tuple[str, ...] = ()) -> Path:
@@ -222,7 +219,7 @@ def write_manifest(run_dir: Path, command: str, cfg: RunConfig,
         "command": command,
         "flags": list(flags),
         "config_digest": cfg.digest(command, flags),
-        "config": cfg.to_json_obj(),
+        "config": cfg.resolved(),
         "artifacts": entries,
     }
     out = run_dir / "manifest.json"

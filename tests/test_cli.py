@@ -233,7 +233,8 @@ def test_mc_commands_refuse_a_law_the_lst_cannot_solve(tmp_path, capsys):
 
 
 def test_moments_cli(tmp_path):
-    assert main(["moments", "--order", "6", *UNIFORM, *out(tmp_path)]) == 0
+    assert main(["moments", "--set", "moments.order=6", *UNIFORM,
+                 *out(tmp_path)]) == 0
     rd = only_run_dir(tmp_path, "moments")
     rows = (rd / "moments.csv").read_text().splitlines()
     assert rows[0] == "order,value"
@@ -242,6 +243,9 @@ def test_moments_cli(tmp_path):
     assert vals[2] == pytest.approx(2.0, rel=1e-9)    # dyadic mean is exact
     sb = (rd / "sb_moments.csv").read_text().splitlines()
     assert float(sb[2].split(",")[1]) == pytest.approx(2.0, rel=1e-9)
+    # the manifest's config block records the order that ran
+    manifest = json.loads((rd / "manifest.json").read_text())
+    assert manifest["config"]["moments.order"] == "6"
 
 
 def test_levy_cli(tmp_path):
@@ -261,7 +265,7 @@ def test_levy_cli(tmp_path):
 
 def test_metric_cli(tmp_path):
     # exact characteristic functions only: no mc.master_seed needed
-    assert main(["metric", "--q", "1.5", *UNIFORM,
+    assert main(["metric", "--set", "metric.q=1.5", *UNIFORM,
                  "--set", "verify.quad_points=128", *out(tmp_path)]) == 0
     rd = only_run_dir(tmp_path, "metric")
     rep = json.loads((rd / "metric.json").read_text())
@@ -375,14 +379,14 @@ def test_runtime_imports_neither_scipy_nor_numpy_ma(tmp_path):
 GOLDEN_RUNS = [
     (["solve", "--method", "both", *UNIFORM, *FAST_MC], {
         "grid.csv":
-            "1aa7f874ea9a79518fd294c5412e3b8a2f5eec8d8044c92458531d886ee967d1",
+            "a80ed9fc3a07b4236d43668df011da81ea09feb58c089d8cf4d4e5bb28f304f7",
         "sample.csv":
             "93119f7f963f8c2492be749c6f56d58ad4e7aefd32bd70faac2d9320334f921c",
     }),
     (["solve", "--method", "both", "--set", "rho.atoms=0.3:0.5,1.2:0.5",
       *FAST_MC], {
         "grid.csv":
-            "5772c741659dceebcc0a045ed55c00b75b49eda02741193930f874543962af7b",
+            "a5964b498524fc42a74f3aa8987bb8e2183efef9e520a7e758b6627c14424f89",
         "sample.csv":
             "2e28154390891b16740e3238ffda403718b357fd8c36e66397d8538fe37e07c8",
     }),
@@ -398,7 +402,8 @@ GOLDEN_RUNS = [
         "response_curve.csv":
             "214eed352b9b918c2e9b9a2b1cf41d5a53074271b1f9eeff36d1ed3dab75a0ad",
     }),
-    (["moments", "--order", "6", "--set", "rho.atoms=0.3:0.5,1.2:0.5"], {
+    (["moments", "--set", "moments.order=6",
+      "--set", "rho.atoms=0.3:0.5,1.2:0.5"], {
         "moments.csv":
             "94b982416cc68e5c2c4ebfa9cce988e3d866562cb607b45a3ac555139adf2f29",
         "sb_moments.csv":
@@ -420,17 +425,19 @@ def test_csv_artifact_digests_are_pinned(tmp_path, argv, digests):
 # sha256 of the JSON reports of the check kernels (KS statistic, Steutel
 # pair counts, characteristic functions), taken before those kernels were
 # rewritten; a kernel that counts or sums differently moves a byte here.
+# verify.json also carries mc.transform_bias, read off the LST grid, so
+# a change to the LST's node values moves it too.
 # The two-atom run's levy sample of 1e6 values is mostly exact ties.
 CHECK_RUNS = [
     (["verify", *UNIFORM, *FAST_MC, *FAST_VERIFY], 0, "verify.json",
-     "714a7a52b3c60192fccbadf1dabf007744bdd170f614812fe4a50d45f943b09e"),
+     "506c466ebc6a320f7904a7f2d4f7a247b982b055456f680366324428c0b1e799"),
     (["verify", "--negative-control", *UNIFORM, *FAST_MC, *FAST_VERIFY], 4,
      "verify.json",
-     "595758ad1c9819cef5028b1899b423c08bca31444bcb1b988d3f18b2229d3d99"),
+     "97c366c31aabd9b5433b2ea913b7403052b56df5da3b0970a40faf88782fe64e"),
     (["verify", "--set", "rho.atoms=0.3:0.5,1.2:0.5", *FAST_MC,
       "--set", "verify.pairs=2", "--set", "verify.quad_points=128",
       "--set", "verify.steutel_tol=0.05"], 0, "verify.json",
-     "92e06180071a53b868f781dd910750ef995d0a02c5852d01fcdb442a268147b0"),
+     "aa7d0e8dd9ad09802bb2223f6e253b6fec3d701441ebcd6d0860809b3e21807a"),
     (["levy", *UNIFORM, *FAST_MC, "--set", "levy.n_samples=20000"], 0,
      "steutel.json",
      "c6c6b73455e78bf28d720b6a7d405bff6ff06e92bd649c421d4e5847879f8a4e"),

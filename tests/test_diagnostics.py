@@ -119,7 +119,7 @@ def test_diagnose_report_uniform01():
     assert rep.compound_poisson         # finite quantization
     assert rep.family_compound_poisson is False   # exact family has K = inf
     assert rep.family_tail_class is TailClass.EXPONENTIAL_MOMENT_NOT_ENTIRE
-    obj = json.loads(json_text(rep.to_json_obj()))
+    obj = json.loads(json_text(rep))
     assert obj["family"] == "uniform01"
     assert obj["tail_class"] == "entire-characteristic-function"
 

@@ -9,6 +9,7 @@ so the distance scales as e^(3/2) with an explicit constant.
 """
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -164,7 +165,7 @@ def test_contraction_example_pair():
     assert rep.ratio is not None
     assert rep.ratio <= rep.bound_g + 0.05
     assert not rep.degenerate
-    obj = rep.to_json_obj()
+    obj = asdict(rep)
     for key in ("r_before", "r_after", "ratio", "bound_g", "q",
                 "doubling_error"):
         assert key in obj

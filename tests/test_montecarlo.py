@@ -7,7 +7,7 @@ exponential solution of the uniform01 family.
 
 import hashlib
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -488,7 +488,7 @@ def test_cross_oracle_agreement_reduced_scale():
     assert rep.passed
     assert rep.sup_distance <= rep.sup_allowed
     assert rep.max_ratio <= 1.0
-    obj = rep.to_json_obj()
+    obj = asdict(rep)
     assert obj["passed"] is True
     assert len(obj["s_grid"]) == len(rep.s_grid)
 
