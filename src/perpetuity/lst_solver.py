@@ -31,8 +31,11 @@ Since each target s_i a_j is s_i shifted by log(a_j) / h lattice steps,
 one iteration is a single discrete correlation of f on the nodes with a
 kernel built once from every atom's (w_j / a_j, log a_j / h).  Kernel
 offsets below -(G - 1) read only nodes below s_min, whose values are
-fixed, so their sum is folded once per solve.  An iteration then costs
-O(G * kernel length) however small the smallest atom is.
+fixed, so their sum is folded once per solve.  Offsets above G - 1 read
+only the continuation, psi[-1] + sigma (i + d - G + 1) at node i + d, so
+their sum splits into one G-vector and one sum over those offsets per
+iteration.  An iteration then costs O(G * kernel length) however far
+from 1 the atoms lie.
 """
 
 from __future__ import annotations
@@ -81,8 +84,7 @@ def _node_psi(grid, k):
     """psi on the lattice nodes k (an integer array): the law below
     s_min for k < 0, the grid values, the slope continuation for k >= G."""
     x, h = _axis(grid.s_points)
-    psi = grid.psi
-    g = psi.size
+    psi, g = grid.psi, grid.psi.size
     out = np.empty(k.shape)
     lo, hi = k < 0, k >= g
     mid = ~(lo | hi)
@@ -96,9 +98,9 @@ def _node_psi(grid, k):
 class _LatticeOperator:
     """The fixed-point map for one (grid, rho, m, k2), built once per solve.
 
-    new_psi_i = sum_n kernel[n] f(i + d_lo + n) + far_i, with f = 1 - e^-psi
-    on the lattice nodes and ``far`` the fixed sum over the kernel offsets
-    below -(G - 1).
+    new_psi_i = sum_n kernel[n] f(i + d_lo + n) + far_i + up_i, with
+    f = 1 - e^-psi on the lattice nodes, ``far`` the fixed sum over the
+    kernel offsets below -(G - 1) and ``up`` the sum over those above G - 1.
     """
 
     rho: AtomicDistribution
@@ -108,13 +110,25 @@ class _LatticeOperator:
     kernel: np.ndarray
     d_lo: int                 # lattice offset of kernel[0]
     far: np.ndarray
+    up_d: np.ndarray          # offsets d >= G and their weights
+    up_w: np.ndarray
     extrapolates: bool        # some target lies above s_max
 
     def apply(self, grid) -> np.ndarray:
-        nodes = np.arange(self.d_lo, self.d_lo + grid.psi.size
-                          + self.kernel.size - 1)
+        g = grid.psi.size
+        nodes = np.arange(self.d_lo, self.d_lo + g + self.kernel.size - 1)
         f = -np.expm1(-_node_psi(grid, nodes))
-        return np.correlate(f, self.kernel, "valid") + self.far
+        out = np.correlate(f, self.kernel, "valid") + self.far
+        if self.up_d.size:
+            # psi at node i + d is a_i + b_d, a_i = psi[-1] + sigma i and
+            # b_d = sigma (d - G + 1); 1 - e^-(a+b) = (1 - e^-a) + e^-a (1 -
+            # e^-b) splits the sum into nonnegative terms
+            x, h = _axis(grid.s_points)
+            sigma = _slope(x, grid.psi) * h
+            a = grid.psi[-1] + sigma * np.arange(g)
+            out += (-np.expm1(-a) * self.up_w.sum() + np.exp(-a) * (
+                self.up_w @ -np.expm1(-sigma * (self.up_d - (g - 1)))))
+        return out
 
 
 def _build_operator(grid, rho) -> _LatticeOperator:
@@ -125,12 +139,13 @@ def _build_operator(grid, rho) -> _LatticeOperator:
     o = np.floor(q)
     d = (o[:, None] + np.arange(-1.0, 3.0)).astype(np.intp)
     w = (rho.weights / rho.locations)[:, None] * _lagrange4(q - o)
-    near = d > -g
+    # from every node, d <= -G reads only nodes below s_min, d >= G only above
+    low, up = d <= -g, d >= g
+    near = ~(low | up)
     d_lo = int(d[near].min(initial=0))
     kernel = np.bincount(d[near] - d_lo, w[near], minlength=1)
-    # an offset d <= -G reads the node i + d < 0 from every node i
-    far_d, slot = np.unique(d[~near], return_inverse=True)
-    far_w = np.bincount(slot, w[~near], minlength=far_d.size)
+    far_d, slot = np.unique(d[low], return_inverse=True)
+    far_w = np.bincount(slot, w[low], minlength=far_d.size)
     far = np.zeros(g)
     rows = max(1, _FOLD_BLOCK // g)
     for lo in range(0, far_d.size, rows):
@@ -138,7 +153,7 @@ def _build_operator(grid, rho) -> _LatticeOperator:
         far += far_w[lo:lo + rows] @ -np.expm1(-_node_psi(grid, nodes))
     return _LatticeOperator(
         rho=rho, s_points=s, m=grid.mean_target, k2=grid.k2, kernel=kernel,
-        d_lo=d_lo, far=far,
+        d_lo=d_lo, far=far, up_d=d[up], up_w=w[up],
         extrapolates=bool(rho.locations[-1] * s[-1] > s[-1]))
 
 
@@ -300,23 +315,15 @@ def atom_at_zero(rho: AtomicDistribution) -> float:
     if k <= 1.0:
         raise ValueError(f"E[1/A] = {k:.12g} <= 1 contradicts E log A < 0")
 
-    def f(c):
-        return c - math.exp(-k * (1.0 - c))
-
-    def fp(c):
-        return 1.0 - k * math.exp(-k * (1.0 - c))
-
     lo, hi = 0.0, 1.0 / k
     c = 0.5 * (lo + hi)
     for _ in range(200):
-        fc = f(c)
+        e = math.exp(-k * (1.0 - c))
+        fc = c - e                     # f(c), and f'(c) = 1 - k e
         if abs(fc) < 1e-15:
             break
-        if fc < 0.0:
-            lo = c
-        else:
-            hi = c
-        slope = fp(c)
+        lo, hi = (c, hi) if fc < 0.0 else (lo, c)
+        slope = 1.0 - k * e
         nxt = c - fc / slope if slope != 0.0 else 0.5 * (lo + hi)
         if not (lo < nxt < hi):  # Newton left the bracket: bisect
             nxt = 0.5 * (lo + hi)
@@ -369,14 +376,11 @@ def solve(
             if grid.residual < tol:
                 converged = True
                 break
-    rate = None
     tail = [r for r in residuals[-6:] if r > 0.0]
-    if len(tail) >= 2:
-        ratios = sorted(b / a for a, b in zip(tail, tail[1:]) if a > 0.0)
-        if ratios:
-            mid = len(ratios) // 2
-            rate = (ratios[mid] if len(ratios) % 2
-                    else (ratios[mid - 1] + ratios[mid]) / 2)
+    ratios = sorted(b / a for a, b in zip(tail, tail[1:]))
+    mid = len(ratios) // 2
+    rate = (None if not ratios else ratios[mid] if len(ratios) % 2
+            else (ratios[mid - 1] + ratios[mid]) / 2)
     return replace(
         grid,
         converged=converged,

@@ -174,14 +174,17 @@ FAR_ATOM_LAWS = [
     (AtomicDistribution([1e-100, 0.9], [0.5, 0.5]), 31),
     (AtomicDistribution([1e-300, 0.9], [0.5, 0.5]), 31),
     (AtomicDistribution([1e-3, 1e6], [0.99, 0.01]), 4),
+    (AtomicDistribution([1e-3, 1e100], [0.999, 0.001]), 4),
+    (AtomicDistribution([1e-3, 1e300], [0.999, 0.001]), 4),
 ]
 
 
 @pytest.mark.parametrize("rho, count", FAR_ATOM_LAWS)
 def test_far_atoms_at_a_fine_grid(rho, count):
-    """Atoms far below 1 fold into a fixed term, so the kernel does not
-    grow with how small they are; a far atom above 1 stays in the kernel.
-    A RuntimeWarning fails the test (pyproject filterwarnings)."""
+    """Atoms far below 1 fold into a fixed term and atoms far above 1 into
+    a closed form per iteration, so the kernel does not grow with how far
+    from 1 they lie. A RuntimeWarning fails the test (pyproject
+    filterwarnings)."""
     grid = solve(rho, 1.0, grid_points=2048)
     assert grid.converged and grid.iteration_count == count
     assert np.all(np.isfinite(grid.psi))
@@ -200,9 +203,24 @@ def test_far_fold_in_blocks_adds_every_offset(monkeypatch):
 
 
 def test_far_atom_kernel_size_is_bounded():
-    sizes = [solve(rho, 1.0, grid_points=2048, max_iter=1)._operator.kernel.size
-             for rho, _ in FAR_ATOM_LAWS[:2]]
-    assert sizes[0] == sizes[1]
+    """The kernel is as long for an atom at 1e-300 as at 1e-100, and for
+    one at 1e300 as at 1e100."""
+    sizes = [solve(r, 1.0, grid_points=2048, max_iter=1)._operator.kernel.size
+             for r, _ in FAR_ATOM_LAWS]
+    assert sizes[0] == sizes[1] and sizes[3] == sizes[4]
+
+
+def test_offsets_above_the_grid_equal_the_direct_sum():
+    """The closed-form sum over offsets d >= G (the atom 100 on a 16-point
+    grid over [1, 10], weight 1e-3 in the kernel) matches the direct sum
+    through eval_psi, as every other offset does."""
+    rho = AtomicDistribution([0.5, 100.0], [0.9, 0.1])
+    grid = solve(rho, 1.0, s_min=1.0, s_max=10.0, grid_points=16, max_iter=5)
+    assert grid._operator.up_d.min() >= 16
+    targets = np.multiply.outer(rho.locations, grid.s_points)
+    direct = (rho.weights / rho.locations) @ -np.expm1(-grid.eval_psi(targets))
+    new = iterate_once(grid, rho).psi
+    assert np.max(np.abs(new - direct) / direct) <= 1e-13
 
 
 def test_eval_psi_finite_where_f_rounds_to_one():
