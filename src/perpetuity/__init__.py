@@ -48,51 +48,4 @@ from .response import (
     rho_from_response,
 )
 
-__all__ = [
-    "AtomicDistribution",
-    "ContractionReport",
-    "CrossOracleReport",
-    "DiagnosticsReport",
-    "EmpiricalSample",
-    "ExistenceError",
-    "FAMILY_UNIFORM01",
-    "LevyEstimate",
-    "LstGrid",
-    "MomentVector",
-    "PerpetuityReport",
-    "RDeltaConfig",
-    "RDeltaReport",
-    "ResponseFunction",
-    "SteutelReport",
-    "TailClass",
-    "UNBOUNDED",
-    "atom_at_zero",
-    "char_function",
-    "contraction_ratio",
-    "cross_oracle_distance",
-    "derive_seed",
-    "diagnose",
-    "empirical_lst",
-    "eta_moments",
-    "existence_gate",
-    "is_determinate",
-    "iterate_once",
-    "levy_from_solution",
-    "max_integer_moment_order",
-    "mc_fixed_point",
-    "perpetuity_residual",
-    "point_mass",
-    "quantize_family",
-    "r_delta_report",
-    "response_from_rho",
-    "rho_from_response",
-    "sb_moments",
-    "shot_noise_resample",
-    "solve",
-    "steutel_residual",
-    "tail_class",
-    "uniform01_mellin",
-    "validate",
-]
-
 __version__ = "0.1.0"

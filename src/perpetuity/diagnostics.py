@@ -63,8 +63,8 @@ def is_determinate(rho: AtomicDistribution) -> bool:
     return rho.ess_sup <= 1.0
 
 
-def max_integer_moment_order(rho: AtomicDistribution, n_cap: int = 64):
-    """Largest integer n <= n_cap with E A^n < 1, or the unbounded marker.
+def max_integer_moment_order(rho: AtomicDistribution):
+    """Largest integer n <= 64 with E A^n < 1, or the unbounded marker.
 
     E eta^{n+1} is finite exactly when E A^n < 1; with ess sup <= 1 every
     integer order works.  Since p -> E A^p is log-convex with value 1 at 0,
@@ -75,7 +75,7 @@ def max_integer_moment_order(rho: AtomicDistribution, n_cap: int = 64):
     if rho.ess_sup <= 1.0:
         return UNBOUNDED
     best = 0
-    for n in range(1, int(n_cap) + 1):
+    for n in range(1, 65):
         if rho.mellin(n) < 1.0:
             best = n
         else:

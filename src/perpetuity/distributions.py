@@ -304,7 +304,7 @@ class AtomicDistribution:
         return h.hexdigest()[:12]
 
     @classmethod
-    def from_csv(cls, path, family: str | None = None) -> "AtomicDistribution":
+    def from_csv(cls, path) -> "AtomicDistribution":
         path = Path(path)
         locs, ws = [], []
         with path.open(newline="") as fh:
@@ -320,51 +320,36 @@ class AtomicDistribution:
                     ws.append(float(row["weight"]))
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"{path}:{lineno}: bad row {row}") from exc
-        return cls(locs, ws, family=family)
+        return cls(locs, ws)
 
 
-def validate(atoms, family: str | None = None) -> AtomicDistribution:
+def validate(atoms) -> AtomicDistribution:
     """Canonicalize an atom list (or pass an existing law through)."""
     if isinstance(atoms, AtomicDistribution):
         return atoms
     pairs = list(atoms)
-    return AtomicDistribution(
-        [p[0] for p in pairs], [p[1] for p in pairs], family=family
-    )
+    return AtomicDistribution([p[0] for p in pairs], [p[1] for p in pairs])
 
 
 def point_mass(a: float) -> AtomicDistribution:
     return AtomicDistribution([a], [1.0])
 
 
-def quantize_family(family: str, n: int | None = None, quantiles=None) -> AtomicDistribution:
+def quantize_family(family: str, n: int | None = None) -> AtomicDistribution:
     """Atomic stand-in for a continuous multiplier law.
 
     ``uniform01``: n midpoint atoms (2k-1)/(2n), weight 1/n each.  The
     atomic Mellin sum then converges to 1/(p+1) with midpoint-rule error.
-    ``user_quantile_table``: one atom of weight 1/len(table) per quantile
-    value; the table must be positive and nondecreasing (ties merge).
     """
-    if family == FAMILY_UNIFORM01:
-        if n is None or int(n) < 1:
-            raise ValueError("uniform01 quantization needs n >= 1")
-        n = int(n)
-        k = np.arange(1, n + 1, dtype=float)
-        return AtomicDistribution(
-            (2.0 * k - 1.0) / (2.0 * n), np.full(n, 1.0 / n), family=FAMILY_UNIFORM01
-        )
-    if family == "user_quantile_table":
-        if quantiles is None:
-            raise ValueError("user_quantile_table needs a quantile array")
-        q = np.asarray(quantiles, dtype=float)
-        if q.size == 0:
-            raise ValueError("quantile table must be non-empty")
-        if np.any(q <= 0.0):
-            raise ValueError("quantile values must be strictly positive")
-        if np.any(np.diff(q) < 0.0):
-            raise ValueError("quantile values must be nondecreasing")
-        return AtomicDistribution(q, np.full(q.size, 1.0 / q.size))
-    raise ValueError(f"unknown family {family!r}")
+    if family != FAMILY_UNIFORM01:
+        raise ValueError(f"unknown family {family!r}")
+    if n is None or int(n) < 1:
+        raise ValueError("uniform01 quantization needs n >= 1")
+    n = int(n)
+    k = np.arange(1, n + 1, dtype=float)
+    return AtomicDistribution(
+        (2.0 * k - 1.0) / (2.0 * n), np.full(n, 1.0 / n), family=FAMILY_UNIFORM01
+    )
 
 
 class EmpiricalSample:

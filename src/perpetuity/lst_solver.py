@@ -16,8 +16,9 @@ series to second order, psi(s) = m s - k2 s^2/2 with k2 = Var(eta) from
 the moment recursion; its error is O(k3 s^3).  Where E eta^2 does not
 exist (E A >= 1), or where k2 s_min > m would let that law fall before
 s_min, they hold the first-order m s instead, with an O(k2 s^2) error.
-The nodes k >= G continue psi at its last slope in log s; a solve whose
-targets reach them is flagged in the report.
+The nodes k >= G continue psi at its last slope in log s, clamped at 0
+since psi is nondecreasing; a solve whose targets reach them is flagged
+in the report.
 
 One read rule: every target, in an iteration and in ``eval_psi`` alike,
 interpolates f = 1 - exp(-psi) between its four nearest nodes with cubic
@@ -64,8 +65,9 @@ def _lagrange4(u):
 
 
 def _slope(x, psi):
-    """Slope in log s of the continuation above s_max."""
-    return (psi[-1] - psi[-2]) / (x[-1] - x[-2])
+    """Slope in log s of the continuation above s_max: the last two nodes'
+    slope, clamped at 0 since psi is nondecreasing."""
+    return max((psi[-1] - psi[-2]) / (x[-1] - x[-2]), 0.0)
 
 
 def _below(t, m, k2):
@@ -258,10 +260,11 @@ def init_grid(
     grid_points: int = 256,
 ) -> LstGrid:
     """Iteration-zero grid psi_0(s) = m*s (the point mass at m)."""
-    if not (m > 0.0 and math.isfinite(m)):
-        raise ValueError("mean target m must be a positive real")
     if not (0.0 < s_min < s_max):
         raise ValueError("need 0 < s_min < s_max")
+    if not (m > 0.0 and math.isfinite(m * s_max)):
+        raise ValueError(f"mean = {m:g} must be a positive real small enough "
+                         f"that mean * s_max is finite")
     if int(grid_points) < 16:
         raise ValueError("grid needs at least 16 points")
     s = np.geomspace(s_min, s_max, int(grid_points))
@@ -347,7 +350,8 @@ def solve(
     Convergence criterion: sup-norm of the update below tol.  The returned
     grid records the empirically observed geometric rate (median of the
     last few residual ratios) alongside the final residual.  A non-finite
-    iterate raises ValueError naming the iteration and its first bad node.
+    iterate raises ValueError naming the iteration, its first bad node and
+    the lattice step.
     """
     require_existence(rho)
     if not (0.0 < tol < 1.0):
@@ -370,17 +374,17 @@ def solve(
                 raise ValueError(
                     f"LST iterate {grid.iteration_count} is not finite: "
                     f"psi = {grid.psi[bad]} at node {bad} (s = "
-                    f"{grid.s_points[bad]:.6g}); a larger s_max "
-                    f"(solver.s_max) may help")
+                    f"{grid.s_points[bad]:.6g}); the lattice step h = "
+                    f"{_axis(grid.s_points)[1]:.3g} in log s may be too "
+                    f"coarse: use more solver.grid_points or a narrower "
+                    f"[solver.s_min, solver.s_max]")
             residuals.append(grid.residual)
             if grid.residual < tol:
                 converged = True
                 break
     tail = [r for r in residuals[-6:] if r > 0.0]
-    ratios = sorted(b / a for a, b in zip(tail, tail[1:]))
-    mid = len(ratios) // 2
-    rate = (None if not ratios else ratios[mid] if len(ratios) % 2
-            else (ratios[mid - 1] + ratios[mid]) / 2)
+    r = sorted(b / a for a, b in zip(tail, tail[1:]))
+    rate = (r[(len(r) - 1) // 2] + r[len(r) // 2]) / 2 if r else None
     return replace(
         grid,
         converged=converged,

@@ -155,10 +155,11 @@ def r_delta_report(nu1: AtomicDistribution, nu2: AtomicDistribution,
     return _report_from_cf_diff(cf_diff, fine, cfg)
 
 
-def random_mean_law(rng: np.random.Generator, mean: float = 1.0,
-                    max_atoms: int = 4) -> AtomicDistribution:
-    """Random atomic law rescaled to an exact target mean (for sweeps)."""
-    k = int(rng.integers(1, max_atoms + 1))
+def random_mean_law(rng: np.random.Generator,
+                    mean: float = 1.0) -> AtomicDistribution:
+    """Random atomic law of 1-4 atoms rescaled to an exact target mean (for
+    sweeps)."""
+    k = int(rng.integers(1, 5))
     locs = np.sort(rng.uniform(0.2, 2.5, size=k))
     weights = rng.dirichlet(np.ones(k))
     law = AtomicDistribution(locs, weights)

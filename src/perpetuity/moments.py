@@ -57,8 +57,8 @@ def eta_moments_from_mellin(
         moms.append(math.fsum(terms) / (1.0 - gn))
         if not math.isfinite(moms[-1]):
             raise ValueError(
-                f"E eta^{n + 1} overflows a double at m = {m:g}; request "
-                f"a lower order")
+                f"E eta^{n + 1} overflows a double at mean = {m:g}; use a "
+                f"smaller mean or a lower moment order")
     return MomentVector(
         values=tuple(moms),
         mean=float(m),

@@ -93,10 +93,10 @@ def shot_noise_resample(
     theta: EmpiricalSample,
     h: ResponseFunction,
     seed: int,
-    n_out: int | None = None,
+    n_out: int,
 ) -> EmpiricalSample:
-    """One exact compound-Poisson transform step applied to a sample."""
-    n_out = theta.values.size if n_out is None else int(n_out)
+    """n_out slots of one exact compound-Poisson transform step applied to
+    a sample."""
     rng = np.random.default_rng(seed)
     out = np.zeros(n_out)
     if h.n_steps > 0:
@@ -143,7 +143,7 @@ def transform_steps(
         return cap, None
     s = grid.s_points
     phi = np.exp(-grid.psi)
-    se = np.sqrt(np.maximum(grid.eval_lst(2.0 * s) - phi ** 2, 0.0) / n)
+    se = _standard_error(grid, s, n)
     law = start_law(rho, grid.mean_target)
     psi0 = (law["shape"] * np.log1p(law["scale"] * s)
             if law["law"] == "gamma" else grid.mean_target * s)
@@ -154,6 +154,13 @@ def transform_steps(
         if np.all(20.0 * err <= se):
             break
     return k, float(err.max())
+
+
+def _standard_error(grid: LstGrid, s: np.ndarray, n: int) -> np.ndarray:
+    """se(s) = sqrt((phi(2s) - phi(s)^2) / n), the standard error of the
+    n-sample empirical transform at s, with phi read from the solved grid."""
+    return np.sqrt(np.maximum(grid.eval_lst(2.0 * s) - grid.eval_lst(s) ** 2,
+                              0.0) / n)
 
 
 def chunk_slots(rho: AtomicDistribution) -> int:
@@ -321,7 +328,8 @@ def cross_oracle_distance(
     """Compare empirical and solved Laplace transforms point by point.
 
     Tolerance at each s: 3 * (i.i.d. standard error + grid error estimate),
-    with the standard error sd(exp(-sX)) / sqrt(n).  The verdict requires
+    with the standard error of the n-sample empirical transform read from
+    the solved law, as ``transform_steps`` reads it.  The verdict requires
     every grid point inside tolerance.  A point with zero tolerance counts
     with ratio 0 where the two routes agree exactly there; where they do
     not, the sample has no spread to judge them by, and ValueError is
@@ -333,10 +341,7 @@ def cross_oracle_distance(
          else np.asarray(s_grid, dtype=float))
     emp = empirical_lst(sample, s)
     solved = grid.eval_lst(s)
-    n = sample.values.size
-    # per-point sd of exp(-sX): sqrt(E e^{-2sX} - (E e^{-sX})^2)
-    second = empirical_lst(sample, 2.0 * s)
-    se = np.sqrt(np.maximum(second - emp ** 2, 0.0) / n)
+    se = _standard_error(grid, s, sample.values.size)
     allowed = 3.0 * (se + grid.error_estimate(s))
     diff = np.abs(emp - solved)
     stuck = (allowed == 0.0) & (diff > 0.0)

@@ -168,13 +168,19 @@ def test_solve_mc_refuses_no_samples(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+#: A lattice of step h = 1.83 in log s: its iterate 14 is not finite.
+COARSE = ["--set", "rho.atoms=0.5:1", "--set", "solver.s_max=1e200"]
+
+
 def test_solve_stops_at_first_non_finite_iterate(tmp_path, capsys):
-    """The slope continuation overflows for this law at iterate 4: the
-    solve stops there at the default max_iter and writes nothing, so no
-    artifact can hold NaN or Infinity."""
-    law = ["--set", "rho.atoms=0.001:0.7,10000:0.3", "--set", "mean=3"]
-    assert main(["solve", *law, *out(tmp_path)]) == 1
-    assert "LST iterate 4 is not finite" in capsys.readouterr().err
+    """On a lattice too coarse for the cubic read the iterate overflows at
+    iterate 14: the solve stops there at the default max_iter, names the
+    lattice step and writes nothing, so no artifact can hold NaN or
+    Infinity."""
+    assert main(["solve", *COARSE, *out(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "LST iterate 14 is not finite" in err
+    assert "the lattice step h = 1.83 in log s" in err
     assert not (tmp_path / "runs").exists()
     # with no iteration the residual would be inf
     assert main(["solve", *UNIFORM, "--set", "solver.max_iter=0",
@@ -221,14 +227,30 @@ def test_mc_commands_refuse_a_law_the_lst_cannot_solve(tmp_path, capsys):
     """The MC route now solves the LST first, so a law whose LST iterate
     goes non-finite fails at once: exit 1, no run directory, and no numpy
     RuntimeWarning on the way."""
-    law = ["--set", "rho.atoms=0.001:0.7,10000:0.3",
-           "--set", "mc.master_seed=1"]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert main(["solve", "--method", "mc", *law, *out(tmp_path)]) == 1
+        assert main(["solve", "--method", "mc", *COARSE,
+                     "--set", "mc.master_seed=1", *out(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert "LST iterate 4 is not finite" in err
-    assert "a larger s_max (solver.s_max) may help" in err
+    assert "LST iterate 14 is not finite" in err
+    assert ("use more solver.grid_points or a narrower "
+            "[solver.s_min, solver.s_max]") in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_solve_refuses_an_overflowing_mean(tmp_path, capsys):
+    """A mean whose LST start m * s_max overflows a double exits 1 with a
+    message that names the mean, without a numpy RuntimeWarning; so does
+    one whose variance E eta^2 overflows."""
+    for mean, words in (("1e306", "mean = 1e+306 must be a positive real "
+                                  "small enough that mean * s_max"),
+                        ("1e200", "E eta^2 overflows a double at mean = "
+                                  "1e+200; use a smaller mean")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["solve", "--set", "rho.atoms=0.5:1",
+                         "--set", f"mean={mean}", *out(tmp_path)]) == 1
+        assert words in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
 
 

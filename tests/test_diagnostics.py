@@ -91,8 +91,9 @@ def test_moment_order_zero_witness():
 
 
 def test_moment_order_respects_cap():
+    """The scan stops at order 64, the largest the moment recursion takes."""
     rho = AtomicDistribution([0.5, 1.0 + 1e-9], [0.5, 0.5])
-    assert max_integer_moment_order(rho, n_cap=8) == 8
+    assert max_integer_moment_order(rho) == 64
 
 
 def test_moment_order_requires_existence():

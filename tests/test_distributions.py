@@ -174,17 +174,6 @@ def test_uniform01_quantization():
         quantize_family("triangular", 8)
 
 
-def test_user_quantile_table():
-    rho = quantize_family("user_quantile_table",
-                          quantiles=[0.5, 0.5, 1.0, 2.0])
-    assert rho.locations.tolist() == [0.5, 1.0, 2.0]
-    assert rho.weights.tolist() == [0.5, 0.25, 0.25]
-    with pytest.raises(ValueError):
-        quantize_family("user_quantile_table", quantiles=[1.0, 0.5])
-    with pytest.raises(ValueError):
-        quantize_family("user_quantile_table", quantiles=[])
-
-
 def test_uniform01_mellin_domain():
     with pytest.raises(ValueError):
         uniform01_mellin(-1.0)

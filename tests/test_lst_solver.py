@@ -223,6 +223,23 @@ def test_offsets_above_the_grid_equal_the_direct_sum():
     assert np.max(np.abs(new - direct) / direct) <= 1e-13
 
 
+@pytest.mark.parametrize("rho, m", [
+    (AtomicDistribution([0.01, 0.5, 50.0], [0.3, 0.5, 0.2]), 1.0),
+    (AtomicDistribution([0.001, 1e4], [0.7, 0.3]), 3.0),
+    (AtomicDistribution([1e-3, 1e6], [0.99, 0.01]), 1.0),
+])
+def test_laws_with_targets_far_above_s_max_converge(rho, m):
+    """The continuation above s_max keeps a nonnegative slope, so laws
+    whose targets reach far above s_max converge at every grid size and
+    both grid ends. solve stops on the first non-finite iterate, so each
+    converged solve had only finite iterates; a RuntimeWarning fails the
+    test (pyproject filterwarnings)."""
+    for grid_points in (256, 1024, 4096):
+        for s_max in (1e3, 1e5):
+            grid = solve(rho, m, grid_points=grid_points, s_max=s_max)
+            assert grid.converged and np.all(np.isfinite(grid.psi))
+
+
 def test_eval_psi_finite_where_f_rounds_to_one():
     grid = solve(TINY_ATOM, 1.0)
     assert grid.converged and grid.psi[-1] > 400.0    # 1 - e^{-psi} == 1.0

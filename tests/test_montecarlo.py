@@ -141,7 +141,7 @@ def test_one_step_mean_preservation():
     h = response_from_rho(rho, lam=1.0)
     rng = np.random.default_rng(21)
     theta = EmpiricalSample(rng.gamma(2.0, 1.0, size=100_000), 21, "gamma21")
-    out = shot_noise_resample(theta, h, seed=77).values
+    out = shot_noise_resample(theta, h, seed=77, n_out=100_000).values
     # per-slot variance = lambda*int(h^2) * E xi^2 = g(1) * E xi^2
     v_slot = rho.mean() * float(np.mean(theta.values ** 2))
     se = math.sqrt(v_slot / out.size)
@@ -165,7 +165,7 @@ def _step_cf_zscores(sample_rho, exact_rho, seed):
     n = 100_000
     marks = EmpiricalSample(np.repeat([0.5, 1.5], n // 2), seed, "theta")
     out = shot_noise_resample(marks, response_from_rho(sample_rho, lam=1.0),
-                              seed)
+                              seed, n_out=n)
     s = np.geomspace(0.1, 10.0, 16)
     phase = np.multiply.outer(s, out.values)
     ecf = np.exp(1j * phase).mean(axis=1)
@@ -334,7 +334,8 @@ def test_mc_history_and_validation():
     h = response_from_rho(DELTA_HALF)
     for k in range(1, 4):
         step = shot_noise_resample(
-            states[k - 1], h, derive_seed(1, "shot-noise-transform", k, 0))
+            states[k - 1], h, derive_seed(1, "shot-noise-transform", k, 0),
+            n_out=500)
         np.testing.assert_array_equal(states[k].values,
                                       step.values * (1.0 / step.mean()))
     with pytest.raises(ValueError):
@@ -358,7 +359,7 @@ def test_iterate_zero_is_the_start_law():
         one = mc_fixed_point(rho, m, n=500, seed=3, steps=1)
         step = shot_noise_resample(
             EmpiricalSample(start, 3, "start"), response_from_rho(rho),
-            derive_seed(3, "shot-noise-transform", 0, 0))
+            derive_seed(3, "shot-noise-transform", 0, 0), n_out=500)
         np.testing.assert_array_equal(one.values,
                                       step.values * (m / step.mean()))
     assert "start=gamma(shape=1, scale=1)," in mc_fixed_point(
