@@ -55,11 +55,14 @@ def _finish(cfg: RunConfig, command: str, files: dict,
 
 
 def _band(cfg: RunConfig, section: str, q: float) -> RDeltaConfig:
-    """r_q quadrature band from the ``{section}.*`` keys."""
+    """r_q quadrature band from the ``{section}.*`` keys (units of 1/mean)."""
+    m = cfg.get_float("mean")
+    if not m > 0.0:
+        raise ValueError(f"mean = {m:g} must be a positive real")
     return RDeltaConfig(
         delta=q,
-        s_lo=cfg.get_float(f"{section}.s_lo"),
-        s_hi=cfg.get_float(f"{section}.s_hi"),
+        s_lo=cfg.get_float(f"{section}.s_lo") / m,
+        s_hi=cfg.get_float(f"{section}.s_hi") / m,
         quad_points=cfg.get_int(f"{section}.quad_points"),
     )
 
@@ -95,7 +98,7 @@ def _sample(cfg: RunConfig, rho, grid=None):
     return sample, {
         "n": int(sample.values.size),
         "mean": sample.mean(),
-        "zero_fraction": float(np.mean(sample.values < 1e-9)),
+        "zero_fraction": float(np.mean(sample.values == 0.0)),
         "start": start_law(rho, m),
         "iterations": steps,
         "transform_bias": bias,
@@ -173,8 +176,9 @@ def cmd_levy(cfg: RunConfig, args) -> int:
     seed = derive_seed(cfg.master_seed(), "levy-command")
     est = levy_from_solution(rho, sample, seed,
                              n_out=cfg.get_int("levy.n_samples"))
-    probes = cfg.get_float_list("levy.probes")
-    steutel = steutel_residual(sample, est, probes)
+    m = cfg.get_float("mean")    # levy.probes is in units of mean
+    steutel = steutel_residual(
+        sample, est, [p * m for p in cfg.get_float_list("levy.probes")])
     print(f"levy sample n={est.n}, total mass of M = {est.total_mass_of_m:.6g}, "
           f"steutel residual {steutel.residual:.3g}")
     _finish(cfg, "levy", {**sample.to_csv("sample"), **est.to_csv("levy"),
@@ -236,7 +240,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     # 2. Steutel convolution identity
     est = levy_from_solution(rho, sample, derive_seed(master, "verify-levy"),
                              n_out=cfg.get_int("levy.n_samples"))
-    steutel = steutel_residual(sample, est, cfg.get_float_list("levy.probes"))
+    steutel = steutel_residual(
+        sample, est, [p * m for p in cfg.get_float_list("levy.probes")])
     tol = cfg.get_float("verify.steutel_tol")
     checks["steutel"] = {
         "passed": bool(steutel.residual < tol),

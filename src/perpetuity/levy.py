@@ -109,8 +109,9 @@ def steutel_residual(mu: EmpiricalSample, levy: LevyEstimate,
     if not isinstance(mu, EmpiricalSample):
         raise TypeError("mu must be an EmpiricalSample")
     probes = np.atleast_1d(np.asarray(x_probes, dtype=float))
-    if np.any(probes <= 0.0):
-        raise ValueError("probes must be strictly positive")
+    if probes.size == 0 or not np.all(np.isfinite(probes) & (probes > 0.0)):
+        raise ValueError(f"probes {probes.tolist()} must be a nonempty list "
+                         f"of positive finite values")
     top = float(levy.x[-1])
     if np.any(probes > top):
         raise ValueError(

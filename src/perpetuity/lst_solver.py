@@ -9,16 +9,16 @@ iterated from psi_0(s) = m*s (the point mass at m).  Starting there makes
 phi_n nondecreasing, hence psi_n nonincreasing and convergent; psi stays
 nonnegative, nondecreasing, and concave in s at every step.
 
-One lattice: psi is defined on every node x_k = log s_min + k h of the
-log lattice through the G grid points on [s_min, s_max].  The nodes
-0 <= k < G hold the grid values.  The nodes k < 0 hold the cumulant
-series to second order, psi(s) = m s - k2 s^2/2 with k2 = Var(eta) from
-the moment recursion; its error is O(k3 s^3).  Where E eta^2 does not
-exist (E A >= 1), or where k2 s_min > m would let that law fall before
-s_min, they hold the first-order m s instead, with an O(k2 s^2) error.
-The nodes k >= G continue psi at its last slope in log s, clamped at 0
-since psi is nondecreasing; a solve whose targets reach them is flagged
-in the report.
+One lattice: psi is defined on every node x_k = log s_min + k h of the log
+lattice through the G grid points on [s_min, s_max], which ``solve`` takes
+in units of 1/m, so psi_m(s) = psi_1(m s) holds node by node.  The nodes
+0 <= k < G hold the grid values.  The nodes k < 0 hold the cumulant series
+to second order, psi(s) = m s - k2 s^2/2 with k2 = Var(eta) from the
+moment recursion; its error is O(k3 s^3).  Where E eta^2 does not exist
+(E A >= 1), or where k2 s_min > m would let that law fall before s_min,
+they hold the first-order m s instead, with an O(k2 s^2) error.  The nodes
+k >= G continue psi at its last slope in log s, clamped at 0 since psi is
+nondecreasing; a solve whose targets reach them is flagged in the report.
 
 One read rule: every target, in an iteration and in ``eval_psi`` alike,
 interpolates f = 1 - exp(-psi) between its four nearest nodes with cubic
@@ -114,7 +114,6 @@ class _LatticeOperator:
     far: np.ndarray
     up_d: np.ndarray          # offsets d >= G and their weights
     up_w: np.ndarray
-    extrapolates: bool        # some target lies above s_max
 
     def apply(self, grid) -> np.ndarray:
         g = grid.psi.size
@@ -155,8 +154,7 @@ def _build_operator(grid, rho) -> _LatticeOperator:
         far += far_w[lo:lo + rows] @ -np.expm1(-_node_psi(grid, nodes))
     return _LatticeOperator(
         rho=rho, s_points=s, m=grid.mean_target, k2=grid.k2, kernel=kernel,
-        d_lo=d_lo, far=far, up_d=d[up], up_w=w[up],
-        extrapolates=bool(rho.locations[-1] * s[-1] > s[-1]))
+        d_lo=d_lo, far=far, up_d=d[up], up_w=w[up])
 
 
 @dataclass(frozen=True)
@@ -169,7 +167,7 @@ class LstGrid:
     iteration_count: int
     residual: float
     converged: bool
-    extrapolation_used: bool
+    extrapolation_used: bool = False    # some target lies above the grid
     atom_at_zero: float | None = None
     rate_estimate: float | None = None
     k2: float = 0.0           # second cumulant of the law below s_min
@@ -221,13 +219,10 @@ class LstGrid:
         s = np.asarray(s, dtype=float)
         x = np.log(self.s_points)
         d2 = np.abs(np.diff(self.psi, 2))
-        if d2.size == 0:
-            interp = np.zeros(s.shape)
-        else:
-            interp = np.interp(np.log(np.clip(s, self.s_points[0],
-                                              self.s_points[-1])),
-                               x[1:-1], d2) / 8.0
-            interp[s < self.s_points[0]] = 0.0
+        interp = np.interp(np.log(np.clip(s, self.s_points[0],
+                                          self.s_points[-1])),
+                           x[1:-1], d2) / 8.0
+        interp[s < self.s_points[0]] = 0.0
         res = self.residual if math.isfinite(self.residual) else 0.0
         return self.eval_lst(s) * (interp + res)
 
@@ -259,15 +254,15 @@ def init_grid(
     s_max: float = 1e3,
     grid_points: int = 256,
 ) -> LstGrid:
-    """Iteration-zero grid psi_0(s) = m*s (the point mass at m)."""
+    """Grid of psi_0(s) = m*s (the point mass at m) on [s_min/m, s_max/m]."""
     if not (0.0 < s_min < s_max):
         raise ValueError("need 0 < s_min < s_max")
-    if not (m > 0.0 and math.isfinite(m * s_max)):
-        raise ValueError(f"mean = {m:g} must be a positive real small enough "
-                         f"that mean * s_max is finite")
+    if not (m > 0.0 and s_min / m > 0.0 and math.isfinite(s_max / m)):
+        raise ValueError(f"mean = {m:g} must be a positive real with s_min / "
+                         f"mean and s_max / mean finite and positive")
     if int(grid_points) < 16:
         raise ValueError("grid needs at least 16 points")
-    s = np.geomspace(s_min, s_max, int(grid_points))
+    s = np.geomspace(s_min / m, s_max / m, int(grid_points))
     return LstGrid(
         s_points=s,
         psi=m * s,
@@ -275,7 +270,6 @@ def init_grid(
         iteration_count=0,
         residual=math.inf,
         converged=False,
-        extrapolation_used=False,
     )
 
 
@@ -297,7 +291,6 @@ def iterate_once(grid: LstGrid, rho: AtomicDistribution) -> LstGrid:
         psi=new_psi,
         iteration_count=grid.iteration_count + 1,
         residual=residual,
-        extrapolation_used=grid.extrapolation_used or op.extrapolates,
         _operator=op,
     )
 
@@ -351,7 +344,7 @@ def solve(
     grid records the empirically observed geometric rate (median of the
     last few residual ratios) alongside the final residual.  A non-finite
     iterate raises ValueError naming the iteration, its first bad node and
-    the lattice step.
+    the lattice step.  s_min and s_max are in units of 1/m (``init_grid``).
     """
     require_existence(rho)
     if not (0.0 < tol < 1.0):
@@ -359,10 +352,11 @@ def solve(
     if int(max_iter) < 1:
         raise ValueError("max_iter must be >= 1")
     grid = init_grid(m, s_min=s_min, s_max=s_max, grid_points=grid_points)
-    # the second-order law below s_min where Var(eta) exists and the law
-    # stays increasing up to s_min; the first-order m s elsewhere
+    # the second-order law below the grid where Var(eta) exists and it rises
+    # up to the first node, else m s; targets pass the top iff an atom > 1
     k2 = eta_variance(rho, m)
-    grid = replace(grid, k2=k2 if k2 * s_min <= m else 0.0)
+    grid = replace(grid, k2=k2 if k2 * grid.s_points[0] <= m else 0.0,
+                   extrapolation_used=bool(rho.ess_sup > 1.0))
     residuals = []
     converged = False
     # a non-finite iterate is reported below, not as numpy warnings

@@ -46,8 +46,8 @@ class RDeltaConfig:
     def __post_init__(self):
         if not 1.0 < float(self.delta) < 2.0:
             raise ValueError("delta must lie in (1, 2)")
-        if not 0.0 < float(self.s_lo) < float(self.s_hi):
-            raise ValueError("need 0 < s_lo < s_hi")
+        if not 0.0 < float(self.s_lo) < float(self.s_hi) < math.inf:
+            raise ValueError("need 0 < s_lo < s_hi < inf")
         if int(self.quad_points) < 16:
             raise ValueError("need at least 16 quadrature points")
 

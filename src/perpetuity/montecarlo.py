@@ -327,17 +327,17 @@ def cross_oracle_distance(
 ) -> CrossOracleReport:
     """Compare empirical and solved Laplace transforms point by point.
 
-    Tolerance at each s: 3 * (i.i.d. standard error + grid error estimate),
-    with the standard error of the n-sample empirical transform read from
-    the solved law, as ``transform_steps`` reads it.  The verdict requires
-    every grid point inside tolerance.  A point with zero tolerance counts
-    with ratio 0 where the two routes agree exactly there; where they do
-    not, the sample has no spread to judge them by, and ValueError is
-    raised.
+    Tolerance at each s (by default 32 points on [1e-2, 1e2] / m, m the
+    grid's mean): 3 * (i.i.d. standard error + grid error estimate), with
+    the standard error of the n-sample empirical transform read from the
+    solved law, as ``transform_steps`` reads it.  The verdict requires
+    every point inside tolerance.  A point with zero tolerance counts with
+    ratio 0 where the two routes agree exactly there; where they do not,
+    the sample has no spread to judge them by, and ValueError is raised.
     """
     if sample.values.size < _MIN_VERDICT_SAMPLES:
         raise ValueError(f"need at least {_MIN_VERDICT_SAMPLES} samples for a verdict")
-    s = (np.geomspace(1e-2, 1e2, 32) if s_grid is None
+    s = (np.geomspace(1e-2, 1e2, 32) / grid.mean_target if s_grid is None
          else np.asarray(s_grid, dtype=float))
     emp = empirical_lst(sample, s)
     solved = grid.eval_lst(s)

@@ -9,6 +9,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import perpetuity
@@ -239,13 +240,17 @@ def test_mc_commands_refuse_a_law_the_lst_cannot_solve(tmp_path, capsys):
 
 
 def test_solve_refuses_an_overflowing_mean(tmp_path, capsys):
-    """A mean whose LST start m * s_max overflows a double exits 1 with a
-    message that names the mean, without a numpy RuntimeWarning; so does
-    one whose variance E eta^2 overflows."""
-    for mean, words in (("1e306", "mean = 1e+306 must be a positive real "
-                                  "small enough that mean * s_max"),
-                        ("1e200", "E eta^2 overflows a double at mean = "
-                                  "1e+200; use a smaller mean")):
+    """A mean whose scaled grid end s_max / mean or s_min / mean is not
+    finite or not positive exits 1 with a message that names the mean,
+    without a numpy RuntimeWarning; so does one whose variance E eta^2
+    overflows."""
+    ends = ("must be a positive real with s_min / mean and s_max / mean "
+            "finite and positive")
+    for mean, words in (("1e-306", f"mean = 1e-306 {ends}"),
+                        ("inf", f"mean = inf {ends}"),
+                        ("1e-320", f"mean = 9.99989e-321 {ends}"),
+                        ("1e306", "E eta^2 overflows a double at mean = "
+                                  "1e+306; use a smaller mean")):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["solve", "--set", "rho.atoms=0.5:1",
@@ -283,6 +288,105 @@ def test_levy_cli(tmp_path):
     assert json.loads(
         (rd / "levy.json").read_text())["total_mass_of_M"] == "infinity"
     check_manifest(rd)
+
+
+def test_levy_refuses_empty_and_non_finite_probes(tmp_path, capsys):
+    """An empty or NaN levy.probes exits 1 naming the probes, with no
+    numpy RuntimeWarning and no run directory."""
+    for probes, shown in (("", "[]"), ("nan", "[nan]")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["levy", *UNIFORM, *FAST_MC,
+                         "--set", "levy.n_samples=20000",
+                         "--set", f"levy.probes={probes}",
+                         *out(tmp_path)]) == 1
+        assert f"probes {shown} must be a nonempty list" in (
+            capsys.readouterr().err)
+    assert not (tmp_path / "runs").exists()
+
+
+def test_metric_refuses_a_band_the_mean_cannot_scale(tmp_path, capsys):
+    """The metric.* and verify.* bands are in units of 1/mean: a mean of 0
+    exits 1 naming it, and one that puts s_hi / mean at infinity exits 1
+    naming the band, both with no RuntimeWarning and no run directory."""
+    thetas = ["--set", "metric.theta1=1:1",
+              "--set", "metric.theta2=0.5:0.5,1.5:0.5"]
+    for mean, words in (("0", "mean = 0 must be a positive real"),
+                        ("1e-305", "need 0 < s_lo < s_hi < inf")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["metric", *UNIFORM, *thetas, "--set", f"mean={mean}",
+                         *out(tmp_path)]) == 1
+        assert words in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def _scaled_runs(tmp_path, mean):
+    """solve --method both, verify, levy and metric at ``mean``: their
+    reports (verify's checks only) and grid.csv as an array."""
+    runs = tmp_path / mean
+    argv = [*UNIFORM, *FAST_MC, *FAST_VERIFY, "--set", f"mean={mean}",
+            "--set", f"output.dir={runs}"]
+    for command in (["solve", "--method", "both"], ["verify"], ["levy"],
+                    ["metric"]):
+        assert main([*command, *argv]) == 0
+
+    def read(command, name):
+        (run_dir,) = runs.glob(f"{command}-*")
+        return (run_dir / name).read_text()
+
+    return {
+        "solve": json.loads(read("solve", "solution.json")),
+        "grid": np.loadtxt(read("solve", "grid.csv").splitlines()[1:],
+                           delimiter=","),
+        "verify": json.loads(read("verify", "verify.json"))["checks"],
+        "levy": json.loads(read("levy", "steutel.json")),
+        "metric": json.loads(read("metric", "metric.json")),
+    }
+
+
+def test_every_length_is_in_units_of_the_mean(tmp_path):
+    """A run at mean m is the mean-1 run rescaled: every s the package
+    picks is in units of 1/m and every x in units of m, so verdicts,
+    counts and ratios do not move, and r_q scales as m^q."""
+    base = _scaled_runs(tmp_path, "1")
+    q = base["metric"]["contraction"]["q"]
+    for mean in ("1e-3", "1e3"):
+        m, got = float(mean), _scaled_runs(tmp_path, mean)
+        solved, ref = got["solve"], base["solve"]
+        assert solved["lst"]["iterations"] == ref["lst"]["iterations"]
+        for key in ("iterations", "zero_fraction"):
+            assert solved["mc"][key] == ref["mc"][key]
+        cross, ref_cross = solved["cross_method"], ref["cross_method"]
+        assert cross["passed"] is ref_cross["passed"]
+        assert cross["max_ratio"] == pytest.approx(ref_cross["max_ratio"],
+                                                   rel=1e-9)
+        np.testing.assert_allclose(got["grid"][:, 0] * m, base["grid"][:, 0],
+                                   rtol=1e-9)
+        np.testing.assert_allclose(got["grid"][:, 1:], base["grid"][:, 1:],
+                                   rtol=1e-9)
+
+        checks, ref = got["verify"], base["verify"]
+        assert {k: c["passed"] for k, c in checks.items()} == {
+            k: c["passed"] for k, c in ref.items()}
+        perp = checks["perpetuity"]
+        assert abs(perp["ks_stat"] - ref["perpetuity"]["ks_stat"]) <= (
+            1.0 / perp["n"])
+        for steutel, ref_steutel in ((checks["steutel"], ref["steutel"]),
+                                     (got["levy"], base["levy"])):
+            assert steutel["residual"] == pytest.approx(
+                ref_steutel["residual"], rel=1e-6)
+        ratios = [p["ratio"] for p in checks["contraction"]["per_pair"]]
+        ref_ratios = [p["ratio"] for p in ref["contraction"]["per_pair"]]
+        assert [r is None for r in ratios] == [r is None for r in ref_ratios]
+        assert [r for r in ratios if r is not None] == pytest.approx(
+            [r for r in ref_ratios if r is not None], rel=1e-9)
+
+        metric, ref = got["metric"], base["metric"]
+        assert metric["r_delta"]["value"] == pytest.approx(
+            m ** q * ref["r_delta"]["value"], rel=1e-9)
+        assert metric["contraction"]["ratio"] == pytest.approx(
+            ref["contraction"]["ratio"], rel=1e-9)
 
 
 def test_metric_cli(tmp_path):
