@@ -1,51 +1,12 @@
-"""Size-biased perpetuity fixed points: solvers, samplers, diagnostics."""
+"""Size-biased perpetuity fixed points.  The root exports the README's
+library example names; every other name is imported from its module."""
 
-from .diagnostics import (
-    DiagnosticsReport,
-    ExistenceError,
-    TailClass,
-    diagnose,
-    existence_gate,
-    is_determinate,
-    max_integer_moment_order,
-    tail_class,
-)
-from .distributions import (
-    FAMILY_UNIFORM01,
-    UNBOUNDED,
-    AtomicDistribution,
-    EmpiricalSample,
-    MomentVector,
-    point_mass,
-    quantize_family,
-    uniform01_mellin,
-    validate,
-)
-from .levy import LevyEstimate, SteutelReport, levy_from_solution, steutel_residual
-from .lst_solver import LstGrid, atom_at_zero, iterate_once, solve
-from .metrics import (
-    ContractionReport,
-    RDeltaConfig,
-    RDeltaReport,
-    char_function,
-    contraction_ratio,
-    empirical_lst,
-    r_delta_report,
-)
-from .moments import eta_moments, sb_moments
-from .montecarlo import (
-    CrossOracleReport,
-    PerpetuityReport,
-    cross_oracle_distance,
-    derive_seed,
-    mc_fixed_point,
-    perpetuity_residual,
-    shot_noise_resample,
-)
-from .response import (
-    ResponseFunction,
-    response_from_rho,
-    rho_from_response,
-)
+from .diagnostics import diagnose
+from .distributions import point_mass, quantize_family, validate
+from .levy import levy_from_solution, steutel_residual
+from .lst_solver import solve
+from .metrics import contraction_ratio, r_delta_report
+from .moments import eta_moments
+from .montecarlo import mc_fixed_point
 
 __version__ = "0.1.0"

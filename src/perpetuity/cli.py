@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -26,7 +27,7 @@ import numpy as np
 
 from .diagnostics import ExistenceError, diagnose
 from .distributions import EmpiricalSample, json_text, point_mass
-from .levy import levy_from_solution, steutel_residual
+from .levy import checked_probes, levy_from_solution, steutel_residual
 from .lst_solver import solve
 from .metrics import RDeltaConfig, contraction_ratio, r_delta_report, random_mean_law
 from .moments import eta_moments, sb_moments
@@ -55,16 +56,27 @@ def _finish(cfg: RunConfig, command: str, files: dict,
 
 
 def _band(cfg: RunConfig, section: str, q: float) -> RDeltaConfig:
-    """r_q quadrature band from the ``{section}.*`` keys (units of 1/mean)."""
+    """r_q quadrature band from q (metric.q) and the ``{section}.*`` keys
+    (units of 1/mean); a refusal names the keys and their values."""
     m = cfg.get_float("mean")
     if not m > 0.0:
         raise ValueError(f"mean = {m:g} must be a positive real")
-    return RDeltaConfig(
-        delta=q,
-        s_lo=cfg.get_float(f"{section}.s_lo") / m,
-        s_hi=cfg.get_float(f"{section}.s_hi") / m,
-        quad_points=cfg.get_int(f"{section}.quad_points"),
-    )
+    lo, hi = cfg.get_float(f"{section}.s_lo"), cfg.get_float(f"{section}.s_hi")
+    points = cfg.get_int(f"{section}.quad_points")
+    try:
+        return RDeltaConfig(delta=q, s_lo=lo / m, s_hi=hi / m, quad_points=points)
+    except ValueError as exc:
+        raise ValueError(f"metric.q={q:g}, {section}.s_lo={lo:g}, {section}.s_hi="
+                         f"{hi:g}, {section}.quad_points={points}: {exc}") from None
+
+
+def _levy_settings(cfg: RunConfig) -> tuple[int, np.ndarray]:
+    """levy.n_samples, and levy.probes scaled by mean, checked up front."""
+    n_out = cfg.get_int("levy.n_samples")
+    if n_out < 1:
+        raise ValueError(f"levy.n_samples={n_out} must be at least 1")
+    probes = checked_probes(cfg.get_float_list("levy.probes"), "levy.probes")
+    return n_out, probes * cfg.get_float("mean")
 
 
 def _solve_lst(cfg: RunConfig, rho):
@@ -172,13 +184,11 @@ def cmd_moments(cfg: RunConfig, args) -> int:
 
 def cmd_levy(cfg: RunConfig, args) -> int:
     rho = cfg.rho()
+    n_out, probes = _levy_settings(cfg)
     sample, _ = _sample(cfg, rho)
     seed = derive_seed(cfg.master_seed(), "levy-command")
-    est = levy_from_solution(rho, sample, seed,
-                             n_out=cfg.get_int("levy.n_samples"))
-    m = cfg.get_float("mean")    # levy.probes is in units of mean
-    steutel = steutel_residual(
-        sample, est, [p * m for p in cfg.get_float_list("levy.probes")])
+    est = levy_from_solution(rho, sample, seed, n_out=n_out)
+    steutel = steutel_residual(sample, est, probes)
     print(f"levy sample n={est.n}, total mass of M = {est.total_mass_of_m:.6g}, "
           f"steutel residual {steutel.residual:.3g}")
     _finish(cfg, "levy", {**sample.to_csv("sample"), **est.to_csv("levy"),
@@ -204,22 +214,37 @@ def cmd_metric(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _load_prior_sample(from_dir: str) -> EmpiricalSample:
+def _load_prior_sample(from_dir: str, rho, m: float) -> EmpiricalSample:
+    """A prior run's sample; refused if drawn for another law or mean."""
     run_dir = Path(from_dir)
     check_manifest(run_dir)
     sample_path = run_dir / "sample.csv"
     if not sample_path.exists():
         raise ValueError(f"no sample.csv in {run_dir}")
-    return EmpiricalSample.from_csv(sample_path)
+    sample = EmpiricalSample.from_csv(sample_path)
+    found = re.search(r"\brho=(\w+), m=([^,)]+)", sample.provenance)
+    drawn = found.groups() if found else ("?", "?")
+    if drawn != (rho.digest(), f"{m:.17g}"):
+        raise ValueError(
+            f"{sample_path} was drawn for rho={drawn[0]}, m={drawn[1]}, not "
+            f"for this config's rho={rho.digest()}, m={m:.17g}")
+    return sample
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
     rho = cfg.rho()
     m = cfg.get_float("mean")
     master = cfg.master_seed()
+    n_levy, probes = _levy_settings(cfg)
+    tol = cfg.get_float("verify.steutel_tol")
+    q = cfg.get_float("metric.q")
+    rd_cfg = _band(cfg, "verify", q)
+    n_draws = cfg.get_int("verify.pairs")
+    if n_draws < 1:
+        raise ValueError(f"verify.pairs={n_draws} must be at least 1")
     result: dict = {}
     if args.from_dir:
-        sample = _load_prior_sample(args.from_dir)
+        sample = _load_prior_sample(args.from_dir, rho, m)
     else:
         sample, mc = _sample(cfg, rho)
         result["mc"] = {key: mc[key] for key in
@@ -239,10 +264,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 
     # 2. Steutel convolution identity
     est = levy_from_solution(rho, sample, derive_seed(master, "verify-levy"),
-                             n_out=cfg.get_int("levy.n_samples"))
-    steutel = steutel_residual(
-        sample, est, [p * m for p in cfg.get_float_list("levy.probes")])
-    tol = cfg.get_float("verify.steutel_tol")
+                             n_out=n_levy)
+    steutel = steutel_residual(sample, est, probes)
     checks["steutel"] = {
         "passed": bool(steutel.residual < tol),
         "tolerance": tol,
@@ -250,13 +273,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     }
 
     # 3. contraction sweep over random equal-mean pairs
-    q = cfg.get_float("metric.q")
-    rd_cfg = _band(cfg, "verify", q)
     pair_rng = np.random.default_rng(derive_seed(master, "verify-pairs"))
     bound = rho.mellin(q - 1.0)
-    n_draws = cfg.get_int("verify.pairs")
-    if n_draws < 1:
-        raise ValueError(f"verify.pairs={n_draws} must be at least 1")
     per_pair = []
     for _ in range(n_draws):
         t1 = random_mean_law(pair_rng, mean=m)

@@ -324,9 +324,7 @@ class AtomicDistribution:
 
 
 def validate(atoms) -> AtomicDistribution:
-    """Canonicalize an atom list (or pass an existing law through)."""
-    if isinstance(atoms, AtomicDistribution):
-        return atoms
+    """Canonicalize a list of (location, weight) pairs."""
     pairs = list(atoms)
     return AtomicDistribution([p[0] for p in pairs], [p[1] for p in pairs])
 

@@ -45,13 +45,10 @@ class LevyEstimate:
         """{stem}.csv x,cdf plus sidecar {stem}.json {total_mass_of_M, n, seed}.
 
         Rows are thinned deterministically to at most _CSV_ROWS evenly
-        spaced ranks.
+        spaced ranks (every rank of a shorter sample: the step is <= 1).
         """
         n = self.x.size
-        if n <= _CSV_ROWS:
-            idx = np.arange(n)
-        else:
-            idx = np.unique(np.linspace(0, n - 1, _CSV_ROWS).astype(np.int64))
+        idx = np.unique(np.linspace(0, n - 1, _CSV_ROWS).astype(np.int64))
         mass = ("infinity" if math.isinf(self.total_mass_of_m)
                 else self.total_mass_of_m)
         sidecar = {"total_mass_of_M": mass, "n": int(self.n), "seed": self.seed}
@@ -95,6 +92,15 @@ class SteutelReport:
     residual: float
 
 
+def checked_probes(x_probes, name: str) -> np.ndarray:
+    """The probes as a float array; ValueError naming them ``name``."""
+    probes = np.atleast_1d(np.asarray(x_probes, dtype=float))
+    if probes.size == 0 or not np.all(np.isfinite(probes) & (probes > 0.0)):
+        raise ValueError(f"{name} {probes.tolist()} must be a nonempty list "
+                         f"of positive finite values")
+    return probes
+
+
 def steutel_residual(mu: EmpiricalSample, levy: LevyEstimate,
                      x_probes) -> SteutelReport:
     """Evaluate both sides of the convolution identity at the probes.
@@ -108,10 +114,7 @@ def steutel_residual(mu: EmpiricalSample, levy: LevyEstimate,
     """
     if not isinstance(mu, EmpiricalSample):
         raise TypeError("mu must be an EmpiricalSample")
-    probes = np.atleast_1d(np.asarray(x_probes, dtype=float))
-    if probes.size == 0 or not np.all(np.isfinite(probes) & (probes > 0.0)):
-        raise ValueError(f"probes {probes.tolist()} must be a nonempty list "
-                         f"of positive finite values")
+    probes = checked_probes(x_probes, "probes")
     top = float(levy.x[-1])
     if np.any(probes > top):
         raise ValueError(

@@ -222,10 +222,8 @@ def contraction_ratio(
     """
     if not 1.0 < float(q) < 2.0:
         raise ValueError("q must lie in (1, 2)")
-    base = (cfg if cfg is not None
-            else RDeltaConfig(delta=float(q), s_lo=1e-2, s_hi=1e2,
-                              quad_points=512))
-    base = replace(base, delta=float(q))
+    default = RDeltaConfig(s_lo=1e-2, s_hi=1e2, quad_points=512)
+    base = replace(cfg if cfg is not None else default, delta=float(q))
     bound = rho.mellin(q - 1.0)
     if bound >= 1.0:
         raise ValueError(

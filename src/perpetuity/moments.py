@@ -80,12 +80,9 @@ def eta_moments(
     quantization error entirely.
     """
     require_existence(rho)
-    if family_exact:
-        if rho.family != FAMILY_UNIFORM01:
-            raise ValueError("family_exact requires a uniform01-tagged law")
-        g = lambda k: uniform01_mellin(k)  # noqa: E731
-    else:
-        g = lambda k: rho.mellin(k)  # noqa: E731
+    if family_exact and rho.family != FAMILY_UNIFORM01:
+        raise ValueError("family_exact requires a uniform01-tagged law")
+    g = uniform01_mellin if family_exact else rho.mellin
     return eta_moments_from_mellin(g, m, n_max)
 
 

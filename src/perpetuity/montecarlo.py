@@ -320,15 +320,12 @@ class CrossOracleReport:
     passed: bool
 
 
-def cross_oracle_distance(
-    sample: EmpiricalSample,
-    grid: LstGrid,
-    s_grid=None,
-) -> CrossOracleReport:
+def cross_oracle_distance(sample: EmpiricalSample,
+                          grid: LstGrid) -> CrossOracleReport:
     """Compare empirical and solved Laplace transforms point by point.
 
-    Tolerance at each s (by default 32 points on [1e-2, 1e2] / m, m the
-    grid's mean): 3 * (i.i.d. standard error + grid error estimate), with
+    Tolerance at each of 32 points s on [1e-2, 1e2] / m, m the grid's
+    mean: 3 * (i.i.d. standard error + grid error estimate), with
     the standard error of the n-sample empirical transform read from the
     solved law, as ``transform_steps`` reads it.  The verdict requires
     every point inside tolerance.  A point with zero tolerance counts with
@@ -337,8 +334,7 @@ def cross_oracle_distance(
     """
     if sample.values.size < _MIN_VERDICT_SAMPLES:
         raise ValueError(f"need at least {_MIN_VERDICT_SAMPLES} samples for a verdict")
-    s = (np.geomspace(1e-2, 1e2, 32) / grid.mean_target if s_grid is None
-         else np.asarray(s_grid, dtype=float))
+    s = np.geomspace(1e-2, 1e2, 32) / grid.mean_target
     emp = empirical_lst(sample, s)
     solved = grid.eval_lst(s)
     se = _standard_error(grid, s, sample.values.size)

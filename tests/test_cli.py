@@ -14,6 +14,7 @@ import pytest
 
 import perpetuity
 from perpetuity.cli import main
+from perpetuity.distributions import point_mass, quantize_family
 from perpetuity.runconfig import check_manifest
 
 FAST_MC = [
@@ -305,6 +306,29 @@ def test_levy_refuses_empty_and_non_finite_probes(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+def test_levy_and_verify_refuse_bad_settings_before_solving(
+        tmp_path, capsys, monkeypatch):
+    """Each bad levy.*, verify.* or metric.q setting exits 1 naming its
+    key before anything is solved or drawn, with no RuntimeWarning and no
+    run directory."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved or drew before checking the settings")
+
+    monkeypatch.setattr("perpetuity.cli.solve", refuse)
+    monkeypatch.setattr("perpetuity.cli.mc_fixed_point", refuse)
+    levy_bad = ["levy.probes=nan", "levy.n_samples=0"]
+    verify_bad = [*levy_bad, "verify.pairs=0", "verify.steutel_tol=abc",
+                  "verify.quad_points=8", "metric.q=2.5"]
+    for command, settings in (("levy", levy_bad), ("verify", verify_bad)):
+        for setting in settings:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert main([command, *UNIFORM, *FAST_MC,
+                             "--set", setting, *out(tmp_path)]) == 1
+            assert setting.split("=")[0] in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_metric_refuses_a_band_the_mean_cannot_scale(tmp_path, capsys):
     """The metric.* and verify.* bands are in units of 1/mean: a mean of 0
     exits 1 naming it, and one that puts s_hi / mean at infinity exits 1
@@ -446,6 +470,25 @@ def test_verify_from_prior_solve(tmp_path):
     sample = solve_dir / "sample.csv"
     sample.write_text(sample.read_text().replace("\n", "\n", 1) + "9.9\n")
     assert main(["verify", "--from", str(solve_dir), *args]) == 1
+
+
+def test_verify_from_refuses_a_sample_of_another_law(tmp_path, capsys):
+    """verify --from exits 1 on a sample drawn for another law or mean,
+    naming the sample's and the config's law digest and mean."""
+    seed = ["--set", "mc.master_seed=3"]
+    assert main(["solve", "--method", "mc", *HALF, *seed,
+                 "--set", "mc.n_samples=20000", *out(tmp_path)]) == 0
+    solve_dir = only_run_dir(tmp_path, "solve")
+    drawn = f"rho={point_mass(0.5).digest()}, m=1,"
+    for other, wanted in (
+            (UNIFORM, f"rho={quantize_family('uniform01', 512).digest()}, m=1"),
+            ([*HALF, "--set", "mean=2"], f"rho={point_mass(0.5).digest()}, m=2")):
+        assert main(["verify", "--from", str(solve_dir), *other, *seed,
+                     *FAST_VERIFY, *out(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert drawn in err and wanted in err
+    assert [p.name.split("-")[0] for p in (tmp_path / "runs").iterdir()] == [
+        "solve"]
 
 
 def test_reruns_are_byte_identical(tmp_path):

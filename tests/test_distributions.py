@@ -151,9 +151,7 @@ def test_csv_rejects_wrong_header(tmp_path):
         AtomicDistribution.from_csv(p)
 
 
-def test_validate_passthrough_and_pairs():
-    rho = point_mass(2.0)
-    assert validate(rho) is rho
+def test_validate_pairs():
     built = validate([(1.0, 0.5), (2.0, 0.5)])
     assert built.locations.tolist() == [1.0, 2.0]
 

@@ -1,10 +1,12 @@
-"""No public function or method exists for the tests alone.
+"""No public name, parameter or root export exists for the tests alone.
 
 Every public function and public method in ``src/perpetuity`` must be
 referenced outside ``tests/``: in the package's own code (its definition
 and the ``__init__`` re-exports do not count), in ``README.md`` or in
 ``perfbench/``.  The benchmark names the functions it wraps as strings,
-so the words of string constants count as references too.
+so the words of string constants count as references too.  Every
+defaulted parameter of one must be passed by some call there, and the
+package root exports exactly the names of the README's library example.
 """
 
 import ast
@@ -19,19 +21,36 @@ PACKAGE = ROOT / "src" / "perpetuity"
 KEEP = {"ResponseFunction.log_integral", "ResponseFunction.power_integral",
         "ResponseFunction.eval", "rho_from_response"}
 
+#: Defaulted parameters kept without a caller: the acceptance moment gate
+#: compares the family's exact moments with the atomic law's.
+KEEP_PARAMETERS = {"eta_moments.family_exact"}
 
-def _public_defs():
-    """Qualified names of the package's public functions and methods."""
+
+def _public_functions():
+    """(qualified name, node) of the package's public functions and
+    methods."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if getattr(node, "name", "_").startswith("_"):
                 continue
             if isinstance(node, ast.FunctionDef):
-                yield node.name
+                yield node.name, node
             elif isinstance(node, ast.ClassDef):
-                yield from (f"{node.name}.{item.name}" for item in node.body
+                yield from ((f"{node.name}.{item.name}", item)
+                            for item in node.body
                             if isinstance(item, ast.FunctionDef)
                             and not item.name.startswith("_"))
+
+
+def _public_defs():
+    """Qualified names of the package's public functions and methods."""
+    return (name for name, _node in _public_functions())
+
+
+def _readme_python() -> str:
+    (block,) = re.findall(r"```python\n(.*?)```",
+                          (ROOT / "README.md").read_text(), re.S)
+    return block
 
 
 def _code_words(path: Path) -> set:
@@ -63,3 +82,66 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     unused = {q for q in defs if q.rsplit(".", 1)[-1] not in used}
     assert unused - KEEP == set(), (
         f"public names with no caller outside tests/: {sorted(unused - KEEP)}")
+
+
+def _defaulted_parameters():
+    """(qualified name, parameter, position) of every defaulted parameter
+    of a public function or method; position counts the arguments a call
+    passes (a method's self excluded) and is None for keyword-only ones."""
+    for qualname, node in _public_functions():
+        args = node.args
+        skip = 1 if "." in qualname else 0      # a method's self or cls
+        first = len(args.args) - len(args.defaults)
+        for i in range(first, len(args.args)):
+            yield qualname, args.args[i].arg, i - skip
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield qualname, arg.arg, None
+
+
+def _calls_outside_tests() -> dict:
+    """Called name -> list of (positional count, keyword names) over the
+    package modules, the README's python block and perfbench; a starred
+    argument counts as every position, ``**`` as every keyword."""
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    sources += [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    sources.append(_readme_python())
+    calls: dict = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            calls.setdefault(name, []).append(
+                (float("inf") if starred else len(node.args), keywords))
+    return calls
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    calls = _calls_outside_tests()
+    unpassed = set()
+    for qualname, param, position in _defaulted_parameters():
+        uses = calls.get(qualname.rsplit(".", 1)[-1], [])
+        if not any(param in keywords or None in keywords
+                   or (position is not None and count > position)
+                   for count, keywords in uses):
+            unpassed.add(f"{qualname}.{param}")
+    assert KEEP_PARAMETERS <= unpassed, (
+        f"stale keep list: {sorted(KEEP_PARAMETERS - unpassed)}")
+    assert unpassed - KEEP_PARAMETERS == set(), (
+        f"defaulted parameters no call outside tests/ passes: "
+        f"{sorted(unpassed - KEEP_PARAMETERS)}")
+
+
+def test_the_root_exports_the_library_example_names():
+    """``__init__`` imports exactly the names the README's python block
+    imports from the package root."""
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {alias.name for node in ast.walk(init)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    example = {alias.name for node in ast.walk(ast.parse(_readme_python()))
+               if isinstance(node, ast.ImportFrom)
+               and node.module == "perpetuity" for alias in node.names}
+    assert exported == example
