@@ -203,8 +203,7 @@ def cmd_metric(cfg: RunConfig, args) -> int:
     distance = r_delta_report(theta1, theta2, _band(cfg, "metric", q))
     # the distance uses the metric.* band; the contraction ratio uses the
     # verify.* band, so it matches the verify sweep
-    ratio = contraction_ratio(rho, theta1, theta2, q,
-                              cfg=_band(cfg, "verify", q))
+    ratio = contraction_ratio(rho, theta1, theta2, _band(cfg, "verify", q))
     shown = "degenerate" if ratio.degenerate else f"{ratio.ratio:.4f}"
     print(f"r_{q:g} = {distance.value:.6g}, contraction ratio {shown} "
           f"(bound {ratio.bound_g:.4f})")
@@ -279,7 +278,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     for _ in range(n_draws):
         t1 = random_mean_law(pair_rng, mean=m)
         t2 = random_mean_law(pair_rng, mean=m)
-        rep = contraction_ratio(rho, t1, t2, q, cfg=rd_cfg)
+        rep = contraction_ratio(rho, t1, t2, rd_cfg)
         per_pair.append({"r_before": rep.r_before, "r_after": rep.r_after,
                          "ratio": rep.ratio})
     # degenerate pairs (ratio None) are roundoff, not contraction

@@ -333,7 +333,7 @@ def point_mass(a: float) -> AtomicDistribution:
     return AtomicDistribution([a], [1.0])
 
 
-def quantize_family(family: str, n: int | None = None) -> AtomicDistribution:
+def quantize_family(family: str, n: int) -> AtomicDistribution:
     """Atomic stand-in for a continuous multiplier law.
 
     ``uniform01``: n midpoint atoms (2k-1)/(2n), weight 1/n each.  The
@@ -341,7 +341,7 @@ def quantize_family(family: str, n: int | None = None) -> AtomicDistribution:
     """
     if family != FAMILY_UNIFORM01:
         raise ValueError(f"unknown family {family!r}")
-    if n is None or int(n) < 1:
+    if int(n) < 1:
         raise ValueError("uniform01 quantization needs n >= 1")
     n = int(n)
     k = np.arange(1, n + 1, dtype=float)

@@ -56,12 +56,8 @@ class LevyEstimate:
                 f"{stem}.json": json_text(sidecar)}
 
 
-def levy_from_solution(
-    rho: AtomicDistribution,
-    mu_sample: EmpiricalSample,
-    seed: int,
-    n_out: int = 1_000_000,
-) -> LevyEstimate:
+def levy_from_solution(rho: AtomicDistribution, mu_sample: EmpiricalSample,
+                       seed: int, n_out: int) -> LevyEstimate:
     """Sample x M(dx) as A * eta_sb and record M's total mass.
 
     Total mass is K (1 - c) / mean(mu), with the exact K = E[1/A] and the

@@ -12,21 +12,22 @@ nonnegative, nondecreasing, and concave in s at every step.
 One lattice: psi is defined on every node x_k = log s_min + k h of the log
 lattice through the G grid points on [s_min, s_max], which ``solve`` takes
 in units of 1/m, so psi_m(s) = psi_1(m s) holds node by node.  The nodes
-0 <= k < G hold the grid values.  The nodes k < 0 hold the cumulant series
-to second order, psi(s) = m s - k2 s^2/2 with k2 = Var(eta) from the
-moment recursion; its error is O(k3 s^3).  Where E eta^2 does not exist
-(E A >= 1), or where k2 s_min > m would let that law fall before s_min,
-they hold the first-order m s instead, with an O(k2 s^2) error.  The nodes
-k >= G continue psi at its last slope in log s, clamped at 0 since psi is
-nondecreasing; a solve whose targets reach them is flagged in the report.
+0 <= k < G hold the grid values.  The nodes k < 0 hold the two-moment
+Gamma law log1p(v m s) / v (``moments.gamma_psi``), v = Var(eta) / m^2
+from the moment recursion at mean 1, exact for uniform01 and right to
+second order in s otherwise; where E eta^2 does not exist (E A >= 1), the
+first-order m s.  The nodes k >= G continue psi at its last slope in
+log s, clamped at 0 since psi is nondecreasing; a solve whose targets
+reach them is flagged in the report.
 
 One read rule: every target, in an iteration and in ``eval_psi`` alike,
 interpolates f = 1 - exp(-psi) between its four nearest nodes with cubic
 Lagrange weights in log s and reads psi back from the interpolated f
 (from the interpolated phi = 1 - f where f > 1/2, so that psi stays
-finite where f rounds to 1).  A read whose cubic phi overshoots past 0
-takes the upper bracketing node; a grid point reads its stored value, and
-psi(0) = 0.
+finite where f rounds to 1); a grid point reads its stored value, and
+psi(0) = 0.  One exception: where the cubic phi overshoots past 0 (psi
+rising by over about 2.3 between nodes), ``eval_psi`` reads the upper
+bracketing node, while an iteration keeps the interpolated f > 1.
 
 Since each target s_i a_j is s_i shifted by log(a_j) / h lattice steps,
 one iteration is a single discrete correlation of f on the nodes with a
@@ -48,7 +49,7 @@ import numpy as np
 
 from .diagnostics import require_existence
 from .distributions import FAMILY_UNIFORM01, AtomicDistribution, csv_text
-from .moments import eta_variance
+from .moments import gamma_psi, gamma_variance
 
 #: Node reads per block of the fold of far kernel offsets; bounds its
 #: memory whatever the number of tiny atoms.
@@ -70,12 +71,6 @@ def _slope(x, psi):
     return max((psi[-1] - psi[-2]) / (x[-1] - x[-2]), 0.0)
 
 
-def _below(t, m, k2):
-    """The law below s_min: psi(t) = m t - k2 t^2 / 2 to second order in
-    the cumulants (m t, to first order, where k2 = 0)."""
-    return t * (m - 0.5 * k2 * t)
-
-
 def _axis(s_points):
     """The grid's log nodes x and its lattice step h."""
     x = np.log(s_points)
@@ -83,14 +78,14 @@ def _axis(s_points):
 
 
 def _node_psi(grid, k):
-    """psi on the lattice nodes k (an integer array): the law below
+    """psi on the lattice nodes k (an integer array): the Gamma law below
     s_min for k < 0, the grid values, the slope continuation for k >= G."""
     x, h = _axis(grid.s_points)
     psi, g = grid.psi, grid.psi.size
     out = np.empty(k.shape)
     lo, hi = k < 0, k >= g
     mid = ~(lo | hi)
-    out[lo] = _below(np.exp(x[0] + h * k[lo]), grid.mean_target, grid.k2)
+    out[lo] = gamma_psi(np.exp(x[0] + h * k[lo]), grid.mean_target, grid.v)
     out[mid] = psi[k[mid]]
     out[hi] = psi[-1] + _slope(x, psi) * h * (k[hi] - (g - 1))
     return out
@@ -98,7 +93,7 @@ def _node_psi(grid, k):
 
 @dataclass(frozen=True)
 class _LatticeOperator:
-    """The fixed-point map for one (grid, rho, m, k2), built once per solve.
+    """The fixed-point map for one (grid, rho, m, v), built once per solve.
 
     new_psi_i = sum_n kernel[n] f(i + d_lo + n) + far_i + up_i, with
     f = 1 - e^-psi on the lattice nodes, ``far`` the fixed sum over the
@@ -108,7 +103,7 @@ class _LatticeOperator:
     rho: AtomicDistribution
     s_points: np.ndarray
     m: float
-    k2: float
+    v: float
     kernel: np.ndarray
     d_lo: int                 # lattice offset of kernel[0]
     far: np.ndarray
@@ -153,7 +148,7 @@ def _build_operator(grid, rho) -> _LatticeOperator:
         nodes = far_d[lo:lo + rows, None] + np.arange(g)
         far += far_w[lo:lo + rows] @ -np.expm1(-_node_psi(grid, nodes))
     return _LatticeOperator(
-        rho=rho, s_points=s, m=grid.mean_target, k2=grid.k2, kernel=kernel,
+        rho=rho, s_points=s, m=grid.mean_target, v=grid.v, kernel=kernel,
         d_lo=d_lo, far=far, up_d=d[up], up_w=w[up])
 
 
@@ -170,7 +165,7 @@ class LstGrid:
     extrapolation_used: bool = False    # some target lies above the grid
     atom_at_zero: float | None = None
     rate_estimate: float | None = None
-    k2: float = 0.0           # second cumulant of the law below s_min
+    v: float = 0.0            # Var(eta) / m^2 of the law below s_min
     _operator: _LatticeOperator | None = field(
         default=None, repr=False, compare=False)
 
@@ -212,9 +207,9 @@ class LstGrid:
         in f, so this is a smoothness scale, not that rule's interpolation
         error) with the final update residual, scaled by phi since
         d(e^-psi) = -phi d(psi).  It leaves out the quantization of rho
-        and the truncated cumulant series below s_min (O(k3 s_min^3) at
-        second order, O(k2 s_min^2) where the first-order law is used), so
-        it can undersize the error against a continuous law's closed form.
+        and the third-order error of the Gamma law below s_min (none for
+        uniform01; O(s_min^2) where the first-order law is used), so it
+        can undersize the error against a continuous law's closed form.
         """
         s = np.asarray(s, dtype=float)
         x = np.log(self.s_points)
@@ -248,12 +243,8 @@ class LstGrid:
         }
 
 
-def init_grid(
-    m: float,
-    s_min: float = 1e-3,
-    s_max: float = 1e3,
-    grid_points: int = 256,
-) -> LstGrid:
+def init_grid(m: float, s_min: float, s_max: float,
+              grid_points: int) -> LstGrid:
     """Grid of psi_0(s) = m*s (the point mass at m) on [s_min/m, s_max/m]."""
     if not (0.0 < s_min < s_max):
         raise ValueError("need 0 < s_min < s_max")
@@ -281,7 +272,7 @@ def iterate_once(grid: LstGrid, rho: AtomicDistribution) -> LstGrid:
     """
     op = grid._operator
     if not (op is not None and op.rho is rho and op.m == grid.mean_target
-            and op.k2 == grid.k2 and op.s_points is grid.s_points):
+            and op.v == grid.v and op.s_points is grid.s_points):
         require_existence(rho)
         op = _build_operator(grid, rho)
     new_psi = op.apply(grid)
@@ -351,11 +342,9 @@ def solve(
         raise ValueError("tol must be in (0, 1)")
     if int(max_iter) < 1:
         raise ValueError("max_iter must be >= 1")
-    grid = init_grid(m, s_min=s_min, s_max=s_max, grid_points=grid_points)
-    # the second-order law below the grid where Var(eta) exists and it rises
-    # up to the first node, else m s; targets pass the top iff an atom > 1
-    k2 = eta_variance(rho, m)
-    grid = replace(grid, k2=k2 if k2 * grid.s_points[0] <= m else 0.0,
+    # the law below the grid; targets pass the top iff an atom > 1
+    grid = replace(init_grid(m, s_min, s_max, grid_points),
+                   v=gamma_variance(rho, m),
                    extrapolation_used=bool(rho.ess_sup > 1.0))
     residuals = []
     converged = False

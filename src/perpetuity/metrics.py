@@ -19,7 +19,7 @@ statistic here, empirical_lst, feeds the Monte Carlo cross-oracle check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -156,7 +156,7 @@ def r_delta_report(nu1: AtomicDistribution, nu2: AtomicDistribution,
 
 
 def random_mean_law(rng: np.random.Generator,
-                    mean: float = 1.0) -> AtomicDistribution:
+                    mean: float) -> AtomicDistribution:
     """Random atomic law of 1-4 atoms rescaled to an exact target mean (for
     sweeps)."""
     k = int(rng.integers(1, 5))
@@ -202,16 +202,16 @@ def contraction_ratio(
     rho: AtomicDistribution,
     theta1: AtomicDistribution,
     theta2: AtomicDistribution,
-    q: float,
-    cfg: RDeltaConfig | None = None,
+    cfg: RDeltaConfig = RDeltaConfig(s_lo=1e-2, s_hi=1e2, quad_points=256),
 ) -> ContractionReport:
-    """Exact r_q contraction of one transform step against the bound.
+    """Exact r_q contraction of one transform step, q = cfg.delta.
 
     Both distances come from closed-form characteristic functions on one
     quadrature grid: the atomic inputs directly, the outputs through
-    step_char_function.  The default band is [1e-2, 1e2] with 512 points;
-    truncation below s_lo moves the equal-mean integral by O(s_lo^(2-q))
-    and the dropped tail above s_hi is bounded by 2 s_hi^(-q)/q.
+    step_char_function.  The default is verify's band, [1e-2, 1e2] with 256
+    points, at q = 1.5; truncation below s_lo moves the equal-mean integral
+    by O(s_lo^(2-q)) and the dropped tail above s_hi is bounded by
+    2 s_hi^(-q)/q.
 
     A pair is degenerate (ratio None) when r_before is at or below the
     roundoff floor of the input distance.  Equal-mean atoms that differ in
@@ -220,30 +220,27 @@ def contraction_ratio(
     that times _ROUNDOFF_SAFETY.  Such pairs (identical inputs included)
     carry a 0/0 ratio that measures roundoff, not the transform.
     """
-    if not 1.0 < float(q) < 2.0:
-        raise ValueError("q must lie in (1, 2)")
-    default = RDeltaConfig(s_lo=1e-2, s_hi=1e2, quad_points=512)
-    base = replace(cfg if cfg is not None else default, delta=float(q))
+    q = float(cfg.delta)
     bound = rho.mellin(q - 1.0)
     if bound >= 1.0:
         raise ValueError(
             f"E A^(q-1) = {bound:.12g} >= 1: no contraction at this order"
         )
-    before = r_delta_report(theta1, theta2, base)
-    fine = _quad_grid(base)
+    before = r_delta_report(theta1, theta2, cfg)
+    fine = _quad_grid(cfg)
     after = _report_from_cf_diff(
         step_char_function(rho, theta1, fine)
-        - step_char_function(rho, theta2, fine), fine, base)
+        - step_char_function(rho, theta2, fine), fine, cfg)
     m = max(theta1.mean(), theta2.mean())
     floor = (_ROUNDOFF_SAFETY * np.finfo(float).eps * m
-             * float(base.s_lo) ** (1.0 - float(q)) / (float(q) - 1.0))
+             * float(cfg.s_lo) ** (1.0 - q) / (q - 1.0))
     degenerate = bool(before.value <= floor)
     return ContractionReport(
         r_before=before.value,
         r_after=after.value,
         ratio=None if degenerate else after.value / before.value,
         bound_g=float(bound),
-        q=float(q),
+        q=q,
         doubling_error=max(before.doubling_error, after.doubling_error),
         degenerate=degenerate,
     )

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+import numpy as np
+
 from .diagnostics import require_existence
 from .distributions import (
     FAMILY_UNIFORM01,
@@ -86,11 +88,28 @@ def eta_moments(
     return eta_moments_from_mellin(g, m, n_max)
 
 
-def eta_variance(rho: AtomicDistribution, m: float) -> float:
-    """Var(eta) = E eta^2 - m^2 from the recursion, or 0.0 where E eta^2
-    does not exist (E A >= 1, or a marginal stop)."""
-    mv = eta_moments(rho, m, 2)
-    return mv.values[2] - m * m if mv.max_order >= 2 else 0.0
+def eta_variance(rho: AtomicDistribution) -> float:
+    """v = Var(eta) / m^2, the same at every mean m: E eta^2 - 1 at mean 1,
+    or 0.0 where E eta^2 does not exist (E A >= 1, or a marginal stop)."""
+    mv = eta_moments(rho, 1.0, 2)
+    return mv.values[2] - 1.0 if mv.max_order >= 2 else 0.0
+
+
+def gamma_variance(rho: AtomicDistribution, m: float) -> float:
+    """``eta_variance``, refused where E eta^2 = m^2 (1 + v) overflows."""
+    v = eta_variance(rho)
+    if v > 0.0 and not math.isfinite(m * m * (1.0 + v)):
+        raise ValueError(f"E eta^2 overflows a double at mean = {m:g}; use "
+                         f"a smaller mean")
+    return v
+
+
+def gamma_psi(s, m: float, v: float):
+    """log1p(v m s) / v, the Laplace exponent of the Gamma law of mean m and
+    variance v m^2 (shape 1/v, scale v m), or m s where v = 0.  Zero drift
+    gives the solution cumulants k_n = int x^n nu(dx), k2^2 <= m k3, so its
+    third-order error |k3 - 2 k2^2 / m| s^3 / 6 is at most k3 s^3 / 6."""
+    return (1.0 / v) * np.log1p(v * m * s) if v > 0.0 else m * s
 
 
 def sb_moments(mv: MomentVector) -> MomentVector:

@@ -19,11 +19,11 @@ so the mean is known in closed form; sampling it would let it wander as a
 martingale, since marks are resampled from the previous iterate.
 
 Start law.  Iterate 0 is drawn from the Gamma law that matches the
-solution's first two moments, mean m and variance k2 = Var(eta) from the
-moment recursion, with Laplace exponent psi_0(s) = (m^2/k2) log1p((k2/m) s).
-It is exact for the continuous uniform01 law (Exp(1) at m = 1), so the MC
-starts close to the answer and needs few steps.  Where E eta^2 does not
-exist (E A >= 1) it is the point mass at m, psi_0(s) = m s.
+solution's mean m and variance v m^2 (v from the moment recursion at mean
+1), psi_0(s) = log1p(v m s) / v, the LST's law below s_min.  It is exact
+for the continuous uniform01 law (Exp(1) at m = 1), so the MC starts close
+to the answer and needs few steps.  Where E eta^2 does not exist
+(E A >= 1) it is the point mass at m, psi_0(s) = m s.
 
 Number of transform steps.  Started from the same law, LST iterate k is
 the Laplace transform of MC iterate k as n -> infinity (both apply the
@@ -62,7 +62,7 @@ from .diagnostics import require_existence
 from .distributions import AtomicDistribution, EmpiricalSample
 from .lst_solver import LstGrid, iterate_once
 from .metrics import empirical_lst
-from .moments import eta_variance
+from .moments import gamma_psi, gamma_variance
 from .response import ResponseFunction, response_from_rho
 
 #: Two-sided asymptotic KS coefficient at the 1% level: sqrt(-ln(0.005)/2).
@@ -111,12 +111,11 @@ def shot_noise_resample(
 
 
 def start_law(rho: AtomicDistribution, m: float) -> dict:
-    """The law of MC iterate 0: the Gamma law with the solution's mean m
-    and variance k2 = Var(eta) from the moment recursion, or the point
-    mass at m where E eta^2 does not exist (E A >= 1)."""
-    k2 = eta_variance(rho, m)
-    if k2 > 0.0:
-        return {"law": "gamma", "shape": m * m / k2, "scale": k2 / m}
+    """The law of MC iterate 0: the Gamma law of ``moments.gamma_psi``, or
+    the point mass at m where E eta^2 does not exist (E A >= 1)."""
+    v = gamma_variance(rho, m)
+    if v > 0.0:
+        return {"law": "gamma", "shape": 1.0 / v, "scale": v * m}
     return {"law": "point-mass", "at": m}
 
 
@@ -127,9 +126,9 @@ def transform_steps(
     cap: int,
 ) -> tuple[int, float | None]:
     """(T, bias): the fewest transform steps k <= cap whose bias, replayed
-    on the solved grid of rho from the MC start law (``start_law``), is at
-    most a twentieth of the n-sample standard error at every node, and
-    max |phi_T - phi| there.
+    on the solved grid of rho from the MC start law (the grid's law below
+    s_min), is at most a twentieth of the n-sample standard error at every
+    node, and max |phi_T - phi| there.
 
     A grid that has not converged gives (cap, None): it is no reference
     for the bias.  When no k <= cap meets the rule, T is cap.
@@ -144,10 +143,8 @@ def transform_steps(
     s = grid.s_points
     phi = np.exp(-grid.psi)
     se = _standard_error(grid, s, n)
-    law = start_law(rho, grid.mean_target)
-    psi0 = (law["shape"] * np.log1p(law["scale"] * s)
-            if law["law"] == "gamma" else grid.mean_target * s)
-    state = replace(grid, psi=psi0, iteration_count=0)
+    state = replace(grid, psi=gamma_psi(s, grid.mean_target, grid.v),
+                    iteration_count=0)
     for k in range(1, cap + 1):
         state = iterate_once(state, rho)
         err = np.abs(np.exp(-state.psi) - phi)

@@ -111,7 +111,7 @@ class ResponseFunction:
         }
 
 
-def response_from_rho(rho: AtomicDistribution, lam: float = 1.0) -> ResponseFunction:
+def response_from_rho(rho: AtomicDistribution, lam: float) -> ResponseFunction:
     """Dual step kernel of an atomic law: value a_j, duration w_j/(lam a_j)."""
     values = rho.locations[::-1]
     durations = (rho.weights / (lam * rho.locations))[::-1]

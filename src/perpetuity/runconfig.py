@@ -204,13 +204,13 @@ class RunConfig:
             payload += f"\nflag={flag}"
         return hashlib.sha256(payload.encode()).hexdigest()
 
-    def run_dir(self, command: str, flags: tuple[str, ...] = ()) -> Path:
+    def run_dir(self, command: str, flags: tuple[str, ...]) -> Path:
         root = Path(str(self._get("output.dir")))
         return root / f"{command}-{self.digest(command, flags)[:12]}"
 
 
 def write_manifest(run_dir: Path, command: str, cfg: RunConfig,
-                   digests: dict, flags: tuple[str, ...] = ()) -> Path:
+                   digests: dict, flags: tuple[str, ...]) -> Path:
     """Write manifest.json (itself excluded) from ``digests``, a map of
     artifact names in run_dir to the sha256 hex digests of their bytes."""
     entries = [{"path": name, "sha256": digests[name]}
@@ -228,7 +228,7 @@ def write_manifest(run_dir: Path, command: str, cfg: RunConfig,
 
 
 def write_run(cfg: RunConfig, command: str, files: dict,
-              flags: tuple[str, ...] = ()) -> Path:
+              flags: tuple[str, ...]) -> Path:
     """Write a run directory: each artifact, then manifest.json last.
 
     ``files`` maps artifact names to text, either one string or a list of

@@ -164,9 +164,9 @@ def test_contraction_sweep_and_metric_axioms(uniform_rho):
         draw = 0
         while len(ratios) < 20:
             assert draw < 200, "too many degenerate pair draws"
-            t1, t2 = random_mean_law(rng), random_mean_law(rng)
+            t1, t2 = random_mean_law(rng, 1.0), random_mean_law(rng, 1.0)
             draw += 1
-            rep = contraction_ratio(rho, t1, t2, q=1.5)
+            rep = contraction_ratio(rho, t1, t2)
             if rep.degenerate:
                 continue
             ratios.append(rep.ratio)
@@ -176,7 +176,7 @@ def test_contraction_sweep_and_metric_axioms(uniform_rho):
     axiom_rng = np.random.default_rng(607)
     axiom_gap = 0.0
     for _ in range(100):
-        a, b, c = (random_mean_law(axiom_rng) for _ in range(3))
+        a, b, c = (random_mean_law(axiom_rng, 1.0) for _ in range(3))
         rab, rba = r_delta_report(a, b).value, r_delta_report(b, a).value
         rac, rbc = r_delta_report(a, c).value, r_delta_report(b, c).value
         axiom_gap = max(axiom_gap,

@@ -548,14 +548,14 @@ def test_runtime_imports_neither_scipy_nor_numpy_ma(tmp_path):
 GOLDEN_RUNS = [
     (["solve", "--method", "both", *UNIFORM, *FAST_MC], {
         "grid.csv":
-            "a80ed9fc3a07b4236d43668df011da81ea09feb58c089d8cf4d4e5bb28f304f7",
+            "6662cf60ea16de24e97c41f15c0f1e8e247c56ae1c364ba014a7d39ef0ad2f90",
         "sample.csv":
             "93119f7f963f8c2492be749c6f56d58ad4e7aefd32bd70faac2d9320334f921c",
     }),
     (["solve", "--method", "both", "--set", "rho.atoms=0.3:0.5,1.2:0.5",
       *FAST_MC], {
         "grid.csv":
-            "a5964b498524fc42a74f3aa8987bb8e2183efef9e520a7e758b6627c14424f89",
+            "656a3ac4efda21262a946c244be819a3d8d9493c50065e38d6f13c0b26aee6f5",
         "sample.csv":
             "2e28154390891b16740e3238ffda403718b357fd8c36e66397d8538fe37e07c8",
     }),
@@ -599,14 +599,14 @@ def test_csv_artifact_digests_are_pinned(tmp_path, argv, digests):
 # The two-atom run's levy sample of 1e6 values is mostly exact ties.
 CHECK_RUNS = [
     (["verify", *UNIFORM, *FAST_MC, *FAST_VERIFY], 0, "verify.json",
-     "506c466ebc6a320f7904a7f2d4f7a247b982b055456f680366324428c0b1e799"),
+     "f829c31ad8028c71e8aea75485480d036d78f4b92de29f5dc222c7be733fcca0"),
     (["verify", "--negative-control", *UNIFORM, *FAST_MC, *FAST_VERIFY], 4,
      "verify.json",
-     "97c366c31aabd9b5433b2ea913b7403052b56df5da3b0970a40faf88782fe64e"),
+     "9038feb1140b12542e73cd994c1c7edee5c9597ae95be96fa1b04a62571d629b"),
     (["verify", "--set", "rho.atoms=0.3:0.5,1.2:0.5", *FAST_MC,
       "--set", "verify.pairs=2", "--set", "verify.quad_points=128",
       "--set", "verify.steutel_tol=0.05"], 0, "verify.json",
-     "aa7d0e8dd9ad09802bb2223f6e253b6fec3d701441ebcd6d0860809b3e21807a"),
+     "5265aed5f41b7fd3b9ab676b075238c591404c0faf6ce80fb032a8ee9b2d5ffc"),
     (["levy", *UNIFORM, *FAST_MC, "--set", "levy.n_samples=20000"], 0,
      "steutel.json",
      "c6c6b73455e78bf28d720b6a7d405bff6ff06e92bd649c421d4e5847879f8a4e"),

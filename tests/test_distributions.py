@@ -167,7 +167,7 @@ def test_uniform01_quantization():
     assert rho.mellin(0.5) == pytest.approx(uniform01_mellin(0.5), abs=1e-5)
     assert rho.log_moment() == pytest.approx(-1.0, abs=1e-2)  # E log U
     with pytest.raises(ValueError):
-        quantize_family(FAMILY_UNIFORM01)
+        quantize_family(FAMILY_UNIFORM01, 0)
     with pytest.raises(ValueError):
         quantize_family("triangular", 8)
 

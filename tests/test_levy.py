@@ -69,7 +69,8 @@ def test_levy_cdf_and_validation():
     assert np.all(np.diff(c) >= 0.0)
     assert c[0] <= 0.05 and c[-1] >= 0.95
     with pytest.raises(ValueError):
-        levy_from_solution(rho, EmpiricalSample(np.zeros(10), 0, "z"), seed=1)
+        levy_from_solution(rho, EmpiricalSample(np.zeros(10), 0, "z"), seed=1,
+                           n_out=1_000_000)
 
 
 def test_steutel_identity_empirical_mu():

@@ -18,10 +18,9 @@ from scipy import integrate, special
 from perpetuity import lst_solver
 from perpetuity.diagnostics import ExistenceError
 from perpetuity.distributions import AtomicDistribution, point_mass, quantize_family
-from perpetuity.moments import eta_moments, eta_variance
+from perpetuity.moments import eta_moments, eta_variance, gamma_psi
 from perpetuity.lst_solver import (
     LstGrid,
-    _below,
     _node_psi,
     atom_at_zero,
     init_grid,
@@ -60,18 +59,18 @@ def test_init_grid():
     assert g.eval_psi(0.5) == pytest.approx(1.0, rel=2e-2)
     assert not g.converged and g.iteration_count == 0
     with pytest.raises(ValueError):
-        init_grid(-1.0)
+        init_grid(-1.0, 1e-3, 1e3, 256)
     with pytest.raises(ValueError):
-        init_grid(1.0, s_min=1.0, s_max=0.5)
+        init_grid(1.0, s_min=1.0, s_max=0.5, grid_points=256)
     with pytest.raises(ValueError):
-        init_grid(1.0, grid_points=8)
+        init_grid(1.0, s_min=1e-3, s_max=1e3, grid_points=8)
 
 
 def test_first_iterate_closed_form():
     # delta_{1/2} from psi_0 = s: T psi_0 = 2(1 - e^{-s/2}); the cubic read
     # of f = 1 - e^{-psi_0} between log-spaced nodes adds O(h^4) (1.5e-7
     # relative here)
-    g = iterate_once(init_grid(1.0), DELTA_HALF)
+    g = iterate_once(init_grid(1.0, 1e-3, 1e3, 256), DELTA_HALF)
     expected = 2.0 * (1.0 - np.exp(-g.s_points / 2.0))
     assert np.max(np.abs(g.psi - expected) / expected) < 1e-3
     assert g.iteration_count == 1
@@ -84,7 +83,7 @@ def test_iterates_monotone_nonincreasing():
     # m*s below and the grid values above (relative 1e-5 at most here)
     for rho in (DELTA_HALF, quantize_family("uniform01", 64),
                 AtomicDistribution([0.25, 0.9], [0.3, 0.7])):
-        g = init_grid(1.0)
+        g = init_grid(1.0, 1e-3, 1e3, 256)
         for _ in range(15):
             nxt = iterate_once(g, rho)
             assert np.all(nxt.psi <= g.psi * (1.0 + 1e-3) + 1e-15)
@@ -94,7 +93,7 @@ def test_iterates_monotone_nonincreasing():
 def test_psi_shape_invariants_every_iteration():
     """psi >= 0, nondecreasing and concave in s, phi in (0, 1]."""
     rho = quantize_family("uniform01", 64)
-    g = init_grid(1.0, grid_points=128)
+    g = init_grid(1.0, s_min=1e-3, s_max=1e3, grid_points=128)
     for _ in range(25):
         g = iterate_once(g, rho)
         s, psi = g.s_points, g.psi
@@ -152,17 +151,17 @@ def test_iterate_equals_direct_sum_through_eval_psi(name):
     assert grid.extrapolation_used == bool(np.any(targets > grid.s_points[-1]))
 
 
-@pytest.mark.parametrize("k2", [1.0, 0.0])
-def test_node_psi_is_the_law_off_the_grid(k2):
-    """Nodes below s_min hold the law there, bit for bit, with k2 > 0 and
-    with the first-order k2 = 0; nodes above s_max the slope continuation."""
-    grid = replace(solve(DELTA_HALF, 1.0, max_iter=5), k2=k2)
+@pytest.mark.parametrize("v", [1.0, 0.0])
+def test_node_psi_is_the_law_off_the_grid(v):
+    """Nodes below s_min hold the law there, bit for bit, with v > 0 and
+    with the first-order v = 0; nodes above s_max the slope continuation."""
+    grid = replace(solve(DELTA_HALF, 1.0, max_iter=5), v=v)
     x = np.log(grid.s_points)
     h = (x[-1] - x[0]) / (x.size - 1)
     g, psi = grid.psi.size, grid.psi
     below = np.arange(-700, 0)
     np.testing.assert_array_equal(
-        _node_psi(grid, below), _below(np.exp(x[0] + below * h), 1.0, k2))
+        _node_psi(grid, below), gamma_psi(np.exp(x[0] + below * h), 1.0, v))
     slope = (psi[-1] - psi[-2]) / (x[-1] - x[-2])
     above = np.arange(g, g + 700)
     np.testing.assert_array_equal(_node_psi(grid, above),
@@ -271,7 +270,7 @@ def test_uniform01_fine_quantization_at_default_grid():
     the first-order m s left a floor of 0.0625 s_min = 6.2e-5."""
     grid = solve(quantize_family("uniform01", 4096), 1.0)
     s = grid.s_points
-    assert grid.k2 == 1.0
+    assert grid.v == 1.0
     assert np.max(np.abs(grid.eval_lst(s) - 1.0 / (1.0 + s))) <= 5e-6
 
 
@@ -302,30 +301,50 @@ def test_solve_delta_half_self_consistency():
 
 def test_converged_mean_slope_reference_laws():
     """psi at s_min follows the cumulant series m s - k2 s^2 / 2 up to its
-    third-order term k3 s^3 / 6 (measured: 0.67-0.75 of that term)."""
+    third-order term k3 s^3 / 6 (measured: 0.67-0.75 of that term); the
+    law below s_min has relative variance v = k2 / m^2."""
     for rho in (DELTA_HALF, quantize_family("uniform01", 128)):
         for m in (1.0, 2.5):
             grid = solve(rho, m)
             s1 = grid.s_points[0]
             e1, e2, e3 = eta_moments(rho, m, 3).values[1:]
             k2, k3 = e2 - e1 ** 2, e3 - 3.0 * e1 * e2 + 2.0 * e1 ** 3
-            assert grid.k2 == pytest.approx(k2, rel=1e-15)
+            assert grid.v == pytest.approx(k2 / m ** 2, rel=1e-15)
             assert abs(grid.psi[0] - (m * s1 - k2 * s1 ** 2 / 2.0)) <= (
                 k3 * s1 ** 3 / 6.0)
 
 
 def test_scale_equivariance():
     """psi_m(s) = psi_1(m s): the lattice at mean m is the mean-1 lattice
-    over m, so the solves agree to roundoff (measured: 1.1e-14), below, on
-    and above the grid, in the same number of iterations."""
+    over m, and the law below s_min reads the variance in units of m^2, so
+    the solves agree to roundoff (measured: 1.1e-14 at the moderate means,
+    2.0e-13 at 1e-200 and 1e-160, where an absolute Var(eta) = m^2 v
+    underflows), below, on and above the grid, in the same number of
+    iterations."""
     s = np.geomspace(1e-5, 1e5, 61)
     for rho in (DELTA_HALF, TWO_ATOMS, quantize_family("uniform01", 512)):
         g1 = solve(rho, 1.0)
-        for m in (1e-3, 2.0, 1e3):
+        for m, rtol in ((1e-3, 1e-13), (2.0, 1e-13), (1e3, 1e-13),
+                        (1e-160, 1e-12), (1e-200, 1e-12)):
             gm = solve(rho, m)
             assert gm.iteration_count == g1.iteration_count
             np.testing.assert_allclose(gm.eval_psi(s / m), g1.eval_psi(s),
-                                       rtol=1e-13)
+                                       rtol=rtol)
+
+
+@pytest.mark.parametrize("atoms, grid_points", [(2048, 1024), (8192, 4096)])
+def test_uniform01_error_does_not_depend_on_s_min(atoms, grid_points):
+    """The Gamma law below s_min is exact for uniform01, so the error
+    against 1/(1+s) on [1e-2, 1e2] is the quantization's alone, whatever
+    s_min (measured: 9.93e-7 and 6.21e-8 at s_min 1e-3, 1e-2 and 1e-1;
+    the second-order series left 2.8e-4 at s_min 1e-1)."""
+    rho = quantize_family("uniform01", atoms)
+    s = np.geomspace(1e-2, 1e2, 401)
+    errors = [np.max(np.abs(solve(rho, 1.0, s_min=s_min,
+                                  grid_points=grid_points).eval_lst(s)
+                            - 1.0 / (1.0 + s)))
+              for s_min in (1e-3, 1e-2, 1e-1)]
+    assert max(errors) <= 1.01 * min(errors)
 
 
 def test_atom_at_zero_values():
@@ -382,9 +401,9 @@ def test_eval_rules_and_small_s():
     # on-grid read-out returns stored values
     np.testing.assert_array_equal(grid.eval_psi(grid.s_points[5]),
                                   grid.psi[5])
-    # below s_min the second-order law m s - k2 s^2 / 2 applies, with
-    # k2 = Var(eta) = 1 for the point mass at 1/2 and m = 1
-    assert grid.k2 == 1.0
+    # below s_min the Gamma law log1p(v m s) / v applies, with
+    # v = Var(eta) / m^2 = 1 for the point mass at 1/2 and m = 1
+    assert grid.v == 1.0
     assert grid.eval_psi(1e-5) == pytest.approx(1e-5 * (1.0 - 0.5 * 1e-5),
                                                 rel=_cubic_bound(grid))
     assert grid.eval_lst(1e-5) == pytest.approx(1.0 - 1e-5, abs=1e-9)
@@ -392,19 +411,21 @@ def test_eval_rules_and_small_s():
 
 def test_first_order_fallback_below_s_min():
     """m s is kept below s_min where E eta^2 does not exist (E A = 1.55
-    here) and where k2 s_min > m would let the second-order law fall
-    before s_min (k2 = 1 and s_min = 2 for the point mass at 1/2)."""
+    here); where k2 s_min > m (k2 = 1 and s_min = 2 for the point mass at
+    1/2) the Gamma law log1p(v m s) / v holds there, since it rises on all
+    of s >= 0."""
     no_variance = AtomicDistribution([0.1, 3.0], [0.5, 0.5])
-    assert no_variance.mean() >= 1.0 and eta_variance(no_variance, 1.0) == 0.0
-    for grid in (solve(no_variance, 1.0, max_iter=3),
-                 solve(DELTA_HALF, 1.0, s_min=2.0, s_max=2e3,
-                       grid_points=64)):
-        s0 = grid.s_points[0]
-        assert grid.k2 == 0.0
-        assert grid.eval_psi(s0 / 3.0) == pytest.approx(
-            grid.mean_target * (s0 / 3.0), rel=_cubic_bound(grid))
-    # with s_min = 1 the point mass at 1/2 keeps the second-order law
-    assert solve(DELTA_HALF, 1.0, s_min=1.0, max_iter=3).k2 == 1.0
+    assert no_variance.mean() >= 1.0 and eta_variance(no_variance) == 0.0
+    grid = solve(no_variance, 1.0, max_iter=3)
+    s0 = grid.s_points[0]
+    assert grid.v == 0.0
+    assert grid.eval_psi(s0 / 3.0) == pytest.approx(
+        grid.mean_target * (s0 / 3.0), rel=_cubic_bound(grid))
+    grid = solve(DELTA_HALF, 1.0, s_min=2.0, s_max=2e3, grid_points=64)
+    s0 = grid.s_points[0]
+    assert grid.v == 1.0
+    assert grid.eval_psi(s0 / 3.0) == pytest.approx(
+        math.log1p(s0 / 3.0), rel=_cubic_bound(grid))
 
 
 def test_error_estimate_shape():

@@ -51,7 +51,7 @@ def test_char_function_exact_and_empirical():
     np.testing.assert_allclose(char_function(atom, s), np.exp(2j * s),
                                rtol=1e-14)
     assert np.all(np.abs(char_function(
-        random_mean_law(np.random.default_rng(0)), s)) <= 1.0 + 1e-12)
+        random_mean_law(np.random.default_rng(0), 1.0), s)) <= 1.0 + 1e-12)
     with pytest.raises(TypeError):
         char_function([1.0, 2.0], s)
     # samples are refused, not averaged, even when the means agree
@@ -88,7 +88,7 @@ def test_char_functions_equal_the_cos_plus_i_sin_sum_bit_for_bit():
     wide = AtomicDistribution(rng.uniform(0.01, 5.0, 300),
                               rng.dirichlet(np.ones(300)))
     rho = quantize_family("uniform01", 16)
-    for theta in [random_mean_law(rng) for _ in range(12)] + [wide]:
+    for theta in [random_mean_law(rng, 1.0) for _ in range(12)] + [wide]:
         for got, want in [
             (char_function(theta, s), _cis_char_function(theta, s)),
             (step_char_function(rho, theta, s),
@@ -102,7 +102,7 @@ def test_char_functions_equal_the_cos_plus_i_sin_sum_bit_for_bit():
 def test_metric_axioms_random_triples():
     rng = np.random.default_rng(11)
     for _ in range(20):
-        a, b, c = (random_mean_law(rng) for _ in range(3))
+        a, b, c = (random_mean_law(rng, 1.0) for _ in range(3))
         assert r_delta_report(a, a).value == 0.0
         rab, rba = r_delta_report(a, b).value, r_delta_report(b, a).value
         assert rab == pytest.approx(rba, rel=1e-12)
@@ -160,7 +160,7 @@ def test_contraction_example_pair():
     # uniform01 mixing, q = 3/2: modulus bound E sqrt(A) = 2/3
     rho = quantize_family("uniform01", 512)
     theta2 = AtomicDistribution([0.5, 1.5], [0.5, 0.5])
-    rep = contraction_ratio(rho, point_mass(1.0), theta2, q=1.5)
+    rep = contraction_ratio(rho, point_mass(1.0), theta2)
     assert rep.bound_g == pytest.approx(2.0 / 3.0, rel=1e-4)
     assert rep.ratio is not None
     assert rep.ratio <= rep.bound_g + 0.05
@@ -173,15 +173,16 @@ def test_contraction_example_pair():
 
 def test_contraction_degenerate_and_validation():
     theta = AtomicDistribution([0.5, 1.5], [0.5, 0.5])
-    rep = contraction_ratio(DELTA_HALF, theta, theta, q=1.5)
+    rep = contraction_ratio(DELTA_HALF, theta, theta)
     assert rep.degenerate and rep.ratio is None
     assert rep.r_before == 0.0 and rep.r_after == 0.0
     with pytest.raises(ValueError):
-        contraction_ratio(DELTA_HALF, theta, point_mass(1.0), q=2.5)
+        contraction_ratio(DELTA_HALF, theta, point_mass(1.0),
+                          RDeltaConfig(delta=2.5))
     with pytest.raises(ValueError, match=">= 1"):
-        contraction_ratio(point_mass(1.0), theta, point_mass(1.0), q=1.5)
+        contraction_ratio(point_mass(1.0), theta, point_mass(1.0))
     with pytest.raises(ValueError, match="means differ"):
-        contraction_ratio(DELTA_HALF, theta, point_mass(2.0), q=1.5)
+        contraction_ratio(DELTA_HALF, theta, point_mass(2.0))
 
 
 def test_contraction_small_sweep():
@@ -190,8 +191,8 @@ def test_contraction_small_sweep():
     assert bound == pytest.approx(2.0 ** -0.5, rel=1e-15)
     done = 0
     while done < 6:
-        t1, t2 = random_mean_law(rng), random_mean_law(rng)
-        rep = contraction_ratio(DELTA_HALF, t1, t2, q=1.5)
+        t1, t2 = random_mean_law(rng, 1.0), random_mean_law(rng, 1.0)
+        rep = contraction_ratio(DELTA_HALF, t1, t2)
         if rep.degenerate:
             continue
         done += 1
@@ -201,7 +202,7 @@ def test_contraction_small_sweep():
 def test_degenerate_pair_equal():
     rho = quantize_family("uniform01", 512)
     theta = AtomicDistribution([0.5, 1.5], [0.5, 0.5])
-    rep = contraction_ratio(rho, theta, theta, q=1.5)
+    rep = contraction_ratio(rho, theta, theta)
     assert rep.degenerate and rep.ratio is None
 
 
@@ -209,7 +210,7 @@ def test_degenerate_pair_one_ulp():
     """Point masses one ulp apart: the input distance is roundoff only."""
     rho = quantize_family("uniform01", 512)
     rep = contraction_ratio(rho, point_mass(1.0),
-                            point_mass(np.nextafter(1.0, 2.0)), q=1.5)
+                            point_mass(np.nextafter(1.0, 2.0)))
     assert 0.0 < rep.r_before < 1e-12
     assert rep.degenerate and rep.ratio is None
 
@@ -217,6 +218,6 @@ def test_degenerate_pair_one_ulp():
 def test_close_pair_is_not_degenerate():
     rho = quantize_family("uniform01", 512)
     near = AtomicDistribution([1.0 - 1e-5, 1.0 + 1e-5], [0.5, 0.5])
-    rep = contraction_ratio(rho, near, point_mass(1.0), q=1.5)
+    rep = contraction_ratio(rho, near, point_mass(1.0))
     assert not rep.degenerate
     assert rep.ratio is not None and rep.ratio <= rep.bound_g

@@ -20,7 +20,7 @@ from perpetuity.distributions import (
     point_mass,
     quantize_family,
 )
-from perpetuity.lst_solver import LstGrid, iterate_once, solve
+from perpetuity.lst_solver import LstGrid, _node_psi, iterate_once, solve
 from perpetuity.metrics import step_char_function
 from perpetuity.montecarlo import (
     _MAX_CHUNK_ARRIVALS,
@@ -297,6 +297,33 @@ def test_transform_steps_meet_the_bias_rule(rho, steps):
             assert capped == t - 1 and capped_bias > bias
 
 
+@pytest.mark.parametrize("name", ["half-point", "two-atom", "uniform01"])
+def test_one_law_of_eta_near_zero(monkeypatch, name):
+    """The lattice's nodes below s_min, iterate 0 of the bias replay and
+    the exponent of the MC start law, shape * log1p(scale * s), are one
+    function, bit for bit, at every mean."""
+    rho = STEP_LAWS[name]
+    replayed = []
+    monkeypatch.setattr(montecarlo, "iterate_once", lambda state, r: (
+        replayed.append(state.psi) or iterate_once(state, r)))
+    for m in (1.0, 2.5, 1e-200):
+        law = start_law(rho, m)
+        assert law["law"] == "gamma"
+
+        def start(s):
+            return law["shape"] * np.log1p(law["scale"] * s)
+
+        grid = solve(rho, m)
+        x = np.log(grid.s_points)
+        below = np.arange(-300, 0)
+        np.testing.assert_array_equal(
+            _node_psi(grid, below),
+            start(np.exp(x[0] + (x[-1] - x[0]) / (x.size - 1) * below)))
+        replayed.clear()
+        transform_steps(rho, grid, 20_000, 1)
+        np.testing.assert_array_equal(replayed[0], start(grid.s_points))
+
+
 def test_transform_steps_without_a_converged_grid():
     rho = STEP_LAWS["two-atom"]
     rough = solve(rho, 1.0, max_iter=3)
@@ -331,7 +358,7 @@ def test_mc_history_and_validation():
     states = [mc_fixed_point(DELTA_HALF, 1.0, n=500, seed=1, steps=k)
               for k in range(1, 5)]
     assert all(s.values.size == 500 for s in states)
-    h = response_from_rho(DELTA_HALF)
+    h = response_from_rho(DELTA_HALF, lam=1.0)
     for k in range(1, 4):
         step = shot_noise_resample(
             states[k - 1], h, derive_seed(1, "shot-noise-transform", k, 0),
@@ -358,7 +385,7 @@ def test_iterate_zero_is_the_start_law():
                           (no_variance, 2.0, np.full(500, 2.0))):
         one = mc_fixed_point(rho, m, n=500, seed=3, steps=1)
         step = shot_noise_resample(
-            EmpiricalSample(start, 3, "start"), response_from_rho(rho),
+            EmpiricalSample(start, 3, "start"), response_from_rho(rho, lam=1.0),
             derive_seed(3, "shot-noise-transform", 0, 0), n_out=500)
         np.testing.assert_array_equal(one.values,
                                       step.values * (m / step.mean()))

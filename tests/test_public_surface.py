@@ -5,8 +5,9 @@ referenced outside ``tests/``: in the package's own code (its definition
 and the ``__init__`` re-exports do not count), in ``README.md`` or in
 ``perfbench/``.  The benchmark names the functions it wraps as strings,
 so the words of string constants count as references too.  Every
-defaulted parameter of one must be passed by some call there, and the
-package root exports exactly the names of the README's library example.
+defaulted parameter of one must be passed by some call there and left out
+by another, and the package root exports exactly the names of the
+README's library example.
 """
 
 import ast
@@ -133,6 +134,23 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
     assert unpassed - KEEP_PARAMETERS == set(), (
         f"defaulted parameters no call outside tests/ passes: "
         f"{sorted(unpassed - KEEP_PARAMETERS)}")
+
+
+def test_every_defaulted_parameter_is_omitted_outside_the_tests():
+    """A default earns its place only where some call outside tests/
+    leaves the parameter out; one that every such call passes is a
+    default for the tests alone."""
+    calls = _calls_outside_tests()
+    always = set()
+    for qualname, param, position in _defaulted_parameters():
+        uses = calls.get(qualname.rsplit(".", 1)[-1], [])
+        if not any(param not in keywords and None not in keywords
+                   and (position is None or count <= position)
+                   for count, keywords in uses):
+            always.add(f"{qualname}.{param}")
+    assert always == set(), (
+        f"defaulted parameters every call outside tests/ passes: "
+        f"{sorted(always)}")
 
 
 def test_the_root_exports_the_library_example_names():

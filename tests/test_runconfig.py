@@ -150,7 +150,7 @@ def test_digest_and_run_dir():
     assert a.digest("solve", ("method=lst",)) != a.digest("solve")
     assert a.digest("solve", ("method=lst",)) != a.digest("solve", ("method=mc",))
     assert a.digest("solve", ("method=lst",)) == b.digest("solve", ("method=lst",))
-    rd = a.run_dir("solve")
+    rd = a.run_dir("solve", ())
     assert rd.name == f"solve-{a.digest('solve')[:12]}"
     assert rd.parent.name == "runs"
     rdf = a.run_dir("solve", ("method=mc",))
