@@ -188,9 +188,10 @@ def mc_fixed_point(
     iterate rescaled to mean m; every stream derives from ``seed``.  A
     Gamma start is n draws from the ``"mc-start"`` stream, also rescaled.
 
-    Raises ValueError when an iterate is all zero: it has no mean to
-    rescale, which happens when n is too small for the law's atom at zero
-    or for a Gamma start of tiny shape (E A near 1).
+    Raises ValueError before any draw where n * m overflows, since an
+    iterate's sum would, and when an iterate is all zero: it has no mean
+    to rescale, which happens when n is too small for the law's atom at
+    zero or for a Gamma start of tiny shape (E A near 1).
     """
     n, steps = int(n), int(steps)
     if n < 1:
@@ -199,8 +200,10 @@ def mc_fixed_point(
         raise ValueError("need at least one transform iteration")
     require_existence(rho)
     master = int(seed)
-    if not (m > 0.0 and math.isfinite(m)):
-        raise ValueError("mean target m must be a positive real")
+    if not (m > 0.0 and math.isfinite(n * m)):
+        raise ValueError(f"mean = {m:g} must be a positive real with n * mean "
+                         f"finite for n = {n} samples; use a smaller mean "
+                         f"or mc.n_samples")
     h = response_from_rho(rho, lam=1.0)
     chunk = chunk_slots(rho)
     law = start_law(rho, m)

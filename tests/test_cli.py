@@ -260,6 +260,26 @@ def test_solve_refuses_an_overflowing_mean(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+def test_solve_refuses_a_mean_whose_sample_sum_overflows(tmp_path, capsys):
+    """Where E eta^2 does not exist (E A = 1.55) no variance refusal
+    applies, so a mean whose n-sample sum n * mean overflows exits 1
+    before any draw with a message naming the mean and n, without a numpy
+    RuntimeWarning; at mean 1e303 the same solve completes."""
+    args = ["solve", "--method", "both", "--set", "rho.atoms=0.1:0.5,3:0.5",
+            "--set", "mc.n_samples=2000", "--set", "mc.master_seed=5",
+            *out(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([*args, "--set", "mean=1e306"]) == 1
+        assert ("mean = 1e+306 must be a positive real with n * mean finite "
+                "for n = 2000 samples") in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+        assert main([*args, "--set", "mean=1e303"]) == 0
+    sol = json.loads((only_run_dir(tmp_path, "solve")
+                      / "solution.json").read_text())
+    assert sol["mc"]["n"] == 2000 and sol["mc"]["mean"] == 1e303
+
+
 def test_moments_cli(tmp_path):
     assert main(["moments", "--set", "moments.order=6", *UNIFORM,
                  *out(tmp_path)]) == 0

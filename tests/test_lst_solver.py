@@ -357,11 +357,13 @@ def test_atom_at_zero_values():
 
 
 def test_atom_at_zero_scan_random_laws():
-    """Root stays in (0, 1/K) and solves its equation on random gated laws."""
+    """The root solves its equation to 1e-12 relative on random gated laws
+    with atoms on [1e-3, 3], so K reaches the hundreds where the atom is
+    far below 1e-15 (and 0 where e^-K underflows)."""
     rng = np.random.default_rng(3)
     found = 0
     while found < 50:
-        locs = np.sort(rng.uniform(0.05, 3.0, size=rng.integers(1, 5)))
+        locs = np.sort(rng.uniform(1e-3, 3.0, size=rng.integers(1, 5)))
         w = rng.dirichlet(np.ones(locs.size))
         try:
             rho = AtomicDistribution(locs, w)
@@ -373,8 +375,33 @@ def test_atom_at_zero_scan_random_laws():
         k = rho.mean_inverse()
         assert k > 1.0   # Jensen, given the gate
         c = atom_at_zero(rho)
-        assert 0.0 < c < 1.0 / k
-        assert abs(c - math.exp(-k * (1.0 - c))) < 1e-12
+        assert 0.0 <= c < 1.0 / k
+        assert abs(c - math.exp(-k * (1.0 - c))) <= 1e-12 * c
+
+
+def test_atom_at_zero_relative_residual():
+    """c = exp(-K (1 - c)) to 1e-14 relative where c is far below 1e-15:
+    point masses at 1/K and {1e-3, 1.5} (c = 5.1e-218)."""
+    laws = [point_mass(1.0 / k) for k in (2, 10, 30, 34, 50, 100, 500)]
+    for rho in [*laws, AtomicDistribution([1e-3, 1.5], [0.5, 0.5])]:
+        k = rho.mean_inverse()
+        c = atom_at_zero(rho)
+        assert c > 0.0
+        assert abs(c - math.exp(-k * (1.0 - c))) <= 1e-14 * c, k
+
+
+def test_atom_at_zero_near_k_one():
+    """Near K = 1 the root is nearly double, c = exp(-2 (K - 1) / K) to
+    second order in K - 1; a residual stop would leave an error of 2e-8."""
+    rho = point_mass(1.0 / (1.0 + 1e-8))
+    k = rho.mean_inverse()
+    assert abs(atom_at_zero(rho) - math.exp(-2.0 * (k - 1.0) / k)) <= 4e-16
+
+
+def test_atom_at_zero_underflows_to_zero():
+    """Where e^-K underflows (K >= 746) the atom is 0.0 in a double."""
+    assert point_mass(1e-3).mean_inverse() >= 746.0
+    assert atom_at_zero(point_mass(1e-3)) == 0.0
 
 
 def _cubic_bound(grid):
@@ -398,9 +425,9 @@ def test_extrapolation_above_grid():
 
 def test_eval_rules_and_small_s():
     grid = solve(DELTA_HALF, 1.0)
-    # on-grid read-out returns stored values
-    np.testing.assert_array_equal(grid.eval_psi(grid.s_points[5]),
-                                  grid.psi[5])
+    # a grid point is read by the cubic rule, within roundoff of its value
+    np.testing.assert_allclose(grid.eval_psi(grid.s_points[5]), grid.psi[5],
+                               rtol=1e-15)
     # below s_min the Gamma law log1p(v m s) / v applies, with
     # v = Var(eta) / m^2 = 1 for the point mass at 1/2 and m = 1
     assert grid.v == 1.0
