@@ -14,6 +14,13 @@ reports carry a note saying so.
 Distances and characteristic functions take atomic laws only, whose CFs
 are exact sums over the atoms; a sample raises TypeError.  The one sample
 statistic here, empirical_lst, feeds the Monte Carlo cross-oracle check.
+
+The one-step CF of the contraction check has two paths.  Where rho's atoms
+are equally spaced (quantized uniform01), its inner sum is a polynomial in
+e^(isd), evaluated by blocked Horner with O(sqrt J) vector products and
+2 sin pairs per point; it agrees with the direct form within 1e-12.  Every
+other law takes the direct cos/sin sum over all (s, a_j, x_k), whose bits
+equal the plain cos + i sin form.
 """
 
 from __future__ import annotations
@@ -28,7 +35,8 @@ from .distributions import AtomicDistribution, EmpiricalSample
 _BOUND_NOTE = "modulus bound lambda*int h^q derived via exponent comparison"
 
 #: Elements per block of the (s, x) products formed by empirical_lst and
-#: step_char_function.
+#: step_char_function's direct path, and of the (b x U) power array of its
+#: polynomial path.
 _CHUNK_ELEMENTS = 2 ** 18
 
 #: Multiple of the double-precision input-distance floor below which a
@@ -166,16 +174,89 @@ def random_mean_law(rng: np.random.Generator,
     return AtomicDistribution(law.locations * (mean / law.mean()), law.weights)
 
 
+def _cis_minus_one(x: np.ndarray) -> np.ndarray:
+    """e^(ix) - 1 as -2 sin^2(x/2) + i sin x, without cancellation near 0."""
+    half = np.sin(0.5 * x)
+    out = np.empty(x.shape, dtype=complex)
+    np.multiply(-2.0 * half, half, out=out.real)
+    np.sin(x, out=out.imag)
+    return out
+
+
+def _progression_spacing(a: np.ndarray) -> float | None:
+    """Spacing d when the J >= 3 atoms lie on a_1 + (j-1) d within
+    4 eps a_J each, else None."""
+    if a.size < 3:
+        return None
+    d = (a[-1] - a[0]) / (a.size - 1)
+    gap = np.abs(a[0] + np.arange(a.size) * d - a)
+    return d if gap.max() <= 4.0 * np.finfo(float).eps * a[-1] else None
+
+
+def _progression_step_exponent(a1: float, d: float, rates: np.ndarray,
+                               theta: AtomicDistribution,
+                               s: np.ndarray) -> np.ndarray:
+    """sum_j c_j (CF_theta(s a_j) - 1) for atoms a_j = a1 + (j-1) d.
+
+    Per point u = s x_k, with z = e^(iud), E(x) = e^(ix) - 1 and
+    B_k = sum_{j>k} c_j (0-based j),
+
+        sum_j c_j (e^(iua_j) - 1) = e^(iua1) E(ud) Q(z) + E(ua1) sum_j c_j,
+
+    where Q(z) = sum_k B_k z^k.  Unlike sum_j c_j e^(iua_j) - sum_j c_j,
+    the difference form does not cancel near u = 0.  Q is evaluated by
+    blocked Horner (Paterson and Stockmeyer 1973): an (M x b) matrix of
+    the B_k times the powers z^0..z^(b-1), then Horner in z^b over the
+    M rows.
+    """
+    tail = np.cumsum(rates[::-1])[::-1]
+    total, coeffs = tail[0], tail[1:]
+    b = math.isqrt(coeffs.size)
+    blocks = np.zeros((-(-coeffs.size // b), b))
+    blocks.flat[:coeffs.size] = coeffs
+    t = theta.locations
+    rows = max(1, _CHUNK_ELEMENTS // (b * t.size))
+    out = np.empty(s.size, dtype=complex)
+    for lo in range(0, s.size, rows):
+        u = np.multiply.outer(s[lo:lo + rows], t).ravel()
+        step = _cis_minus_one(u * d)
+        z = step + 1.0
+        powers = np.empty((b, u.size), dtype=complex)
+        powers[0] = 1.0
+        np.cumprod(np.broadcast_to(z, (b - 1, u.size)), axis=0,
+                   out=powers[1:])
+        z_b = powers[-1] * z
+        # a real row times interleaved (re, im) powers gives both parts
+        interleaved = powers.view(float)
+        acc = (blocks[-1] @ interleaved).view(complex)
+        for row in blocks[-2::-1]:
+            acc *= z_b
+            acc += (row @ interleaved).view(complex)
+        lead = _cis_minus_one(u * a1)
+        acc *= step
+        acc *= lead + 1.0
+        acc += lead * total
+        out[lo:lo + rows] = acc.reshape(-1, t.size) @ theta.weights
+    return out
+
+
 def step_char_function(rho: AtomicDistribution, theta: AtomicDistribution,
                        s_grid) -> np.ndarray:
     """Exact CF of one transform step (lambda = 1) applied to atomic theta.
 
     The dual kernel of rho has steps of value a_j and length w_j / a_j, so
     the compound-Poisson step has CF exp(sum_j (w_j/a_j)(CF_theta(s a_j) - 1)),
-    the same map the LST solver iterates on the Laplace side.
+    the same map the LST solver iterates on the Laplace side.  Where rho's
+    atoms are equally spaced (quantized uniform01) the sum is a polynomial
+    in e^(isd), evaluated by _progression_step_exponent; every other law
+    takes the direct cos/sin sum over all (s, a_j, x_k).
     """
     s = np.asarray(s_grid, dtype=float)
     rates = rho.weights / rho.locations
+    d = _progression_spacing(rho.locations)
+    if d is not None:
+        return np.exp(_progression_step_exponent(
+            rho.locations[0], d, rates, theta, s))
     rows = max(1, _CHUNK_ELEMENTS // (rho.locations.size * theta.locations.size))
     out = np.empty(s.size, dtype=complex)
     for lo in range(0, s.size, rows):

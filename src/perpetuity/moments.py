@@ -107,8 +107,11 @@ def gamma_variance(rho: AtomicDistribution, m: float) -> float:
 def gamma_psi(s, m: float, v: float):
     """log1p(v m s) / v, the Laplace exponent of the Gamma law of mean m and
     variance v m^2 (shape 1/v, scale v m), or m s where v = 0.  Zero drift
-    gives the solution cumulants k_n = int x^n nu(dx), k2^2 <= m k3, so its
-    third-order error |k3 - 2 k2^2 / m| s^3 / 6 is at most k3 s^3 / 6."""
+    gives the solution cumulants k_n = int x^n nu(dx).  Let kappa be the
+    root of E A^kappa = 1.  Where kappa > 2, k3 is finite and k2^2 <= m k3,
+    so the third-order error |k3 - 2 k2^2 / m| s^3 / 6 is at most
+    k3 s^3 / 6.  Where 1 < kappa <= 2, k3 is infinite and the error past
+    the matched second order is of order s^(1 + kappa) instead."""
     return (1.0 / v) * np.log1p(v * m * s) if v > 0.0 else m * s
 
 

@@ -619,10 +619,10 @@ def test_csv_artifact_digests_are_pinned(tmp_path, argv, digests):
 # The two-atom run's levy sample of 1e6 values is mostly exact ties.
 CHECK_RUNS = [
     (["verify", *UNIFORM, *FAST_MC, *FAST_VERIFY], 0, "verify.json",
-     "f829c31ad8028c71e8aea75485480d036d78f4b92de29f5dc222c7be733fcca0"),
+     "bf62a89b4b5682bc181644a1cc08759677d69fde65420e2288245b0f44d8ab03"),
     (["verify", "--negative-control", *UNIFORM, *FAST_MC, *FAST_VERIFY], 4,
      "verify.json",
-     "9038feb1140b12542e73cd994c1c7edee5c9597ae95be96fa1b04a62571d629b"),
+     "18099cc396d65715781b1b77693a4e03862a099201aecc900e250731020011b4"),
     (["verify", "--set", "rho.atoms=0.3:0.5,1.2:0.5", *FAST_MC,
       "--set", "verify.pairs=2", "--set", "verify.quad_points=128",
       "--set", "verify.steutel_tol=0.05"], 0, "verify.json",

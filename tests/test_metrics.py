@@ -30,6 +30,7 @@ from perpetuity.metrics import (
     random_mean_law,
     step_char_function,
 )
+from perpetuity.montecarlo import derive_seed
 
 DELTA_HALF = AtomicDistribution([0.5], [1.0])
 
@@ -80,9 +81,10 @@ def _cis_step_char_function(rho, theta, s):
 
 
 def test_char_functions_equal_the_cos_plus_i_sin_sum_bit_for_bit():
-    """The CF kernels write cos and sin into one complex buffer; their
-    bits equal the plain cos + 1j*sin sum, zeros' signs included, on
-    random laws of 1-4 atoms and on a 300-atom law."""
+    """The direct CF kernels write cos and sin into one complex buffer;
+    their bits equal the plain cos + 1j*sin sum, zeros' signs included, on
+    random laws of 1-4 atoms and on a 300-atom law.  The equally spaced
+    uniform01/16 kernel takes the polynomial path and agrees within 1e-12."""
     rng = np.random.default_rng(29)
     s = np.concatenate([[-0.0, 0.0, -3.0], np.geomspace(1e-3, 1e3, 301)])
     wide = AtomicDistribution(rng.uniform(0.01, 5.0, 300),
@@ -91,12 +93,39 @@ def test_char_functions_equal_the_cos_plus_i_sin_sum_bit_for_bit():
     for theta in [random_mean_law(rng, 1.0) for _ in range(12)] + [wide]:
         for got, want in [
             (char_function(theta, s), _cis_char_function(theta, s)),
-            (step_char_function(rho, theta, s),
-             _cis_step_char_function(rho, theta, s)),
             (step_char_function(wide, theta, s[3::12]),
              _cis_step_char_function(wide, theta, s[3::12])),
         ]:
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.max(np.abs(step_char_function(rho, theta, s)
+                             - _cis_step_char_function(rho, theta, s))) < 1e-12
+
+
+def test_equally_spaced_step_char_function_matches_the_direct_sum():
+    """Equally spaced atoms take the blocked-Horner polynomial path: within
+    1e-12 of the direct sum over s in [1e-4, 1e4] and at s in {-3, -0, 0}
+    (worst seen 5.6e-13).  Moving one atom by 1e-9 falls back to the
+    direct form, bit for bit."""
+    rng = np.random.default_rng(31)
+    s = np.concatenate([[-3.0, -0.0, 0.0], np.geomspace(1e-4, 1e4, 801)])
+    steps = 0.2 + 0.3 * np.arange(6)
+    laws = [quantize_family("uniform01", n) for n in (3, 16, 512, 2048)]
+    laws.append(AtomicDistribution(steps, np.full(6, 1 / 6)))
+    for rho in laws:
+        assert metrics._progression_spacing(rho.locations) is not None
+        for theta in [random_mean_law(rng, 1.0) for _ in range(3)]:
+            got = step_char_function(rho, theta, s)
+            assert np.max(np.abs(got - _cis_step_char_function(
+                rho, theta, s))) < 1e-12
+            assert got[1] == got[2] == 1.0
+    moved = steps.copy()
+    moved[3] += 1e-9
+    rho = AtomicDistribution(moved, np.full(6, 1 / 6))
+    assert metrics._progression_spacing(rho.locations) is None
+    theta = random_mean_law(rng, 1.0)
+    assert np.array_equal(
+        step_char_function(rho, theta, s).view(np.uint64),
+        _cis_step_char_function(rho, theta, s).view(np.uint64))
 
 
 def test_metric_axioms_random_triples():
@@ -213,6 +242,24 @@ def test_degenerate_pair_one_ulp():
                             point_mass(np.nextafter(1.0, 2.0)))
     assert 0.0 < rep.r_before < 1e-12
     assert rep.degenerate and rep.ratio is None
+
+
+def test_degenerate_floor_holds_on_the_polynomial_path():
+    """uniform01/512 takes the polynomial path.  Identical inputs still give
+    r_after == 0, and the 1-ulp pair at draw 11 of the seed-2024 README
+    sweep stays degenerate with r_after below the 4.4e-12 floor."""
+    rho = quantize_family("uniform01", 512)
+    theta = AtomicDistribution([0.5, 1.5], [0.5, 0.5])
+    assert contraction_ratio(rho, theta, theta).r_after == 0.0
+    rng = np.random.default_rng(derive_seed(2024, "verify-pairs"))
+    for _ in range(11):
+        t1, t2 = random_mean_law(rng, 1.0), random_mean_law(rng, 1.0)
+    assert np.allclose(t1.locations, t2.locations, rtol=1e-15, atol=0.0)
+    rep = contraction_ratio(rho, t1, t2)
+    assert rep.degenerate and rep.ratio is None
+    floor = 1e3 * np.finfo(float).eps * 1e-2 ** -0.5 / 0.5
+    assert floor == pytest.approx(4.44e-12, rel=1e-3)
+    assert 0.0 < rep.r_after < floor
 
 
 def test_close_pair_is_not_degenerate():
