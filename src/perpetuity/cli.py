@@ -6,7 +6,8 @@ Exit codes (total mapping):
   2  existence gate failed (E log A >= 0)
   3  solver hit max_iter without reaching tol
   4  verification matrix has failures (the designed outcome of
-     --negative-control)
+     --negative-control); for solve --method both, the cross-check of
+     the two routes failed
 
 Artifacts land in <output.dir>/<command>-<config-hash>/, timestamp-free,
 with a manifest.json recording sha256 digests; reruns byte-reproduce.
@@ -157,6 +158,8 @@ def cmd_solve(cfg: RunConfig, args) -> int:
         sample, report["mc"] = _sample(cfg, rho, grid)
         if grid is not None:
             report["cross_method"] = cross_oracle_distance(sample, grid)
+            if code == EXIT_OK and not report["cross_method"].passed:
+                code = EXIT_VERIFY
 
     files = {"solution.json": json_text(report)}
     if grid is not None:

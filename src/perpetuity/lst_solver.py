@@ -5,9 +5,14 @@ the solution law.  For an atomic multiplier law the fixed-point map is
 
     (T psi)(s) = sum_j (w_j / a_j) * (1 - exp(-psi(s * a_j))),
 
-iterated from psi_0(s) = m*s (the point mass at m).  Starting there makes
-phi_n nondecreasing, hence psi_n nonincreasing and convergent; psi stays
-nonnegative, nondecreasing, and concave in s at every step.
+and for a law tagged uniform01, the law its atoms quantize, the family's
+
+    (T psi)(s) = int_0^1 (1 - exp(-psi(a s))) da / a,    fixed point Exp(m);
+
+either is iterated from psi_0(s) = m*s (the point mass at m).  Starting
+there makes phi_n nondecreasing, hence psi_n nonincreasing and
+convergent; psi stays nonnegative, nondecreasing, and concave in s at
+every step.
 
 One lattice: psi is defined on every node x_k = log s_min + k h of the log
 lattice through the G grid points on [s_min, s_max], which ``solve`` takes
@@ -37,7 +42,9 @@ fixed, so their sum is folded once per solve.  Offsets above G - 1 read
 only the continuation, psi[-1] + sigma (i + d - G + 1) at node i + d, so
 their sum splits into one G-vector and one sum over those offsets per
 iteration.  An iteration then costs O(G * kernel length) however far
-from 1 the atoms lie.
+from 1 the atoms lie.  The family map integrates the cubic read of f
+node to node instead: one prefix sum per iteration, O(G), whose error
+against Exp(m) is O(h^4) in the lattice step h.
 """
 
 from __future__ import annotations
@@ -100,6 +107,7 @@ class _LatticeOperator:
     kernel offsets below -(G - 1) and ``up`` the sum over those above G - 1.
     """
 
+    name = "atoms"
     rho: AtomicDistribution
     s_points: np.ndarray
     m: float
@@ -127,10 +135,40 @@ class _LatticeOperator:
         return out
 
 
-def _build_operator(grid, rho) -> _LatticeOperator:
+@dataclass(frozen=True)
+class _FamilyOperator:
+    """The uniform01 map T psi(s) = int_0^s (1 - e^-psi) dt/t: the cubic
+    read of f = 1 - e^-psi integrated node to node in log s, a trapezoid
+    rule whose node i + d weighs h for d <= -2 and 25h/24, h/2, -h/24 for
+    d = -1, 0, +1, so one prefix sum of f; ``below`` sums nodes k <= -2."""
+
+    name = "uniform01 family"
+    rho: AtomicDistribution
+    s_points: np.ndarray
+    m: float
+    v: float
+    below: float
+
+    def apply(self, grid) -> np.ndarray:
+        g = grid.psi.size
+        f = -np.expm1(-_node_psi(grid, np.arange(-1, g + 1)))
+        return _axis(grid.s_points)[1] * (
+            self.below + np.cumsum(f[:-2]) + (f[:-2] - f[2:]) / 24.0
+            + f[1:-1] / 2.0)
+
+
+def _build_operator(grid, rho):
     s = grid.s_points
     g = s.size
     _, h = _axis(s)
+    if rho.family == FAMILY_UNIFORM01:
+        # nodes -N..-2 over 40 in log s, then f = m s (to e^-40 m s_min
+        # relative) below: f_-N (e^-h + e^-2h + ...)
+        nodes = np.arange(-math.ceil(40.0 / h), -1)
+        f = -np.expm1(-_node_psi(grid, nodes))
+        return _FamilyOperator(
+            rho=rho, s_points=s, m=grid.mean_target, v=grid.v,
+            below=float(f.sum() + f[0] / math.expm1(h)))
     q = np.log(rho.locations) / h
     o = np.floor(q)
     d = (o[:, None] + np.arange(-1.0, 3.0)).astype(np.intp)
@@ -166,7 +204,7 @@ class LstGrid:
     atom_at_zero: float | None = None
     rate_estimate: float | None = None
     v: float = 0.0            # Var(eta) / m^2 of the law below s_min
-    _operator: _LatticeOperator | None = field(
+    _operator: _LatticeOperator | _FamilyOperator | None = field(
         default=None, repr=False, compare=False)
 
     def eval_psi(self, s) -> np.ndarray:
@@ -201,14 +239,18 @@ class LstGrid:
         linear interpolation in log s; the grid is read by the cubic rule
         in f, so this is a smoothness scale, not that rule's interpolation
         error) with the final update residual, scaled by phi since
-        d(e^-psi) = -phi d(psi).  It leaves out the quantization of rho
-        and the third-order error of the Gamma law below s_min (none for
-        uniform01; O(s_min^2) where the first-order law is used), so it
-        can undersize the error against a continuous law's closed form.
+        d(e^-psi) = -phi d(psi).  The family map sums errors over (0, s),
+        so there a node takes the largest second difference at or below
+        it, and the bar covers the error against Exp(m) (177 times over at
+        the default grid).  It leaves out the third-order error of the
+        Gamma law below s_min (O(s_min^2) where the first-order law is
+        used; none for uniform01).
         """
         s = np.asarray(s, dtype=float)
         x = np.log(self.s_points)
         d2 = np.abs(np.diff(self.psi, 2))
+        if isinstance(self._operator, _FamilyOperator):
+            d2 = np.maximum.accumulate(d2)
         interp = np.interp(np.log(np.clip(s, self.s_points[0],
                                           self.s_points[-1])),
                            x[1:-1], d2) / 8.0
@@ -226,6 +268,7 @@ class LstGrid:
     def report_obj(self) -> dict:
         return {
             "m": self.mean_target,
+            "map": None if self._operator is None else self._operator.name,
             "residual": self.residual,
             "iterations": self.iteration_count,
             "atom_at_zero": self.atom_at_zero,
@@ -286,7 +329,8 @@ def atom_at_zero(rho: AtomicDistribution) -> float:
     the positive root of L = K (1 - exp(-L)), the fixed-point map at
     s = inf, with K = E[1/A] (so c = -W0(-K e^-K) / K).
 
-    A uniform01-tagged law returns the family-level answer 0 (K = inf).
+    A uniform01-tagged law returns the family-level answer 0 (K = inf),
+    the atom of the continuous law the LST solves for it.
     Newton starts at L = K, where the concave right side lies below L, so
     its iterates fall monotonically to the root; it stops when a step no
     longer lowers L, that is where L - K (1 - e^-L) is no longer positive.

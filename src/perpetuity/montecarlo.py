@@ -35,7 +35,9 @@ phi(s)^2) / n) being the standard error of the n-sample empirical
 transform.  The rule is per node because se shrinks with phi: one sup
 against the largest se would stop too early where phi is small.  At
 n = 2e5 it gives T = 1, 9 and 14 for uniform01/512, the point mass at 1/2
-and {0.3, 1.2}.
+and {0.3, 1.2}.  For uniform01 the replay iterates the LST's family map,
+whose fixed point the Gamma start is up to O(h^4), so T = 1; the MC
+samples the atoms, and their quantization is left to the cross-check.
 
 Determinism contract: every random stream derives from the master seed,
 a purpose label and, for the transform steps, (iteration, chunk) indices,

@@ -106,6 +106,35 @@ def test_solve_lst_and_nonconvergence(tmp_path):
     assert flagged["lst"]["converged"] is False
 
 
+def test_solve_records_the_map_the_lst_solved(tmp_path):
+    """A uniform01-tagged law solves the continuous family's map, and the
+    same 512 atoms without the tag solve as atoms."""
+    atoms = ",".join(f"{(2 * k - 1) / 1024!r}:{1 / 512!r}"
+                     for k in range(1, 513))
+    for name, law in (("family", UNIFORM), ("atoms",
+                                             ["--set", f"rho.atoms={atoms}"])):
+        assert main(["solve", *law, "--set",
+                     f"output.dir={tmp_path / name}"]) == 0
+        rd = next((tmp_path / name).iterdir())
+        report = json.loads((rd / "solution.json").read_text())
+        assert report["lst"]["map"] == {"family": "uniform01 family",
+                                        "atoms": "atoms"}[name]
+
+
+def test_solve_both_exits_4_when_the_cross_check_fails(tmp_path):
+    """uniform01 with 8 atoms: the LST solves the continuous law exactly,
+    while the MC samples the 8 atoms, whose law misses Exp(1) by 1.5e-2,
+    so the cross-check fails (max_ratio 7.7 at these settings); the run is
+    written all the same."""
+    argv = ["solve", "--method", "both", "--set", "rho.family=uniform01",
+            "--set", "rho.n=8", *FAST_MC, *out(tmp_path)]
+    assert main(argv) == 4
+    report = json.loads((only_run_dir(tmp_path, "solve")
+                         / "solution.json").read_text())
+    assert report["cross_method"]["passed"] is False
+    assert report["cross_method"]["max_ratio"] > 5.0
+
+
 def test_solve_mc_and_both(tmp_path):
     assert main(["solve", "--method", "mc", *HALF, *FAST_MC,
                  *out(tmp_path)]) == 0
@@ -264,7 +293,9 @@ def test_solve_refuses_a_mean_whose_sample_sum_overflows(tmp_path, capsys):
     """Where E eta^2 does not exist (E A = 1.55) no variance refusal
     applies, so a mean whose n-sample sum n * mean overflows exits 1
     before any draw with a message naming the mean and n, without a numpy
-    RuntimeWarning; at mean 1e303 the same solve completes."""
+    RuntimeWarning; at mean 1e303 the same solve completes, and exits 4
+    since the MC misses this law (cross-check max_ratio 1.14, as at
+    mean 1)."""
     args = ["solve", "--method", "both", "--set", "rho.atoms=0.1:0.5,3:0.5",
             "--set", "mc.n_samples=2000", "--set", "mc.master_seed=5",
             *out(tmp_path)]
@@ -274,10 +305,11 @@ def test_solve_refuses_a_mean_whose_sample_sum_overflows(tmp_path, capsys):
         assert ("mean = 1e+306 must be a positive real with n * mean finite "
                 "for n = 2000 samples") in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
-        assert main([*args, "--set", "mean=1e303"]) == 0
+        assert main([*args, "--set", "mean=1e303"]) == 4
     sol = json.loads((only_run_dir(tmp_path, "solve")
                       / "solution.json").read_text())
     assert sol["mc"]["n"] == 2000 and sol["mc"]["mean"] == 1e303
+    assert sol["cross_method"]["passed"] is False
 
 
 def test_moments_cli(tmp_path):
@@ -568,7 +600,7 @@ def test_runtime_imports_neither_scipy_nor_numpy_ma(tmp_path):
 GOLDEN_RUNS = [
     (["solve", "--method", "both", *UNIFORM, *FAST_MC], {
         "grid.csv":
-            "6662cf60ea16de24e97c41f15c0f1e8e247c56ae1c364ba014a7d39ef0ad2f90",
+            "bd78f21f7060a63188e80b778e67880b758910656dfd39299d99fe55a702f3eb",
         "sample.csv":
             "93119f7f963f8c2492be749c6f56d58ad4e7aefd32bd70faac2d9320334f921c",
     }),
@@ -619,10 +651,10 @@ def test_csv_artifact_digests_are_pinned(tmp_path, argv, digests):
 # The two-atom run's levy sample of 1e6 values is mostly exact ties.
 CHECK_RUNS = [
     (["verify", *UNIFORM, *FAST_MC, *FAST_VERIFY], 0, "verify.json",
-     "bf62a89b4b5682bc181644a1cc08759677d69fde65420e2288245b0f44d8ab03"),
+     "d23621b7aa0e91d2f3234ef89f7d60fc805d573f82e3421f4cb06f0042d630a9"),
     (["verify", "--negative-control", *UNIFORM, *FAST_MC, *FAST_VERIFY], 4,
      "verify.json",
-     "18099cc396d65715781b1b77693a4e03862a099201aecc900e250731020011b4"),
+     "fe60a4a87a2e90444d74545cc47f43f7c3ff41f4d94550d71a5853c3dcfdaefc"),
     (["verify", "--set", "rho.atoms=0.3:0.5,1.2:0.5", *FAST_MC,
       "--set", "verify.pairs=2", "--set", "verify.quad_points=128",
       "--set", "verify.steutel_tol=0.05"], 0, "verify.json",
