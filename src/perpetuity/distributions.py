@@ -60,11 +60,11 @@ def _cell_masks() -> np.ndarray:
 _CELL_MASKS = _cell_masks()
 
 #: Draws settled together by _categorical, and the log2 of its largest
-#: guide table (2 MB).  Both keep its temporaries small for its callers,
-#: the size-bias resample and ``AtomicDistribution.sample``: with 16k-65k
-#: draws per block, or an 8 MB table, the process's peak RSS rose by
-#: 3-12 MB on the benchmark's MC workloads; with 4096 it matched
-#: rng.choice's.
+#: guide table (2 MB).  Each block draws its own uniforms and gathers its
+#: values straight into the output, so a draw holds no array of its
+#: length besides the one it returns.  With 16k-65k draws per block, or
+#: an 8 MB table, the process's peak RSS rose by 3-12 MB on the
+#: benchmark's MC workloads; with 4096 it matched rng.choice's.
 _DRAW_BLOCK = 4096
 _GUIDE_MAX_BITS = 18
 
@@ -161,13 +161,16 @@ def _csv_cells(col: np.ndarray, sep: int) -> tuple[np.ndarray, np.ndarray]:
     return text, keep
 
 
-def _categorical(rng, weights, size: int) -> np.ndarray:
-    """Draw ``size`` indices with probability proportional to ``weights``.
+def _categorical(rng, weights, values, size: int) -> np.ndarray:
+    """``size`` draws of ``values[j]`` with probability proportional to
+    ``weights[j]``: the same uniforms and draws as ``values[rng.choice(
+    len(weights), size, p=p)]`` with ``p = weights / weights.sum()``.
 
-    Same uniforms, same indices as ``rng.choice(len(weights), size, p=p)``
-    with ``p = weights / weights.sum()``: the CDF is built as numpy builds
-    it, ``u = rng.random(size)``, and each index is the first CDF entry
-    above u (``searchsorted(side="right")``).  A guide table (Chen & Asau
+    The CDF is built as numpy builds it, and each draw takes the first
+    index whose CDF entry is above its uniform u (``searchsorted(side=
+    "right")``).  Each block of _DRAW_BLOCK draws takes its uniforms from
+    ``rng.random``, which continues the stream as one long call would,
+    and gathers its values into the output.  A guide table (Chen & Asau
     1974) over B = 2**k equal buckets holds, for each bucket b, the first
     index whose CDF exceeds b / B; scaling by B rounds nothing, so
     ``floor(u * B)`` is u's bucket exactly.  B >= 4 * len(weights) up to
@@ -181,18 +184,17 @@ def _categorical(rng, weights, size: int) -> np.ndarray:
     # guide[b] = #{j : cdf[j] <= b / B} = #{j : ceil(cdf[j] * B) <= b}
     guide = np.bincount(np.ceil(cdf * buckets).astype(np.intp),
                         minlength=buckets + 1).cumsum()[:buckets]
-    u = rng.random(int(size))
-    idx = np.empty(u.size, dtype=np.intp)
-    for lo in range(0, u.size, _DRAW_BLOCK):
-        ub = u[lo:lo + _DRAW_BLOCK]
+    out = np.empty(int(size), dtype=values.dtype)
+    for lo in range(0, out.size, _DRAW_BLOCK):
+        ub = rng.random(min(_DRAW_BLOCK, out.size - lo))
         ib = guide[(ub * buckets).astype(np.intp)]
         active = np.flatnonzero(cdf[ib] <= ub)
         for _ in range(2):
             ib[active] += 1
             active = active[cdf[ib[active]] <= ub[active]]
         ib[active] = cdf.searchsorted(ub[active], side="right")
-        idx[lo:lo + _DRAW_BLOCK] = ib
-    return idx
+        values.take(ib, out=out[lo:lo + ub.size])
+    return out
 
 
 def uniform01_mellin(p: float) -> float:
@@ -291,7 +293,7 @@ class AtomicDistribution:
         goes to the upper atom.
         """
         rng = np.random.default_rng(seed)
-        return self.locations[_categorical(rng, self.weights, int(n))]
+        return _categorical(rng, self.weights, self.locations, int(n))
 
     # ------------------------------------------------------------------
     # identity and serialization
@@ -396,10 +398,9 @@ class EmpiricalSample:
         if total <= 0.0:
             raise ValueError("size-bias resample undefined for an all-zero sample")
         rng = np.random.default_rng(seed)
-        idx = _categorical(rng, self.values, n_out)
         return EmpiricalSample(
-            self.values[idx], seed, f"size-bias({self.provenance})"
-        )
+            _categorical(rng, self.values, self.values, n_out), seed,
+            f"size-bias({self.provenance})")
 
     def to_csv(self, stem: str) -> dict:
         """Single-column {stem}.csv plus sidecar {stem}.json

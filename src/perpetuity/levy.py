@@ -70,8 +70,9 @@ def levy_from_solution(rho: AtomicDistribution, mu_sample: EmpiricalSample,
     if mean <= 0.0:
         raise ValueError("mu sample has nonpositive mean; nothing to size-bias")
     sb = mu_sample.size_bias_resample(n_out, derive_seed(seed, "levy-sb"))
-    a = rho.sample(n_out, derive_seed(seed, "levy-a"))
-    x = np.sort(a * sb.values)
+    x = rho.sample(n_out, derive_seed(seed, "levy-a"))
+    x *= sb.values
+    x.sort()
     if rho.family == FAMILY_UNIFORM01:
         mass = math.inf
     else:

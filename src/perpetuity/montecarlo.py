@@ -105,8 +105,10 @@ def shot_noise_resample(
         per_step = rng.poisson(n_out * h.lam * h.durations)
         total = int(per_step.sum())
         if total > 0:
-            xi = theta.values[rng.integers(0, theta.values.size, size=total)]
-            xi *= np.repeat(h.values, per_step)
+            xi = theta.values.take(
+                rng.integers(0, theta.values.size, size=total))
+            xi *= (h.values[0] if h.n_steps == 1
+                   else np.repeat(h.values, per_step))
             out = np.bincount(rng.integers(0, n_out, size=total),
                               weights=xi, minlength=n_out)
     return EmpiricalSample(out, seed, f"shot-noise({theta.provenance})")
@@ -251,16 +253,28 @@ def _ks_statistic(x: np.ndarray, y: np.ndarray) -> float:
     """Two-sample KS statistic sup |F_x - F_y|, with the right-continuous
     empirical CDFs of both samples read at every pooled value.
 
-    A stable argsort of the two sorted runs merges them in one linear
-    pass; both counts are read at the last element of each tie group."""
-    pooled = np.concatenate([np.sort(x), np.sort(y)])
-    order = pooled.argsort(kind="stable")
-    merged = pooled[order]
-    ends = np.flatnonzero(np.append(merged[1:] != merged[:-1], True))
-    count_x = np.cumsum(order < x.size)[ends]
+    One pooled copy holds both samples, each half sorted in place.  A
+    stable argsort of the two sorted runs merges them in one linear pass
+    and marks which sample each merged value came from; a stable sort
+    then puts the merged values into the same buffer.  Both counts are
+    read at the last element of each tie group.  Each array is dropped
+    once read and the counts are formed in place, so no more than three
+    pooled-length arrays of 8-byte entries live at once."""
+    pooled = np.concatenate([x, y])
+    pooled[:x.size].sort()
+    pooled[x.size:].sort()
+    is_x = pooled.argsort(kind="stable") < x.size
+    pooled.sort(kind="stable")
+    ends = np.flatnonzero(np.append(pooled[1:] != pooled[:-1], True))
+    del pooled
+    count_x = np.cumsum(is_x)[ends]
+    del is_x
     cdf_x = count_x / x.size
-    cdf_y = (ends + 1 - count_x) / y.size
-    return float(np.max(np.abs(cdf_x - cdf_y)))
+    ends += 1
+    ends -= count_x
+    del count_x
+    cdf_x -= np.divide(ends, y.size)
+    return float(np.max(np.abs(cdf_x, out=cdf_x)))
 
 
 def _kolmogorov_sf(z: float) -> float:
@@ -299,10 +313,11 @@ def perpetuity_residual(
     if n < _MIN_VERDICT_SAMPLES:
         raise ValueError(f"need at least {_MIN_VERDICT_SAMPLES} pairs for a verdict")
     left = mu_sample.size_bias_resample(n, derive_seed(seed, "perp-left"))
-    sb = mu_sample.size_bias_resample(n, derive_seed(seed, "perp-right-sb")).values
-    eta = mu_sample.resample(n, derive_seed(seed, "perp-right-eta")).values
-    a = rho.sample(n, derive_seed(seed, "perp-right-a"))
-    d = _ks_statistic(left.values, a * sb + eta)
+    right = rho.sample(n, derive_seed(seed, "perp-right-a"))
+    right *= mu_sample.size_bias_resample(
+        n, derive_seed(seed, "perp-right-sb")).values
+    right += mu_sample.resample(n, derive_seed(seed, "perp-right-eta")).values
+    d = _ks_statistic(left.values, right)
     return PerpetuityReport(
         ks_stat=d,
         p_value=_kolmogorov_sf(math.sqrt(n / 2.0) * d),

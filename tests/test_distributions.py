@@ -232,21 +232,25 @@ def test_categorical_matches_rng_choice(name):
     w = _categorical_weights(name)
     for seed in (0, 1):
         ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _categorical(ours, w, 1_000_000)
+        got = _categorical(ours, w, np.arange(w.size, dtype=float),
+                           1_000_000)
         want = ref.choice(w.size, 1_000_000, p=w / w.sum())
         np.testing.assert_array_equal(got, want)
         assert ours.integers(0, 2 ** 62) == ref.integers(0, 2 ** 62)
 
 
 class _FixedUniforms:
-    """Stands in for a Generator whose next uniforms are given."""
+    """Stands in for a Generator whose next uniforms are given; each call
+    serves the next ``size`` of them."""
 
     def __init__(self, u):
         self.u = np.array(u)
+        self.pos = 0
 
     def random(self, size):
-        assert size == self.u.size
-        return self.u
+        assert self.pos + size <= self.u.size
+        self.pos += size
+        return self.u[self.pos - size:self.pos]
 
 
 def test_categorical_ties_and_zero_weights():
@@ -254,7 +258,8 @@ def test_categorical_ties_and_zero_weights():
     searchsorted(side="right"); zero weights are never drawn."""
     w = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 2.0])      # cdf 0 0 .25 .5 .5 1
     u = [0.0, 0.25, 0.5, 0.125, 0.75, 1.0 - 2.0 ** -53, 3 / 32]
-    got = _categorical(_FixedUniforms(u), w, len(u))
+    got = _categorical(_FixedUniforms(u), w, np.arange(w.size, dtype=float),
+                       len(u))
     np.testing.assert_array_equal(got, [2, 3, 5, 2, 5, 5, 2])
     # ties off the bucket edges, met by the first check, the vectorized
     # steps and the binary search
@@ -262,7 +267,8 @@ def test_categorical_ties_and_zero_weights():
     cdf = np.cumsum(w / w.sum())
     cdf /= cdf[-1]
     u = cdf[[0, 1, 2, 500, 1000]]
-    got = _categorical(_FixedUniforms(u), w, len(u))
+    got = _categorical(_FixedUniforms(u), w, np.arange(w.size, dtype=float),
+                       len(u))
     np.testing.assert_array_equal(got, [1, 2, 3, 501, 1001])
 
 
@@ -273,7 +279,8 @@ def test_categorical_cluster_reaches_the_binary_search():
     cdf = np.cumsum(w / w.sum())
     cdf /= cdf[-1]
     assert np.unique(np.floor(cdf[:1001] * 4096)).size == 1
-    drawn = _categorical(np.random.default_rng(0), w, 1_000_000)
+    drawn = _categorical(np.random.default_rng(0), w,
+                         np.arange(w.size, dtype=float), 1_000_000)
     assert np.count_nonzero((drawn >= 3) & (drawn <= 1000)) > 100
 
 

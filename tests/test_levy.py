@@ -8,6 +8,7 @@ convolution of Exp(1) with it must reproduce the Gamma(2,1) CDF.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,22 @@ ATOM_DELTA_HALF = 0.20318786997997992
 def exp_sample(n, seed, tag="exp"):
     return EmpiricalSample(np.random.default_rng(seed).exponential(size=n),
                            seed, tag)
+
+
+def test_levy_memory_is_the_sample_and_one_resample():
+    """1e6 draws: x (8 MB), formed in A's array, and the size-biased
+    resample (8 MB) are the only arrays of length n_out; with the index
+    arrays and the product beside them it took 30.5 MB."""
+    rho = quantize_family("uniform01", 512)
+    mu = exp_sample(200_000, 37)
+    tracemalloc.start()
+    try:
+        levy = levy_from_solution(rho, mu, seed=9, n_out=1_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert levy.x.size == 1_000_000
+    assert peak < 20 * 2 ** 20
 
 
 def test_tilted_levy_uniform01_is_exponential():

@@ -7,6 +7,7 @@ exponential solution of the uniform01 family.
 
 import hashlib
 import math
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -476,6 +477,38 @@ def test_kolmogorov_p_value_against_scipy():
     for z in (0.0, 1e-9, 0.05, 0.1):
         assert montecarlo._kolmogorov_sf(z) == 1.0
     assert montecarlo._kolmogorov_sf(40.0) == 0.0
+
+
+def traced_peak(call):
+    """(call(), the peak of memory traced while it runs)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ks_statistic_memory_is_one_pooled_copy_and_its_indices():
+    """Two 2e5 samples: the pooled copy is 3.2 MB and its argsort 3.2 MB;
+    sorted copies of both samples, the merged array and the count arrays
+    all alive at once took 27.5 MB."""
+    x, y = np.random.default_rng(23).exponential(size=(2, 200_000))
+    d, peak = traced_peak(lambda: montecarlo._ks_statistic(x, y))
+    assert d == stats.ks_2samp(x, y, method="asymp").statistic
+    assert peak < 16 * 2 ** 20
+
+
+def test_perpetuity_residual_memory_at_two_hundred_thousand_pairs():
+    """The right side A * eta_sb + eta is formed in A's array, so the check
+    holds the two sides and the KS statistic's arrays; holding all four
+    draws and the product took 30.5 MB."""
+    rho = quantize_family("uniform01", 512)
+    sample = EmpiricalSample(
+        np.random.default_rng(29).exponential(size=200_000), 29, "exp")
+    rep, peak = traced_peak(lambda: perpetuity_residual(sample, rho, seed=5))
+    assert rep.n == 200_000
+    assert peak < 16 * 2 ** 20
 
 
 def test_perpetuity_residual_needs_enough_pairs():
