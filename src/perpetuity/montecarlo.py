@@ -105,10 +105,8 @@ def shot_noise_resample(
         per_step = rng.poisson(n_out * h.lam * h.durations)
         total = int(per_step.sum())
         if total > 0:
-            xi = theta.values.take(
-                rng.integers(0, theta.values.size, size=total))
-            xi *= (h.values[0] if h.n_steps == 1
-                   else np.repeat(h.values, per_step))
+            xi = theta.values[rng.integers(0, theta.values.size, size=total)]
+            xi *= np.repeat(h.values, per_step)
             out = np.bincount(rng.integers(0, n_out, size=total),
                               weights=xi, minlength=n_out)
     return EmpiricalSample(out, seed, f"shot-noise({theta.provenance})")
