@@ -21,7 +21,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,8 @@ from .diagnostics import ExistenceError, diagnose
 from .distributions import EmpiricalSample, json_text, point_mass
 from .levy import checked_probes, levy_from_solution, steutel_residual
 from .lst_solver import solve
-from .metrics import RDeltaConfig, contraction_ratio, r_delta_report, random_mean_law
+from .metrics import (VERIFY_BAND, RDeltaConfig, contraction_ratio,
+                      r_delta_report, random_mean_law)
 from .moments import eta_moments, sb_moments
 from .montecarlo import (
     chunk_slots,
@@ -56,19 +57,27 @@ def _finish(cfg: RunConfig, command: str, files: dict,
     print(f"wrote {write_run(cfg, command, files, flags)}")
 
 
-def _band(cfg: RunConfig, section: str, q: float) -> RDeltaConfig:
-    """r_q quadrature band from q (metric.q) and the ``{section}.*`` keys
-    (units of 1/mean); a refusal names the keys and their values."""
-    m = cfg.get_float("mean")
+def _bands(cfg: RunConfig, rho) -> list[RDeltaConfig]:
+    """metrics' r_q band and its contraction band, VERIFY_BAND with
+    verify.quad_points points, at q = metric.q and with ends in units of
+    1/mean.  A band r_q cannot use, or a q with E A^(q-1) >= 1 (no
+    contraction), is refused naming the keys and their values."""
+    m, q = cfg.get_float("mean"), cfg.get_float("metric.q")
+    points = cfg.get_int("verify.quad_points")
     if not m > 0.0:
         raise ValueError(f"mean = {m:g} must be a positive real")
-    lo, hi = cfg.get_float(f"{section}.s_lo"), cfg.get_float(f"{section}.s_hi")
-    points = cfg.get_int(f"{section}.quad_points")
     try:
-        return RDeltaConfig(delta=q, s_lo=lo / m, s_hi=hi / m, quad_points=points)
+        bands = [replace(band, delta=q, s_lo=band.s_lo / m, s_hi=band.s_hi / m)
+                 for band in (RDeltaConfig(),
+                              replace(VERIFY_BAND, quad_points=points))]
     except ValueError as exc:
-        raise ValueError(f"metric.q={q:g}, {section}.s_lo={lo:g}, {section}.s_hi="
-                         f"{hi:g}, {section}.quad_points={points}: {exc}") from None
+        raise ValueError(f"metric.q={q:g}, mean={m:g}, verify.quad_points="
+                         f"{points}: {exc}") from None
+    bound = rho.mellin(q - 1.0)
+    if bound >= 1.0:
+        raise ValueError(f"metric.q={q:g}: E A^(q-1) = {bound:.12g} >= 1, so "
+                         "the transform does not contract r_q at this order")
+    return bands
 
 
 def _levy_settings(cfg: RunConfig) -> tuple[int, np.ndarray]:
@@ -133,7 +142,7 @@ def cmd_diagnose(cfg: RunConfig, args) -> int:
 
 def cmd_response(cfg: RunConfig, args) -> int:
     rho = cfg.rho()
-    h = response_from_rho(rho, lam=cfg.get_float("lambda"))
+    h = response_from_rho(rho, lam=1.0)
     print(f"{h.n_steps} steps, support [0, {h.support_end:.6g}), "
           f"lambda*int h = {h.integral():.12g}")
     _finish(cfg, "response", h.to_csv("response"))
@@ -201,14 +210,12 @@ def cmd_levy(cfg: RunConfig, args) -> int:
 
 def cmd_metric(cfg: RunConfig, args) -> int:
     rho = cfg.rho()
-    q = cfg.get_float("metric.q")
+    distance_band, ratio_band = _bands(cfg, rho)
     theta1, theta2 = cfg.theta_pair()
-    distance = r_delta_report(theta1, theta2, _band(cfg, "metric", q))
-    # the distance uses the metric.* band; the contraction ratio uses the
-    # verify.* band, so it matches the verify sweep
-    ratio = contraction_ratio(rho, theta1, theta2, _band(cfg, "verify", q))
+    distance = r_delta_report(theta1, theta2, distance_band)
+    ratio = contraction_ratio(rho, theta1, theta2, ratio_band)
     shown = "degenerate" if ratio.degenerate else f"{ratio.ratio:.4f}"
-    print(f"r_{q:g} = {distance.value:.6g}, contraction ratio {shown} "
+    print(f"r_{ratio.q:g} = {distance.value:.6g}, contraction ratio {shown} "
           f"(bound {ratio.bound_g:.4f})")
     _finish(cfg, "metric",
             {"metric.json": json_text({"r_delta": distance,
@@ -239,8 +246,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     master = cfg.master_seed()
     n_levy, probes = _levy_settings(cfg)
     tol = cfg.get_float("verify.steutel_tol")
-    q = cfg.get_float("metric.q")
-    rd_cfg = _band(cfg, "verify", q)
+    _, rd_cfg = _bands(cfg, rho)
     n_draws = cfg.get_int("verify.pairs")
     if n_draws < 1:
         raise ValueError(f"verify.pairs={n_draws} must be at least 1")
@@ -276,7 +282,6 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 
     # 3. contraction sweep over random equal-mean pairs
     pair_rng = np.random.default_rng(derive_seed(master, "verify-pairs"))
-    bound = rho.mellin(q - 1.0)
     per_pair = []
     for _ in range(n_draws):
         t1 = random_mean_law(pair_rng, mean=m)
@@ -293,10 +298,10 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         )
     worst = max(ratios)
     checks["contraction"] = {
-        "passed": bool(worst <= bound + 0.05),
+        "passed": bool(worst <= rep.bound_g + 0.05),
         "max_ratio": worst,
-        "bound_g": bound,
-        "q": q,
+        "bound_g": rep.bound_g,
+        "q": rep.q,
         "pairs": len(ratios),
         "draws": n_draws,
         "per_pair": per_pair,

@@ -420,9 +420,13 @@ class EmpiricalSample:
             values = np.array(body.splitlines(), dtype=float)
         except ValueError as exc:
             raise ValueError(f"{path}: bad row ({exc})") from exc
-        meta = json.loads(path.with_suffix(".json").read_text())
-        if meta.get("n") != len(values):
-            raise ValueError(f"{path}: sidecar n={meta.get('n')} != {len(values)} rows")
+        sidecar = path.with_suffix(".json")
+        meta = json.loads(sidecar.read_text())
+        if not (isinstance(meta, dict) and {"seed", "provenance", "n"} <= meta.keys()):
+            raise ValueError(f"{sidecar}: expected a JSON object with seed, "
+                             "provenance and n")
+        if meta["n"] != len(values):
+            raise ValueError(f"{path}: sidecar n={meta['n']} != {len(values)} rows")
         return cls(values, meta["seed"], meta["provenance"])
 
 

@@ -60,6 +60,10 @@ class RDeltaConfig:
             raise ValueError("need at least 16 quadrature points")
 
 
+#: Default band of contraction_ratio; RDeltaConfig's own is the r_q band.
+VERIFY_BAND = RDeltaConfig(s_lo=1e-2, s_hi=1e2, quad_points=256)
+
+
 def char_function(nu: AtomicDistribution, s_grid) -> np.ndarray:
     """E exp(isX) of an atomic law, summed exactly over its atoms.
 
@@ -283,16 +287,15 @@ def contraction_ratio(
     rho: AtomicDistribution,
     theta1: AtomicDistribution,
     theta2: AtomicDistribution,
-    cfg: RDeltaConfig = RDeltaConfig(s_lo=1e-2, s_hi=1e2, quad_points=256),
+    cfg: RDeltaConfig = VERIFY_BAND,
 ) -> ContractionReport:
     """Exact r_q contraction of one transform step, q = cfg.delta.
 
     Both distances come from closed-form characteristic functions on one
     quadrature grid: the atomic inputs directly, the outputs through
-    step_char_function.  The default is verify's band, [1e-2, 1e2] with 256
-    points, at q = 1.5; truncation below s_lo moves the equal-mean integral
-    by O(s_lo^(2-q)) and the dropped tail above s_hi is bounded by
-    2 s_hi^(-q)/q.
+    step_char_function.  The default is VERIFY_BAND at q = 1.5; truncation
+    below s_lo moves the equal-mean integral by O(s_lo^(2-q)) and the
+    dropped tail above s_hi is bounded by 2 s_hi^(-q)/q.
 
     A pair is degenerate (ratio None) when r_before is at or below the
     roundoff floor of the input distance.  Equal-mean atoms that differ in

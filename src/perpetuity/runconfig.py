@@ -23,7 +23,6 @@ DEFAULTS = {
     "rho.n": None,
     "rho.csv": None,            # CSV path with header location,weight
     "mean": "1.0",
-    "lambda": "1.0",
     "solver.grid_points": "256",
     "solver.s_min": "1e-3",
     "solver.s_max": "1e3",
@@ -36,15 +35,10 @@ DEFAULTS = {
     "levy.n_samples": "1000000",
     "levy.probes": "0.5,1,2,4",
     "metric.q": "1.5",
-    "metric.s_lo": "1e-4",
-    "metric.s_hi": "1e4",
-    "metric.quad_points": "2048",
     "metric.theta1": None,      # inline atoms; default: point mass at mean
     "metric.theta2": None,      # inline atoms; default: 50/50 pair at mean
     "verify.pairs": "20",
     "verify.quad_points": "256",
-    "verify.s_lo": "1e-2",
-    "verify.s_hi": "1e2",
     "verify.steutel_tol": "3e-3",
     "output.dir": "runs",
 }
@@ -258,6 +252,8 @@ def check_manifest(run_dir: Path) -> dict:
         raise ValueError(f"missing manifest: {path}")
     manifest = json.loads(path.read_text())
     for entry in manifest.get("artifacts", []):
+        if not (isinstance(entry, dict) and {"path", "sha256"} <= entry.keys()):
+            raise ValueError(f"{path}: artifact entry {entry!r} lacks path or sha256")
         target = Path(run_dir) / entry["path"]
         if not target.exists():
             raise ValueError(f"missing artifact: {target}")

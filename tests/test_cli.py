@@ -381,8 +381,38 @@ def test_levy_and_verify_refuse_bad_settings_before_solving(
     assert not (tmp_path / "runs").exists()
 
 
+def test_retired_keys_are_unknown(tmp_path, capsys):
+    """lambda (the dual kernel has lambda = 1) and the band keys (metrics
+    defines both bands) are unknown keys: --set of one exits 1."""
+    for key in ("lambda", "metric.s_lo", "metric.s_hi", "metric.quad_points",
+                "verify.s_lo", "verify.s_hi"):
+        assert main(["metric", *HALF, "--set", f"{key}=1",
+                     *out(tmp_path)]) == 1
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_verify_and_metric_refuse_a_q_without_contraction(
+        tmp_path, capsys, monkeypatch):
+    """On {0.01: .3, .5: .5, 50: .2}, E A^0.5 = 1.80: verify and metric at
+    the default metric.q exit 1 naming metric.q and E A^(q-1) before
+    anything is solved, drawn or integrated."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed before checking metric.q")
+
+    for name in ("solve", "mc_fixed_point", "r_delta_report",
+                 "contraction_ratio"):
+        monkeypatch.setattr(f"perpetuity.cli.{name}", refuse)
+    law = ["--set", "rho.atoms=0.01:0.3,0.5:0.5,50:0.2"]
+    for command in ("verify", "metric"):
+        assert main([command, *law, *FAST_MC, *out(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "metric.q=1.5: E A^(q-1) = 1.79" in err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_metric_refuses_a_band_the_mean_cannot_scale(tmp_path, capsys):
-    """The metric.* and verify.* bands are in units of 1/mean: a mean of 0
+    """The metric and verify bands are in units of 1/mean: a mean of 0
     exits 1 naming it, and one that puts s_hi / mean at infinity exits 1
     naming the band, both with no RuntimeWarning and no run directory."""
     thetas = ["--set", "metric.theta1=1:1",
@@ -541,6 +571,65 @@ def test_verify_from_refuses_a_sample_of_another_law(tmp_path, capsys):
         assert drawn in err and wanted in err
     assert [p.name.split("-")[0] for p in (tmp_path / "runs").iterdir()] == [
         "solve"]
+
+
+def _solve_mc_run(tmp_path):
+    assert main(["solve", "--method", "mc", *HALF, *FAST_MC,
+                 *out(tmp_path)]) == 0
+    return only_run_dir(tmp_path, "solve")
+
+
+def _verify_from(tmp_path, run_dir):
+    return main(["verify", "--from", str(run_dir), *HALF, *FAST_MC,
+                 *FAST_VERIFY, *out(tmp_path)])
+
+
+@pytest.mark.parametrize("drop", [None, "seed", "provenance", "n"])
+def test_verify_from_refuses_a_malformed_sample_sidecar(tmp_path, capsys,
+                                                         drop):
+    """A sample.json that is not a JSON object (drop None), or that lacks
+    seed, provenance or n, exits 1 naming the file, also under a manifest
+    whose digests match."""
+    run_dir = _solve_mc_run(tmp_path)
+    sidecar = run_dir / "sample.json"
+    meta = json.loads(sidecar.read_text())
+    if drop is None:
+        meta = [meta]
+    else:
+        del meta[drop]
+    sidecar.write_text(json.dumps(meta))
+    manifest_path = run_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    for entry in manifest["artifacts"]:
+        if entry["path"] == sidecar.name:
+            entry["sha256"] = hashlib.sha256(sidecar.read_bytes()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+    assert _verify_from(tmp_path, run_dir) == 1
+    assert f"{sidecar}: expected a JSON object with seed, provenance and n" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("key", ["path", "sha256"])
+def test_verify_from_refuses_a_manifest_entry_without_path_or_sha256(
+        tmp_path, capsys, key):
+    run_dir = _solve_mc_run(tmp_path)
+    manifest_path = run_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["artifacts"][0][key]
+    manifest_path.write_text(json.dumps(manifest))
+    assert _verify_from(tmp_path, run_dir) == 1
+    assert f"{manifest_path}: artifact entry" in capsys.readouterr().err
+
+
+def test_solver_s_min_is_the_first_grid_node(tmp_path):
+    """solver.s_min, in units of 1/mean, is the first node of grid.csv and
+    lst.s_min in solution.json."""
+    assert main(["solve", *HALF, "--set", "solver.s_min=1e-2",
+                 "--set", "mean=2", *out(tmp_path)]) == 0
+    rd = only_run_dir(tmp_path, "solve")
+    first = (rd / "grid.csv").read_text().splitlines()[1].split(",")[0]
+    report = json.loads((rd / "solution.json").read_text())
+    assert float(first) == report["lst"]["s_min"] == 5e-3
 
 
 def test_reruns_are_byte_identical(tmp_path):

@@ -1,4 +1,5 @@
-"""No public name, parameter or root export exists for the tests alone.
+"""No public name, parameter, root export or config key exists for the
+tests alone.
 
 Every public function and public method in ``src/perpetuity`` must be
 referenced outside ``tests/``: in the package's own code (its definition
@@ -7,12 +8,16 @@ and the ``__init__`` re-exports do not count), in ``README.md`` or in
 so the words of string constants count as references too.  Every
 defaulted parameter of one must be passed by some call there and left out
 by another, and the package root exports exactly the names of the
-README's library example.
+README's library example.  Every config key is set by a benchmark
+workload, a README command or a tier-1 test, so each has a tested value
+besides its default.
 """
 
 import ast
 import re
 from pathlib import Path
+
+from perpetuity.runconfig import DEFAULTS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "perpetuity"
@@ -163,3 +168,23 @@ def test_the_root_exports_the_library_example_names():
                if isinstance(node, ast.ImportFrom)
                and node.module == "perpetuity" for alias in node.names}
     assert exported == example
+
+
+def _string_constants(path: Path) -> list:
+    """The string constants of a module, f-string pieces included."""
+    return [node.value for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+
+
+def test_every_config_key_is_set_by_a_workload_a_readme_command_or_a_test():
+    """A ``key=value`` for each DEFAULTS key appears in the README's code
+    blocks, in perfbench's workload table or in a tier-1 test."""
+    texts = re.findall(r"```\w*\n(.*?)```", (ROOT / "README.md").read_text(),
+                       re.S)
+    for path in [ROOT / "perfbench" / "workloads.py",
+                 *sorted((ROOT / "tests").glob("test_*.py"))]:
+        texts += _string_constants(path)
+    unset = {key for key in DEFAULTS
+             if not any(re.search(rf"(?<![\w.]){re.escape(key)}=", text)
+                        for text in texts)}
+    assert unset == set(), f"config keys nothing sets: {sorted(unset)}"
