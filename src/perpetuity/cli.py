@@ -2,7 +2,7 @@
 
 Exit codes (total mapping):
   0  success; for verify, every check passed
-  1  malformed config, bad input files, missing or corrupted artifacts
+  1  bad command line, config or input files; missing or corrupt artifacts
   2  existence gate failed (E log A >= 0)
   3  solver hit max_iter without reaching tol
   4  verification matrix has failures (the designed outcome of
@@ -18,7 +18,6 @@ fails leaves none (diagnose still reports a failed existence gate).
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from dataclasses import asdict, replace
@@ -151,35 +150,24 @@ def cmd_response(cfg: RunConfig, args) -> int:
 
 def cmd_solve(cfg: RunConfig, args) -> int:
     rho = cfg.rho()
-    m = cfg.get_float("mean")
-    report: dict = {"method": args.method, "m": m}
-    code = EXIT_OK
-
-    grid = None
-    if args.method in ("lst", "both"):
-        grid = _solve_lst(cfg, rho)
-        report["lst"] = grid.report_obj()
-        if not grid.converged:
-            code = EXIT_NO_CONVERGENCE
-
-    sample = None
-    if args.method in ("mc", "both"):
+    report: dict = {"method": args.method, "m": cfg.get_float("mean")}
+    grid = _solve_lst(cfg, rho)
+    report["lst"] = grid.report_obj()
+    code = EXIT_OK if grid.converged else EXIT_NO_CONVERGENCE
+    files = grid.to_csv("grid")
+    if args.method == "both":
         sample, report["mc"] = _sample(cfg, rho, grid)
-        if grid is not None:
-            report["cross_method"] = cross_oracle_distance(sample, grid)
-            if code == EXIT_OK and not report["cross_method"].passed:
-                code = EXIT_VERIFY
-
-    files = {"solution.json": json_text(report)}
-    if grid is not None:
-        files.update(grid.to_csv("grid"))
-        print(f"lst: iterations={grid.iteration_count} "
-              f"residual={grid.residual:.3g} converged={grid.converged}")
-    if sample is not None:
+        report["cross_method"] = cross_oracle_distance(sample, grid)
+        if code == EXIT_OK and not report["cross_method"].passed:
+            code = EXIT_VERIFY
         files.update(sample.to_csv("sample"))
-        print(f"mc: n={sample.values.size} mean={sample.mean():.6g} "
-              f"T={report['mc']['iterations']}")
-    _finish(cfg, "solve", files, (f"method={args.method}",))
+    print(f"lst: iterations={grid.iteration_count} "
+          f"residual={grid.residual:.3g} converged={grid.converged}")
+    if "mc" in report:
+        mc = report["mc"]
+        print(f"mc: n={mc['n']} mean={mc['mean']:.6g} T={mc['iterations']}")
+    _finish(cfg, "solve", {"solution.json": json_text(report), **files},
+            (f"method={args.method}",))
     return code
 
 
@@ -320,8 +308,15 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     return EXIT_OK if all_pass else EXIT_VERIFY
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError: main's exit 1, not argparse's 2."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="perpetuity",
         description="Size-biased perpetuity fixed points: solve, sample, verify.",
     )
@@ -337,8 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve the fixed point")
     common(p_solve)
-    p_solve.add_argument("--method", choices=["lst", "mc", "both"],
-                         default="lst")
+    p_solve.add_argument("--method", choices=["lst", "both"], default="lst")
 
     common(sub.add_parser("moments", help="integer moments"))
 
@@ -370,14 +364,14 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = RunConfig.load(args.config, args.overrides)
         return _COMMANDS[args.command](cfg, args)
     except ExistenceError as exc:
         print(f"existence gate: {exc}", file=sys.stderr)
         return EXIT_GATE
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

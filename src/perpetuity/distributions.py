@@ -83,8 +83,8 @@ def csv_text(header: str, *columns) -> list[str]:
     """The artifact CSV format as text blocks: the header line, then rows.
 
     Row i is the cells ``col[i]`` joined by commas, plus a newline; a cell
-    is ``'%d' % v`` in an integer column and ``'%.17g' % v`` otherwise
-    (17 significant digits round-trip every double).  Each block renders
+    is ``'%.17g' % v`` (17 significant digits round-trip every double, and
+    an integer below 2**53 renders as its digits).  Each block renders
     _CSV_BLOCK_ROWS rows, which keeps the text of a large sample in a few
     bounded pieces.  NaN and infinities are refused with ValueError, as in
     json_text.
@@ -114,8 +114,8 @@ def _csv_cells(col: np.ndarray, sep: int) -> tuple[np.ndarray, np.ndarray]:
     as in Python's dtoa.  The mask, looked up by k and the last nonzero
     digit, keeps the bytes of ``'%.17g' % v``.  Rows whose product falls
     outside [1e16, 1e17) (a log10 off by one, a carry past the 17th
-    digit) and all other values (exponent notation, -0.0, integer
-    columns) are rendered by Python's % one cell at a time.
+    digit) and all other values (exponent notation, -0.0) are rendered
+    by Python's % one cell at a time.
     """
     n = col.size
     v = col.astype(float, copy=False)
@@ -135,7 +135,6 @@ def _csv_cells(col: np.ndarray, sep: int) -> tuple[np.ndarray, np.ndarray]:
     neg = np.signbit(v)
     fast = (d < 10 ** 17) & ((hi > 1e16) | (hi == 1e16) & (lo >= 0))
     fast |= (v == 0) & ~neg
-    fast &= col.dtype.kind == "f"
     d[~fast] = 0
     words = np.empty((n, _CELL // 4), np.uint32)
     words[:, 0] = _PREFIX
@@ -151,10 +150,9 @@ def _csv_cells(col: np.ndarray, sep: int) -> tuple[np.ndarray, np.ndarray]:
     last = 16 - nonzero.argmax(axis=1)
     keep = _CELL_MASKS.take(17 * (k + 4) + last, axis=0)
     keep[:, 0] = neg
-    fmt = "%.17g" if col.dtype.kind == "f" else "%d"
     slow = np.flatnonzero(~fast)
-    for i, x in zip(slow, col[slow].tolist()):
-        cell = (fmt % x).encode()
+    for i, x in zip(slow, v[slow].tolist()):
+        cell = ("%.17g" % x).encode()
         text[i, :len(cell)] = np.frombuffer(cell, np.uint8)
         keep[i, :-1] = False
         keep[i, :len(cell)] = True
@@ -421,10 +419,15 @@ class EmpiricalSample:
         except ValueError as exc:
             raise ValueError(f"{path}: bad row ({exc})") from exc
         sidecar = path.with_suffix(".json")
-        meta = json.loads(sidecar.read_text())
+        try:
+            meta = json.loads(sidecar.read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{sidecar}: not valid JSON ({exc})") from None
         if not (isinstance(meta, dict) and {"seed", "provenance", "n"} <= meta.keys()):
             raise ValueError(f"{sidecar}: expected a JSON object with seed, "
                              "provenance and n")
+        if type(meta["seed"]) is not int:
+            raise ValueError(f"{sidecar}: seed {meta['seed']!r} is not an integer")
         if meta["n"] != len(values):
             raise ValueError(f"{path}: sidecar n={meta['n']} != {len(values)} rows")
         return cls(values, meta["seed"], meta["provenance"])

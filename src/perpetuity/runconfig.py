@@ -251,6 +251,8 @@ def check_manifest(run_dir: Path) -> dict:
     if not path.exists():
         raise ValueError(f"missing manifest: {path}")
     manifest = json.loads(path.read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: expected a JSON object")
     for entry in manifest.get("artifacts", []):
         if not (isinstance(entry, dict) and {"path", "sha256"} <= entry.keys()):
             raise ValueError(f"{path}: artifact entry {entry!r} lacks path or sha256")

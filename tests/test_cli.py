@@ -59,14 +59,39 @@ def test_diagnose_pass_and_gate(tmp_path, capsys):
 def test_config_errors_exit_1(tmp_path, capsys):
     assert main(["diagnose", "--set", "bogus.key=1", *out(tmp_path)]) == 1
     assert main(["diagnose", *out(tmp_path)]) == 1       # no rho given
-    assert main(["solve", "--method", "mc", *HALF, *out(tmp_path)]) == 1
+    assert main(["solve", "--method", "both", *HALF, *out(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "master_seed" in err
 
 
+@pytest.mark.parametrize("argv,words", [
+    (["solve", "--method", "mc"],
+     "perpetuity solve: argument --method: invalid choice: 'mc' "
+     "(choose from 'lst', 'both')"),
+    (["bogus"], "perpetuity: argument command: invalid choice: 'bogus'"),
+    ([], "perpetuity: the following arguments are required: command"),
+], ids=["retired-method", "unknown-command", "no-command"])
+def test_usage_errors_exit_1(tmp_path, capsys, argv, words):
+    """A malformed command line exits 1 with one error line, as a
+    malformed config does (argparse alone would exit 2, the existence
+    gate's code), and writes no run directory."""
+    # with no command, --set would be read as the command
+    assert main([*argv, *out(tmp_path)] if argv else []) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {words}") and err.count("\n") == 1
+    assert not (tmp_path / "runs").exists()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["solve", "--help"])
+    assert exit_info.value.code == 0
+    assert "--method {lst,both}" in capsys.readouterr().out
+
+
 def test_failed_commands_leave_no_run_dir(tmp_path, capsys):
     assert main(["solve", "--set", "rho.atoms=2:1", *out(tmp_path)]) == 2
-    assert main(["solve", "--method", "mc", *HALF, *out(tmp_path)]) == 1
+    assert main(["solve", "--method", "both", *HALF, *out(tmp_path)]) == 1
     assert "master_seed" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
     # diagnose reports on the law that fails the gate, so it still writes
@@ -136,7 +161,7 @@ def test_solve_both_exits_4_when_the_cross_check_fails(tmp_path):
 
 
 def test_solve_mc_and_both(tmp_path):
-    assert main(["solve", "--method", "mc", *HALF, *FAST_MC,
+    assert main(["solve", "--method", "both", *HALF, *FAST_MC,
                  *out(tmp_path)]) == 0
     rd = only_run_dir(tmp_path, "solve")
     sidecar = json.loads((rd / "sample.json").read_text())
@@ -144,7 +169,8 @@ def test_solve_mc_and_both(tmp_path):
     report = json.loads((rd / "solution.json").read_text())
     assert report["mc"]["n"] == 20000
     assert abs(report["mc"]["mean"] - 1.0) < 0.15
-    assert "lst" not in report
+    assert report["lst"]["converged"] is True
+    assert report["cross_method"]["passed"] is True
 
     assert main(["solve", "--method", "both", *UNIFORM, *FAST_MC,
                  "--set", "output.dir=" + str(tmp_path / "runs2")]) == 0
@@ -156,7 +182,7 @@ def test_solve_mc_and_both(tmp_path):
 
 def test_solve_mc_refuses_unboundable_law(tmp_path, capsys):
     law = ["--set", "rho.atoms=1e-7:0.5,1.5:0.5"]          # K = 5e6
-    assert main(["solve", "--method", "mc", *law, *FAST_MC,
+    assert main(["solve", "--method", "both", *law, *FAST_MC,
                  *out(tmp_path)]) == 1
     assert "per-chunk cap" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
@@ -164,14 +190,16 @@ def test_solve_mc_refuses_unboundable_law(tmp_path, capsys):
 
 def test_solve_mc_reports_effective_chunk(tmp_path):
     """K = 5000 gives 2**17 // 5000 = 26 slots per chunk, and the report
-    carries that size."""
-    assert main(["solve", "--method", "mc",
+    carries that size.  With T capped at 1 the sample is far from the
+    fixed point, and the cross-check says so (exit 4)."""
+    assert main(["solve", "--method", "both",
                  "--set", "rho.atoms=1e-4:0.5,1.5:0.5",
                  "--set", "mc.n_samples=2000", "--set", "mc.iterations=1",
-                 "--set", "mc.master_seed=7", *out(tmp_path)]) == 0
+                 "--set", "mc.master_seed=7", *out(tmp_path)]) == 4
     rd = only_run_dir(tmp_path, "solve")
     report = json.loads((rd / "solution.json").read_text())
     assert report["mc"]["chunk_size"] == 26
+    assert report["cross_method"]["passed"] is False
     assert "chunk=26," in json.loads((rd / "sample.json").read_text())[
         "provenance"]
 
@@ -179,7 +207,7 @@ def test_solve_mc_reports_effective_chunk(tmp_path):
 def test_solve_mc_refuses_all_zero_iterate(tmp_path, capsys):
     """n = 3 half-point slots run T = 3 steps and are all zero at iterate
     3 with seed 8: no mean to rescale, so exit 1 and no run directory."""
-    assert main(["solve", "--method", "mc", *HALF,
+    assert main(["solve", "--method", "both", *HALF,
                  "--set", "mc.n_samples=3", "--set", "mc.master_seed=8",
                  *out(tmp_path)]) == 1
     assert "iterate 3 of n = 3 samples is all zero" in capsys.readouterr().err
@@ -189,13 +217,12 @@ def test_solve_mc_refuses_all_zero_iterate(tmp_path, capsys):
 def test_solve_mc_refuses_no_samples(tmp_path, capsys):
     """mc.n_samples=0 exits 1 with one error line, before any sampling and
     without a numpy RuntimeWarning."""
-    for method in ("mc", "both"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert main(["solve", "--method", method, *HALF,
-                         "--set", "mc.n_samples=0", "--set", "mc.master_seed=1",
-                         *out(tmp_path)]) == 1
-        assert capsys.readouterr().err == "error: n_samples must be >= 1\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["solve", "--method", "both", *HALF,
+                     "--set", "mc.n_samples=0", "--set", "mc.master_seed=1",
+                     *out(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: n_samples must be >= 1\n"
     assert not (tmp_path / "runs").exists()
 
 
@@ -238,16 +265,16 @@ def test_solve_both_records_transform_steps(tmp_path, capsys):
 
 def test_solve_mc_transform_steps_cap_and_rough_grid(tmp_path):
     """mc.iterations caps T; a grid that did not converge gives T = cap
-    and a null bias (the MC-only solve still exits 0)."""
+    and a null bias, and the solve exits 3 for the unconverged grid."""
     two_atom = ["--set", "rho.atoms=0.3:0.5,1.2:0.5",
                 "--set", "mc.n_samples=2000", "--set", "mc.master_seed=3"]
-    for extra, steps, has_bias in ((["mc.iterations=5"], 5, True),
-                                   (["mc.iterations=4", "solver.max_iter=3"],
-                                    4, False)):
+    for extra, steps, has_bias, code in (
+            (["mc.iterations=5"], 5, True, 0),
+            (["mc.iterations=4", "solver.max_iter=3"], 4, False, 3)):
         runs = tmp_path / f"runs{steps}"
         sets = [a for e in extra for a in ("--set", e)]
-        assert main(["solve", "--method", "mc", *two_atom, *sets,
-                     "--set", f"output.dir={runs}"]) == 0
+        assert main(["solve", "--method", "both", *two_atom, *sets,
+                     "--set", f"output.dir={runs}"]) == code
         mc = json.loads((next(runs.iterdir()) / "solution.json")
                         .read_text())["mc"]
         assert mc["iterations"] == steps
@@ -260,7 +287,7 @@ def test_mc_commands_refuse_a_law_the_lst_cannot_solve(tmp_path, capsys):
     RuntimeWarning on the way."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert main(["solve", "--method", "mc", *COARSE,
+        assert main(["solve", "--method", "both", *COARSE,
                      "--set", "mc.master_seed=1", *out(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "LST iterate 14 is not finite" in err
@@ -539,7 +566,7 @@ def test_verify_pass_fail_and_reuse(tmp_path, capsys):
 
 
 def test_verify_from_prior_solve(tmp_path):
-    assert main(["solve", "--method", "mc", *UNIFORM, *FAST_MC,
+    assert main(["solve", "--method", "both", *UNIFORM, *FAST_MC,
                  *out(tmp_path)]) == 0
     solve_dir = only_run_dir(tmp_path, "solve")
     args = [*UNIFORM, *FAST_MC, *FAST_VERIFY, *out(tmp_path)]
@@ -558,7 +585,7 @@ def test_verify_from_refuses_a_sample_of_another_law(tmp_path, capsys):
     """verify --from exits 1 on a sample drawn for another law or mean,
     naming the sample's and the config's law digest and mean."""
     seed = ["--set", "mc.master_seed=3"]
-    assert main(["solve", "--method", "mc", *HALF, *seed,
+    assert main(["solve", "--method", "both", *HALF, *seed,
                  "--set", "mc.n_samples=20000", *out(tmp_path)]) == 0
     solve_dir = only_run_dir(tmp_path, "solve")
     drawn = f"rho={point_mass(0.5).digest()}, m=1,"
@@ -573,8 +600,8 @@ def test_verify_from_refuses_a_sample_of_another_law(tmp_path, capsys):
         "solve"]
 
 
-def _solve_mc_run(tmp_path):
-    assert main(["solve", "--method", "mc", *HALF, *FAST_MC,
+def _solve_both_run(tmp_path):
+    assert main(["solve", "--method", "both", *HALF, *FAST_MC,
                  *out(tmp_path)]) == 0
     return only_run_dir(tmp_path, "solve")
 
@@ -584,20 +611,31 @@ def _verify_from(tmp_path, run_dir):
                  *FAST_VERIFY, *out(tmp_path)])
 
 
-@pytest.mark.parametrize("drop", [None, "seed", "provenance", "n"])
+LACKS = "expected a JSON object with seed, provenance and n"
+
+
+def _without(key):
+    return lambda meta: json.dumps({k: v for k, v in meta.items() if k != key})
+
+
+@pytest.mark.parametrize("rewrite,words", [
+    (lambda meta: json.dumps([meta]), LACKS),
+    (_without("seed"), LACKS),
+    (_without("provenance"), LACKS),
+    (_without("n"), LACKS),
+    (lambda meta: "{seed: 1}", "not valid JSON (Expecting property name"),
+    (lambda meta: json.dumps({**meta, "seed": "abc"}),
+     "seed 'abc' is not an integer"),
+], ids=["None", "seed", "provenance", "n", "not-json", "text-seed"])
 def test_verify_from_refuses_a_malformed_sample_sidecar(tmp_path, capsys,
-                                                         drop):
-    """A sample.json that is not a JSON object (drop None), or that lacks
-    seed, provenance or n, exits 1 naming the file, also under a manifest
-    whose digests match."""
-    run_dir = _solve_mc_run(tmp_path)
+                                                         rewrite, words):
+    """A sample.json that is not a JSON object (None), lacks seed,
+    provenance or n, is not valid JSON or has a seed that is not an
+    integer exits 1 naming the file, also under a manifest whose digests
+    match."""
+    run_dir = _solve_both_run(tmp_path)
     sidecar = run_dir / "sample.json"
-    meta = json.loads(sidecar.read_text())
-    if drop is None:
-        meta = [meta]
-    else:
-        del meta[drop]
-    sidecar.write_text(json.dumps(meta))
+    sidecar.write_text(rewrite(json.loads(sidecar.read_text())))
     manifest_path = run_dir / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     for entry in manifest["artifacts"]:
@@ -605,20 +643,29 @@ def test_verify_from_refuses_a_malformed_sample_sidecar(tmp_path, capsys,
             entry["sha256"] = hashlib.sha256(sidecar.read_bytes()).hexdigest()
     manifest_path.write_text(json.dumps(manifest))
     assert _verify_from(tmp_path, run_dir) == 1
-    assert f"{sidecar}: expected a JSON object with seed, provenance and n" in (
-        capsys.readouterr().err)
+    assert f"{sidecar}: {words}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["path", "sha256"])
 def test_verify_from_refuses_a_manifest_entry_without_path_or_sha256(
         tmp_path, capsys, key):
-    run_dir = _solve_mc_run(tmp_path)
+    run_dir = _solve_both_run(tmp_path)
     manifest_path = run_dir / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     del manifest["artifacts"][0][key]
     manifest_path.write_text(json.dumps(manifest))
     assert _verify_from(tmp_path, run_dir) == 1
     assert f"{manifest_path}: artifact entry" in capsys.readouterr().err
+
+
+def test_verify_from_refuses_a_manifest_that_is_not_an_object(tmp_path,
+                                                               capsys):
+    run_dir = _solve_both_run(tmp_path)
+    manifest_path = run_dir / "manifest.json"
+    manifest_path.write_text("[]")
+    assert _verify_from(tmp_path, run_dir) == 1
+    assert (f"error: {manifest_path}: expected a JSON object\n"
+            == capsys.readouterr().err)
 
 
 def test_solver_s_min_is_the_first_grid_node(tmp_path):

