@@ -112,6 +112,7 @@ def _sample(cfg: RunConfig, rho, grid=None):
     n = cfg.get_int("mc.n_samples")
     m = cfg.get_float("mean")
     seed = cfg.master_seed()
+    start = start_law(rho, m)
     if grid is None:
         grid = _solve_lst(cfg, rho)
     steps, bias = transform_steps(rho, grid, n, cfg.get_int("mc.iterations"))
@@ -120,7 +121,7 @@ def _sample(cfg: RunConfig, rho, grid=None):
         "n": int(sample.values.size),
         "mean": sample.mean(),
         "zero_fraction": float(np.mean(sample.values == 0.0)),
-        "start": start_law(rho, m),
+        "start": start,
         "iterations": steps,
         "transform_bias": bias,
         "chunk_size": chunk_slots(rho),
@@ -212,7 +213,9 @@ def cmd_metric(cfg: RunConfig, args) -> int:
 
 
 def _load_prior_sample(from_dir: str, rho, m: float) -> EmpiricalSample:
-    """A prior run's sample; refused if drawn for another law or mean."""
+    """A prior run's sample; refused, before it is read, for a law with no
+    ``start_law``, and if drawn for another law or mean."""
+    start_law(rho, m)
     run_dir = Path(from_dir)
     check_manifest(run_dir)
     sample_path = run_dir / "sample.csv"

@@ -320,7 +320,10 @@ class AtomicDistribution:
                     ws.append(float(row["weight"]))
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"{path}:{lineno}: bad row {row}") from exc
-        return cls(locs, ws)
+        try:
+            return cls(locs, ws)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def validate(atoms) -> AtomicDistribution:
@@ -426,8 +429,9 @@ class EmpiricalSample:
         if not (isinstance(meta, dict) and {"seed", "provenance", "n"} <= meta.keys()):
             raise ValueError(f"{sidecar}: expected a JSON object with seed, "
                              "provenance and n")
-        if type(meta["seed"]) is not int:
-            raise ValueError(f"{sidecar}: seed {meta['seed']!r} is not an integer")
+        for key in ("seed", "n"):
+            if type(meta[key]) is not int:
+                raise ValueError(f"{sidecar}: {key} {meta[key]!r} is not an integer")
         if meta["n"] != len(values):
             raise ValueError(f"{path}: sidecar n={meta['n']} != {len(values)} rows")
         return cls(values, meta["seed"], meta["provenance"])

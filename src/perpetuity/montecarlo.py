@@ -23,7 +23,7 @@ solution's mean m and variance v m^2 (v from the moment recursion at mean
 1), psi_0(s) = log1p(v m s) / v, the LST's law below s_min.  It is exact
 for the continuous uniform01 law (Exp(1) at m = 1), so the MC starts close
 to the answer and needs few steps.  Where E eta^2 does not exist
-(E A >= 1) it is the point mass at m, psi_0(s) = m s.
+(E A >= 1), eta_sb has no mean and ``start_law`` refuses the law.
 
 Number of transform steps.  Started from the same law, LST iterate k is
 the Laplace transform of MC iterate k as n -> infinity (both apply the
@@ -113,12 +113,14 @@ def shot_noise_resample(
 
 
 def start_law(rho: AtomicDistribution, m: float) -> dict:
-    """The law of MC iterate 0: the Gamma law of ``moments.gamma_psi``, or
-    the point mass at m where E eta^2 does not exist (E A >= 1)."""
+    """The law of MC iterate 0, the Gamma law of ``moments.gamma_psi``;
+    ValueError where ``moments.eta_variance`` finds no E eta^2 (E A >= 1)."""
     v = gamma_variance(rho, m)
-    if v > 0.0:
-        return {"law": "gamma", "shape": 1.0 / v, "scale": v * m}
-    return {"law": "point-mass", "at": m}
+    if not v > 0.0:
+        raise ValueError(
+            f"E A = {rho.mean():.12g}, not below 1: eta_sb has no mean and "
+            f"no Monte Carlo sample represents this law; use solve --method lst")
+    return {"law": "gamma", "shape": 1.0 / v, "scale": v * m}
 
 
 def transform_steps(
@@ -187,13 +189,13 @@ def mc_fixed_point(
     steps: int,
 ) -> EmpiricalSample:
     """n samples after ``steps`` transform steps from ``start_law``, each
-    iterate rescaled to mean m; every stream derives from ``seed``.  A
-    Gamma start is n draws from the ``"mc-start"`` stream, also rescaled.
+    iterate rescaled to mean m; every stream derives from ``seed``.  The
+    start is n Gamma draws from the ``"mc-start"`` stream, also rescaled.
 
-    Raises ValueError before any draw where n * m overflows, since an
-    iterate's sum would, and when an iterate is all zero: it has no mean
-    to rescale, which happens when n is too small for the law's atom at
-    zero or for a Gamma start of tiny shape (E A near 1).
+    Raises ValueError before any draw where ``start_law`` does (E A >= 1,
+    or E eta^2, and so n * m, overflows), and when an iterate is all zero:
+    it has no mean to rescale, which happens when n is too small for the
+    law's atom at zero or for a Gamma start of tiny shape (E A near 1).
     """
     n, steps = int(n), int(steps)
     if n < 1:
@@ -202,10 +204,8 @@ def mc_fixed_point(
         raise ValueError("need at least one transform iteration")
     require_existence(rho)
     master = int(seed)
-    if not (m > 0.0 and math.isfinite(n * m)):
-        raise ValueError(f"mean = {m:g} must be a positive real with n * mean "
-                         f"finite for n = {n} samples; use a smaller mean "
-                         f"or mc.n_samples")
+    if not m > 0.0:
+        raise ValueError(f"mean = {m:g} must be a positive real")
     h = response_from_rho(rho, lam=1.0)
     chunk = chunk_slots(rho)
     law = start_law(rho, m)
@@ -215,11 +215,8 @@ def mc_fixed_point(
         f"start={law['law']}({params}), iters={steps}, chunk={chunk}, "
         f"seed={master})"
     )
-    if law["law"] == "gamma":
-        rng = np.random.default_rng(derive_seed(master, "mc-start"))
-        values = _rescale(rng.gamma(law["shape"], law["scale"], n), m, 0)
-    else:
-        values = np.full(n, float(m))
+    rng = np.random.default_rng(derive_seed(master, "mc-start"))
+    values = _rescale(rng.gamma(law["shape"], law["scale"], n), m, 0)
     current = EmpiricalSample(values, master, provenance)
     for it in range(steps):
         parts = []

@@ -250,7 +250,10 @@ def check_manifest(run_dir: Path) -> dict:
     path = Path(run_dir) / "manifest.json"
     if not path.exists():
         raise ValueError(f"missing manifest: {path}")
-    manifest = json.loads(path.read_text())
+    try:
+        manifest = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(manifest, dict):
         raise ValueError(f"{path}: expected a JSON object")
     for entry in manifest.get("artifacts", []):

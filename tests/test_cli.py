@@ -317,26 +317,54 @@ def test_solve_refuses_an_overflowing_mean(tmp_path, capsys):
 
 
 def test_solve_refuses_a_mean_whose_sample_sum_overflows(tmp_path, capsys):
-    """Where E eta^2 does not exist (E A = 1.55) no variance refusal
-    applies, so a mean whose n-sample sum n * mean overflows exits 1
-    before any draw with a message naming the mean and n, without a numpy
-    RuntimeWarning; at mean 1e303 the same solve completes, and exits 4
-    since the MC misses this law (cross-check max_ratio 1.14, as at
-    mean 1)."""
-    args = ["solve", "--method", "both", "--set", "rho.atoms=0.1:0.5,3:0.5",
-            "--set", "mc.n_samples=2000", "--set", "mc.master_seed=5",
+    """A mean whose n-sample sum n * mean overflows exits 1 before any
+    draw, without a numpy RuntimeWarning: where E eta^2 exists it
+    overflows first (n * mean cannot, for any n below 1e154), and where
+    it does not (E A = 1.55) the law has no MC start law at any mean."""
+    args = ["solve", "--method", "both", "--set", "mc.n_samples=2000",
+            "--set", "mc.master_seed=5", "--set", "mean=1e306",
             *out(tmp_path)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert main([*args, "--set", "mean=1e306"]) == 1
-        assert ("mean = 1e+306 must be a positive real with n * mean finite "
-                "for n = 2000 samples") in capsys.readouterr().err
-        assert not (tmp_path / "runs").exists()
-        assert main([*args, "--set", "mean=1e303"]) == 4
-    sol = json.loads((only_run_dir(tmp_path, "solve")
-                      / "solution.json").read_text())
-    assert sol["mc"]["n"] == 2000 and sol["mc"]["mean"] == 1e303
-    assert sol["cross_method"]["passed"] is False
+    for law, words in ((HALF, "E eta^2 overflows a double at mean = 1e+306"),
+                       (["--set", "rho.atoms=0.1:0.5,3:0.5"],
+                        "E A = 1.55, not below 1")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([*args, *law]) == 1
+        assert words in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+HEAVY = ["--set", "rho.atoms=0.1:0.8,5.9:0.2"]
+
+
+def test_sampling_commands_refuse_a_law_without_a_mean(tmp_path, capsys,
+                                                       monkeypatch):
+    """On {0.1: .8, 5.9: .2}, E A = 1.26 (E A^0.5 = 0.74, so metric.q
+    passes): eta_sb has no mean and no sample represents it.  solve
+    --method both, levy, verify and verify --from exit 1 naming E A and
+    the LST route, with no run directory; levy and verify solve and draw
+    nothing first, and verify --from reads nothing of the prior run."""
+    words = "E A = 1.26, not below 1"
+    assert main(["solve", "--method", "both", *HEAVY, *FAST_MC,
+                 *out(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert words in err and "use solve --method lst" in err
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved, drew or read before the refusal")
+
+    for name in ("solve", "mc_fixed_point", "check_manifest"):
+        monkeypatch.setattr(f"perpetuity.cli.{name}", refuse)
+    prior = tmp_path / "prior"
+    prior.mkdir()
+    (prior / "sample.csv").write_text("value\n1\n")
+    for argv in (["levy"], ["verify"], ["verify", "--from", str(prior)]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([*argv, *HEAVY, *FAST_MC, *FAST_VERIFY,
+                         *out(tmp_path)]) == 1
+        assert words in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_moments_cli(tmp_path):
@@ -626,11 +654,13 @@ def _without(key):
     (lambda meta: "{seed: 1}", "not valid JSON (Expecting property name"),
     (lambda meta: json.dumps({**meta, "seed": "abc"}),
      "seed 'abc' is not an integer"),
-], ids=["None", "seed", "provenance", "n", "not-json", "text-seed"])
+    (lambda meta: json.dumps({**meta, "n": str(meta["n"])}),
+     "n '20000' is not an integer"),
+], ids=["None", "seed", "provenance", "n", "not-json", "text-seed", "text-n"])
 def test_verify_from_refuses_a_malformed_sample_sidecar(tmp_path, capsys,
                                                          rewrite, words):
     """A sample.json that is not a JSON object (None), lacks seed,
-    provenance or n, is not valid JSON or has a seed that is not an
+    provenance or n, is not valid JSON or has a seed or n that is not an
     integer exits 1 naming the file, also under a manifest whose digests
     match."""
     run_dir = _solve_both_run(tmp_path)
@@ -666,6 +696,27 @@ def test_verify_from_refuses_a_manifest_that_is_not_an_object(tmp_path,
     assert _verify_from(tmp_path, run_dir) == 1
     assert (f"error: {manifest_path}: expected a JSON object\n"
             == capsys.readouterr().err)
+
+
+def test_verify_from_refuses_a_manifest_that_is_not_json(tmp_path, capsys):
+    run_dir = _solve_both_run(tmp_path)
+    manifest_path = run_dir / "manifest.json"
+    manifest_path.write_text("{")
+    assert _verify_from(tmp_path, run_dir) == 1
+    assert (f"error: {manifest_path}: not valid JSON (Expecting property name"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("rows,words", [
+    ("", "atom list must be non-empty"),
+    ("0.5,0.6\n", "atom weights sum to 0.6; must be within 1e-9 of 1"),
+], ids=["no-rows", "weights"])
+def test_rho_csv_refusals_name_the_file(tmp_path, capsys, rows, words):
+    path = tmp_path / "rho.csv"
+    path.write_text("location,weight\n" + rows)
+    assert main(["diagnose", "--set", f"rho.csv={path}", *out(tmp_path)]) == 1
+    assert f"error: {path}: {words}\n" == capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_solver_s_min_is_the_first_grid_node(tmp_path):

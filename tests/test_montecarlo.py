@@ -381,25 +381,45 @@ def test_mc_history_and_validation():
 def test_iterate_zero_is_the_start_law():
     """Step 1 maps the rescaled Gamma(m^2/k2, k2/m) draws of the
     "mc-start" stream (Exp(1) for the point mass at 1/2, m = 1); a law
-    without E eta^2 (E A = 1.55) starts from the point mass at m."""
+    without E eta^2 (E A = 1.55) has no start law."""
     law = start_law(DELTA_HALF, 1.0)
     assert law == {"law": "gamma", "shape": 1.0, "scale": 1.0}
     gamma = np.random.default_rng(derive_seed(3, "mc-start")).gamma(
         1.0, 1.0, 500)
-    no_variance = AtomicDistribution([0.1, 3.0], [0.5, 0.5])
-    assert start_law(no_variance, 2.0) == {"law": "point-mass", "at": 2.0}
-    for rho, m, start in ((DELTA_HALF, 1.0, gamma * (1.0 / gamma.mean())),
-                          (no_variance, 2.0, np.full(500, 2.0))):
-        one = mc_fixed_point(rho, m, n=500, seed=3, steps=1)
-        step = shot_noise_resample(
-            EmpiricalSample(start, 3, "start"), response_from_rho(rho, lam=1.0),
-            derive_seed(3, "shot-noise-transform", 0, 0), n_out=500)
-        np.testing.assert_array_equal(one.values,
-                                      step.values * (m / step.mean()))
+    one = mc_fixed_point(DELTA_HALF, 1.0, n=500, seed=3, steps=1)
+    step = shot_noise_resample(
+        EmpiricalSample(gamma * (1.0 / gamma.mean()), 3, "start"),
+        response_from_rho(DELTA_HALF, lam=1.0),
+        derive_seed(3, "shot-noise-transform", 0, 0), n_out=500)
+    np.testing.assert_array_equal(one.values, step.values * (1.0 / step.mean()))
     assert "start=gamma(shape=1, scale=1)," in mc_fixed_point(
         DELTA_HALF, 1.0, n=10, seed=3, steps=1).provenance
-    assert "start=point-mass(at=2)," in mc_fixed_point(
-        no_variance, 2.0, n=10, seed=3, steps=1).provenance
+    no_variance = AtomicDistribution([0.1, 3.0], [0.5, 0.5])
+    with pytest.raises(ValueError, match=r"E A = 1\.55, not below 1"):
+        start_law(no_variance, 2.0)
+
+
+@pytest.mark.parametrize("rho,shown", [
+    (AtomicDistribution([0.1, 5.9], [0.8, 0.2]), "1.26"),
+    # E A = 1 - 5e-13: within 1e-12 below 1, where the recursion stops
+    (AtomicDistribution([0.5, 1.5], [0.5 + 5e-13, 0.5 - 5e-13]), "1"),
+], ids=["heavy-tail", "within-1e-12"])
+def test_a_law_without_e_eta2_is_refused_before_any_draw(monkeypatch, rho,
+                                                         shown):
+    """Where E A >= 1 - 1e-12 eta_sb has no mean, so neither start_law
+    nor mc_fixed_point returns: both raise naming E A and the LST route,
+    and no random stream is derived first."""
+    assert rho.log_moment() < 0.0 and 1.0 - rho.mean() < 1e-12
+    words = rf"E A = {shown}, not below 1: .* use solve --method lst"
+    with pytest.raises(ValueError, match=words):
+        start_law(rho, 1.0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("derived a random stream before the refusal")
+
+    monkeypatch.setattr(montecarlo, "derive_seed", refuse)
+    with pytest.raises(ValueError, match=words):
+        mc_fixed_point(rho, 1.0, n=500, seed=1, steps=4)
 
 
 def test_zero_fraction_matches_atom_mass():
