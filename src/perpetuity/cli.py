@@ -25,12 +25,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import ExistenceError, diagnose
+from .diagnostics import ExistenceError, diagnose, moment_index
 from .distributions import EmpiricalSample, json_text, point_mass
 from .levy import checked_probes, levy_from_solution, steutel_residual
 from .lst_solver import solve
-from .metrics import (VERIFY_BAND, RDeltaConfig, contraction_ratio,
-                      r_delta_report, random_mean_law)
+from .metrics import (VERIFY_BAND, RDeltaConfig, contraction_bound,
+                      contraction_ratio, r_delta_report, random_mean_law)
 from .moments import eta_moments, sb_moments
 from .montecarlo import (
     chunk_slots,
@@ -59,8 +59,8 @@ def _finish(cfg: RunConfig, command: str, files: dict,
 def _bands(cfg: RunConfig, rho) -> list[RDeltaConfig]:
     """metrics' r_q band and its contraction band, VERIFY_BAND with
     verify.quad_points points, at q = metric.q and with ends in units of
-    1/mean.  A band r_q cannot use, or a q with E A^(q-1) >= 1 (no
-    contraction), is refused naming the keys and their values."""
+    1/mean.  A band r_q cannot use, or a q that ``contraction_bound``
+    refuses, is refused naming the keys and their values."""
     m, q = cfg.get_float("mean"), cfg.get_float("metric.q")
     points = cfg.get_int("verify.quad_points")
     if not m > 0.0:
@@ -72,10 +72,10 @@ def _bands(cfg: RunConfig, rho) -> list[RDeltaConfig]:
     except ValueError as exc:
         raise ValueError(f"metric.q={q:g}, mean={m:g}, verify.quad_points="
                          f"{points}: {exc}") from None
-    bound = rho.mellin(q - 1.0)
-    if bound >= 1.0:
-        raise ValueError(f"metric.q={q:g}: E A^(q-1) = {bound:.12g} >= 1, so "
-                         "the transform does not contract r_q at this order")
+    try:
+        contraction_bound(rho, q)
+    except ValueError as exc:
+        raise ValueError(f"metric.q={q:g}: {exc}") from None
     return bands
 
 
@@ -153,6 +153,10 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     rho = cfg.rho()
     report: dict = {"method": args.method, "m": cfg.get_float("mean")}
     grid = _solve_lst(cfg, rho)
+    if args.method == "lst" and rho.mean() >= 1.0:
+        print(f"warning: E A = {rho.mean():.12g} >= 1, kappa = "
+              f"{moment_index(rho):.12g}: the nodes below s_min hold m s, so "
+              "phi can be off by up to 0.1 at the default grid", file=sys.stderr)
     report["lst"] = grid.report_obj()
     code = EXIT_OK if grid.converged else EXIT_NO_CONVERGENCE
     files = grid.to_csv("grid")

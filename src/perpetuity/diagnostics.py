@@ -13,6 +13,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .distributions import FAMILY_UNIFORM01, UNBOUNDED, AtomicDistribution
 
 
@@ -63,24 +65,40 @@ def is_determinate(rho: AtomicDistribution) -> bool:
     return rho.ess_sup <= 1.0
 
 
-def max_integer_moment_order(rho: AtomicDistribution):
-    """Largest integer n <= 64 with E A^n < 1, or the unbounded marker.
-
-    E eta^{n+1} is finite exactly when E A^n < 1; with ess sup <= 1 every
-    integer order works.  Since p -> E A^p is log-convex with value 1 at 0,
-    the region {E A^p < 1} is an interval, so the first crossing ends the
-    scan.  Returns 0 when even n = 1 fails (only the mean is covered).
-    """
+def moment_index(rho: AtomicDistribution) -> float:
+    """kappa, the root p > 0 of E A^p = 1 (inf where ess sup A <= 1): E
+    eta^(n+1) is finite iff n < kappa (Kesten 1973, Goldie 1991).  log E A^p,
+    a log-sum-exp over the atoms, is convex with slope E log A < 0 at p = 0,
+    so Newton from the first power of two where it is positive falls
+    monotonically to kappa; it stops when a step no longer lowers p."""
     require_existence(rho)
     if rho.ess_sup <= 1.0:
-        return UNBOUNDED
-    best = 0
-    for n in range(1, 65):
-        if rho.mellin(n) < 1.0:
-            best = n
-        else:
+        return math.inf
+    log_a, log_w = np.log(rho.locations), np.log(rho.weights)
+    p = 1.0
+    while not np.logaddexp.reduce(log_w + p * log_a) > 0.0:
+        p *= 2.0
+    for _ in range(200):
+        terms = log_w + p * log_a
+        value = np.logaddexp.reduce(terms)
+        lower = p - value / (np.exp(terms - value) @ log_a)
+        if not lower < p:
             break
-    return best
+        p = lower
+    return float(p)
+
+
+def max_integer_moment_order(rho: AtomicDistribution):
+    """Largest integer n <= 64 with E A^n < 1, ceil(kappa) - 1, or the
+    unbounded marker; ``mellin`` at n and n + 1 settles a kappa that rounds
+    onto an integer.  0 means that only the mean is covered."""
+    kappa = moment_index(rho)
+    if math.isinf(kappa):
+        return UNBOUNDED
+    n = min(64, math.ceil(kappa) - 1)
+    if n > 0 and not rho.mellin(n) < 1.0:
+        return n - 1
+    return n + 1 if n < 64 and rho.mellin(n + 1) < 1.0 else n
 
 
 @dataclass(frozen=True)
@@ -92,6 +110,7 @@ class DiagnosticsReport:
     determinate: bool
     # int, "unbounded", or None when no solution exists
     max_integer_moment_order: object
+    moment_index: object        # float, "unbounded", or None likewise
     compound_poisson: bool
     e_inv_a: float
     family: str | None = None
@@ -106,6 +125,7 @@ class DiagnosticsReport:
             ("tail class", self.tail_class.value),
             ("determinate", "yes" if self.determinate else "no"),
             ("max integer moment order", str(self.max_integer_moment_order)),
+            ("moment index kappa", str(self.moment_index)),
             ("compound Poisson", "yes" if self.compound_poisson else "no"),
             ("E 1/A", f"{self.e_inv_a:.12g}"),
         ]
@@ -125,6 +145,7 @@ class DiagnosticsReport:
 def diagnose(rho: AtomicDistribution) -> DiagnosticsReport:
     exists, e = existence_gate(rho)
     order = max_integer_moment_order(rho) if exists else None
+    kappa = moment_index(rho) if exists else None
     is_uniform = rho.family == FAMILY_UNIFORM01
     return DiagnosticsReport(
         exists=exists,
@@ -133,6 +154,7 @@ def diagnose(rho: AtomicDistribution) -> DiagnosticsReport:
         tail_class=tail_class(rho),
         determinate=is_determinate(rho),
         max_integer_moment_order=order,
+        moment_index=UNBOUNDED if kappa == math.inf else kappa,
         compound_poisson=math.isfinite(rho.mean_inverse()),
         e_inv_a=rho.mean_inverse(),
         family=rho.family,

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import existence_gate, moment_index
 from .distributions import AtomicDistribution, EmpiricalSample
 
 _BOUND_NOTE = "modulus bound lambda*int h^q derived via exponent comparison"
@@ -271,6 +272,20 @@ def step_char_function(rho: AtomicDistribution, theta: AtomicDistribution,
     return out
 
 
+def contraction_bound(rho: AtomicDistribution, q: float) -> float:
+    """E A^(q-1), the modulus bound of the r_q contraction; ValueError
+    where it is not below 1, naming the q that contract, q < 1 + kappa."""
+    bound = rho.mellin(q - 1.0)
+    if bound >= 1.0:
+        exists, e = existence_gate(rho)
+        orders = (f"only q < 1 + kappa = {1.0 + moment_index(rho):.12g} "
+                  "contracts" if exists
+                  else f"E log A = {e:.12g} >= 0, so no q contracts")
+        raise ValueError(f"E A^(q-1) = {bound:.12g} >= 1: no contraction at "
+                         f"this order; {orders}")
+    return bound
+
+
 @dataclass(frozen=True)
 class ContractionReport:
     r_before: float
@@ -305,11 +320,7 @@ def contraction_ratio(
     carry a 0/0 ratio that measures roundoff, not the transform.
     """
     q = float(cfg.delta)
-    bound = rho.mellin(q - 1.0)
-    if bound >= 1.0:
-        raise ValueError(
-            f"E A^(q-1) = {bound:.12g} >= 1: no contraction at this order"
-        )
+    bound = contraction_bound(rho, q)
     before = r_delta_report(theta1, theta2, cfg)
     fine = _quad_grid(cfg)
     after = _report_from_cf_diff(

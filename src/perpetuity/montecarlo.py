@@ -60,7 +60,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnostics import require_existence
+from .diagnostics import moment_index, require_existence
 from .distributions import AtomicDistribution, EmpiricalSample
 from .lst_solver import LstGrid, iterate_once
 from .metrics import empirical_lst
@@ -118,8 +118,9 @@ def start_law(rho: AtomicDistribution, m: float) -> dict:
     v = gamma_variance(rho, m)
     if not v > 0.0:
         raise ValueError(
-            f"E A = {rho.mean():.12g}, not below 1: eta_sb has no mean and "
-            f"no Monte Carlo sample represents this law; use solve --method lst")
+            f"E A = {rho.mean():.12g}, not below 1: eta_sb has no mean (kappa "
+            f"= {moment_index(rho):.12g}) and no Monte Carlo sample represents "
+            f"this law; use solve --method lst")
     return {"law": "gamma", "shape": 1.0 / v, "scale": v * m}
 
 

@@ -256,8 +256,12 @@ def check_manifest(run_dir: Path) -> dict:
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(manifest, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    for entry in manifest.get("artifacts", []):
-        if not (isinstance(entry, dict) and {"path", "sha256"} <= entry.keys()):
+    artifacts = manifest.get("artifacts")
+    if not isinstance(artifacts, list):
+        raise ValueError(f"{path}: artifacts {artifacts!r} is not a list")
+    for entry in artifacts:
+        if not (isinstance(entry, dict) and isinstance(entry.get("path"), str)
+                and isinstance(entry.get("sha256"), str)):
             raise ValueError(f"{path}: artifact entry {entry!r} lacks path or sha256")
         target = Path(run_dir) / entry["path"]
         if not target.exists():

@@ -14,7 +14,8 @@ import pytest
 
 import perpetuity
 from perpetuity.cli import main
-from perpetuity.distributions import point_mass, quantize_family
+from perpetuity.distributions import point_mass, quantize_family, validate
+from perpetuity.lst_solver import solve
 from perpetuity.runconfig import check_manifest
 
 FAST_MC = [
@@ -344,7 +345,7 @@ def test_sampling_commands_refuse_a_law_without_a_mean(tmp_path, capsys,
     --method both, levy, verify and verify --from exit 1 naming E A and
     the LST route, with no run directory; levy and verify solve and draw
     nothing first, and verify --from reads nothing of the prior run."""
-    words = "E A = 1.26, not below 1"
+    words = "E A = 1.26, not below 1: eta_sb has no mean (kappa = 0.837"
     assert main(["solve", "--method", "both", *HEAVY, *FAST_MC,
                  *out(tmp_path)]) == 1
     err = capsys.readouterr().err
@@ -365,6 +366,23 @@ def test_sampling_commands_refuse_a_law_without_a_mean(tmp_path, capsys,
                          *out(tmp_path)]) == 1
         assert words in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+def test_solve_lst_warns_on_a_law_without_a_mean(tmp_path, capsys):
+    """solve --method lst on {0.1: .8, 5.9: .2} (E A = 1.26, kappa =
+    0.837) writes one warning line naming kappa and exits 0 with the same
+    artifacts as a direct solve; a law with E A < 1 prints no warning."""
+    assert main(["solve", *HEAVY, *out(tmp_path)]) == 0
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("warning: E A = 1.26 >= 1, kappa = 0.837")
+    assert "phi can be off by up to 0.1 at the default grid" in line
+    rd = only_run_dir(tmp_path, "solve")
+    check_manifest(rd)
+    grid = solve(validate([(0.1, 0.8), (5.9, 0.2)]), 1.0)
+    assert (rd / "grid.csv").read_text() == "".join(grid.to_csv("grid")[
+        "grid.csv"])
+    assert main(["solve", *HALF, *out(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_moments_cli(tmp_path):
@@ -463,6 +481,22 @@ def test_verify_and_metric_refuse_a_q_without_contraction(
         assert main([command, *law, *FAST_MC, *out(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "metric.q=1.5: E A^(q-1) = 1.79" in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_q_refusal_names_the_admissible_range(tmp_path, capsys):
+    """The metric.q refusal on {0.01: .3, .5: .5, 50: .2} names the orders
+    that contract, q < 1 + kappa = 1.2088; on a law failing the existence
+    gate it says that no q does."""
+    law = ["--set", "rho.atoms=0.01:0.3,0.5:0.5,50:0.2"]
+    for command in ("verify", "metric"):
+        assert main([command, *law, *FAST_MC, *out(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "metric.q=1.5: E A^(q-1) = 1.79" in err
+        assert "only q < 1 + kappa = 1.2088" in err
+    assert main(["metric", "--set", "rho.atoms=2:1", *out(tmp_path)]) == 1
+    assert ("E log A = 0.69314718056 >= 0, so no q contracts"
+            in capsys.readouterr().err)
     assert not (tmp_path / "runs").exists()
 
 
@@ -696,6 +730,23 @@ def test_verify_from_refuses_a_manifest_that_is_not_an_object(tmp_path,
     assert _verify_from(tmp_path, run_dir) == 1
     assert (f"error: {manifest_path}: expected a JSON object\n"
             == capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("artifacts,words", [
+    (5, "artifacts 5 is not a list"),
+    (None, "artifacts None is not a list"),
+    ([{"path": 5, "sha256": "x"}],
+     "artifact entry {'path': 5, 'sha256': 'x'} lacks path or sha256"),
+], ids=["int", "null", "int-path"])
+def test_verify_from_refuses_artifacts_that_are_not_a_list_of_entries(
+        tmp_path, capsys, artifacts, words):
+    """A manifest whose artifacts is not a list, or has an entry whose path
+    or sha256 is not a string, exits 1 naming the file."""
+    run_dir = _solve_both_run(tmp_path)
+    manifest_path = run_dir / "manifest.json"
+    manifest_path.write_text(json.dumps({"artifacts": artifacts}))
+    assert _verify_from(tmp_path, run_dir) == 1
+    assert f"error: {manifest_path}: {words}\n" == capsys.readouterr().err
 
 
 def test_verify_from_refuses_a_manifest_that_is_not_json(tmp_path, capsys):

@@ -25,6 +25,7 @@ from perpetuity.distributions import (
 from perpetuity.metrics import (
     RDeltaConfig,
     char_function,
+    contraction_bound,
     contraction_ratio,
     r_delta_report,
     random_mean_law,
@@ -212,6 +213,20 @@ def test_contraction_degenerate_and_validation():
         contraction_ratio(point_mass(1.0), theta, point_mass(1.0))
     with pytest.raises(ValueError, match="means differ"):
         contraction_ratio(DELTA_HALF, theta, point_mass(2.0))
+
+
+def test_contraction_bound_names_the_orders_that_contract():
+    """E A^(q-1) where it is below 1; otherwise ValueError naming the
+    admissible range q < 1 + kappa (kappa = 0.2088 here), or saying that
+    no q contracts where the existence gate fails."""
+    heavy = AtomicDistribution([0.01, 0.5, 50.0], [0.3, 0.5, 0.2])
+    assert contraction_bound(DELTA_HALF, 1.5) == DELTA_HALF.mellin(0.5)
+    assert contraction_bound(heavy, 1.2) == heavy.mellin(1.2 - 1.0) < 1.0
+    with pytest.raises(ValueError, match=r"^E A\^\(q-1\) = 1\.79776695297 >= 1:"
+                       r" .* only q < 1 \+ kappa = 1\.2088"):
+        contraction_bound(heavy, 1.5)
+    with pytest.raises(ValueError, match=r"E log A = 0 >= 0, so no q contracts"):
+        contraction_bound(point_mass(1.0), 1.5)
 
 
 def test_contraction_small_sweep():
