@@ -833,8 +833,16 @@ def test_runtime_imports_neither_scipy_nor_numpy_ma(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 False False False"
 
 
+# the 512 uniform01 midpoint atoms without the family tag: solved by
+# correlation with a 131-entry kernel, not by the family's prefix sum
+MIDPOINT_ATOMS = ",".join(f"{(2 * k + 1) / 1024!r}:{1 / 512!r}"
+                          for k in range(512))
+
 # sha256 of every CSV artifact of small runs; any change to the CSV
-# rendering that moves a byte shows here
+# rendering that moves a byte shows here.  The two `solve --method lst`
+# runs pin the atoms' lattice operator: the midpoint atoms (31 iterations)
+# and a law whose 4-entry near kernel comes with a fold of the offsets at
+# or below -G and 4 offsets at or above G (16 iterations, E A >= 1)
 GOLDEN_RUNS = [
     (["solve", "--method", "both", *UNIFORM, *FAST_MC], {
         "grid.csv":
@@ -868,11 +876,25 @@ GOLDEN_RUNS = [
         "sb_moments.csv":
             "41c756d0c666022710582c8437892bff056705175b11a1f1eea0e19cc466a598",
     }),
+    (["solve", "--method", "lst", "--set", f"rho.atoms={MIDPOINT_ATOMS}"], {
+        "grid.csv":
+            "6662cf60ea16de24e97c41f15c0f1e8e247c56ae1c364ba014a7d39ef0ad2f90",
+        "solution.json":
+            "1a4f0352fc0126fd9624c74f5bd04efd7bd40d5ec8e9db44bbc80715f2e92fb0",
+    }),
+    (["solve", "--method", "lst",
+      "--set", "rho.atoms=1e-7:0.5,0.5:0.3,2e6:0.2"], {
+        "grid.csv":
+            "837f6f25a56ea3196c9b4a619c55f321b2e89156363c2a000c682bf8da011899",
+        "solution.json":
+            "e56d06bd1e5f2ca32b3b8c993669e8c577f4a72d6991512d5518b152b37328b5",
+    }),
 ]
 
 
 @pytest.mark.parametrize("argv,digests", GOLDEN_RUNS, ids=[
-    "solve-uniform01", "solve-atoms", "levy", "response", "moments"])
+    "solve-uniform01", "solve-atoms", "levy", "response", "moments",
+    "lst-midpoint-atoms", "lst-far-atoms"])
 def test_csv_artifact_digests_are_pinned(tmp_path, argv, digests):
     assert main([*argv, *out(tmp_path)]) == 0
     rd = only_run_dir(tmp_path, argv[0])
