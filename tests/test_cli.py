@@ -931,3 +931,69 @@ def test_check_report_digests_are_pinned(tmp_path, argv, code, name, digest):
     assert main([*argv, *out(tmp_path)]) == code
     rd = only_run_dir(tmp_path, argv[0])
     assert hashlib.sha256((rd / name).read_bytes()).hexdigest() == digest
+
+
+# The five calls of perfbench/workloads.py at its seed 2024, argv written
+# out, with the sha256 of every artifact each manifest lists.  The
+# benchmark refuses a change whose artifacts fail its own checks, so byte
+# drift on these calls should fail here first.
+BENCH_SEED = ["--set", "mc.master_seed=2024"]
+BENCHMARK_CALLS = [
+    (["solve", "--method", "both", *UNIFORM, *BENCH_SEED], {
+        "grid.csv":
+            "bd78f21f7060a63188e80b778e67880b758910656dfd39299d99fe55a702f3eb",
+        "sample.csv":
+            "4be53f2211ed7022a5e24a8e608ffd37fe17124eec2ea66d2b2a5d03c5c8b18f",
+        "sample.json":
+            "1a07684df06a390e45367bf089205cccca9af27f26b0ba5223d078285b65d0ac",
+        "solution.json":
+            "4af54eddc293d470fd339f56e3d515506e1bd6890eeae1f5d6a6a47907871dd4",
+    }),
+    (["solve", "--method", "lst", "--set", "rho.family=uniform01",
+      "--set", "rho.n=2048", "--set", "solver.grid_points=2048",
+      *BENCH_SEED], {
+        "grid.csv":
+            "3c19bee8273c218aeb26bd8640d35fca0459212dfb4d03816c0def82e1eac930",
+        "solution.json":
+            "60384c1a36e8c323bfae21b4febedd97e472c925d8842ca631d0bec897fbcc95",
+    }),
+    (["solve", "--method", "both", "--set", "rho.atoms=0.5:1",
+      *BENCH_SEED], {
+        "grid.csv":
+            "ab617be5839f5a6c76ad9a6fc66a538ca0331fdb69a8c34a56a2c3c641c7f52e",
+        "sample.csv":
+            "32bc289a6d07f2bb834a61fab0fc4183154d82a4a6fcb5370d06edc0fdbd9a59",
+        "sample.json":
+            "17301844cb66cb3d6c18015ab523df57a7e07bdcd61df2cea58ea1c8fd76c9e3",
+        "solution.json":
+            "50df73de46920a9069e88d148cfe14a10b8fb94a328bb9717d9804181f3fbb4f",
+    }),
+    (["solve", "--method", "both", "--set", "rho.atoms=0.3:0.5,1.2:0.5",
+      *BENCH_SEED], {
+        "grid.csv":
+            "656a3ac4efda21262a946c244be819a3d8d9493c50065e38d6f13c0b26aee6f5",
+        "sample.csv":
+            "59466e324a5088f85360944c06c81f7a3d4a37670187b8ded8d666a49b75c896",
+        "sample.json":
+            "f42e24a95bb598503ad31a025cbe7878687b0c7d88f1811ac8193af1cf4e086e",
+        "solution.json":
+            "4fce0095fecd89ff55428fb8a84eadcc40328517b5fe5ad3201c0b5bd8cd9cd1",
+    }),
+    (["verify", *UNIFORM, "--set", "verify.pairs=8",
+      "--set", "verify.quad_points=64", *BENCH_SEED], {
+        "verify.json":
+            "01cc8bd8ac0bf89fc910822890cff6b67d8f90b3806fd15d965e71c69080d359",
+    }),
+]
+
+
+@pytest.mark.parametrize("argv,digests", BENCHMARK_CALLS, ids=[
+    "solve-uniform01", "lst-fine", "solve-atoms-half", "solve-atoms-two",
+    "verify-uniform01"])
+def test_benchmark_calls_keep_their_bytes(tmp_path, argv, digests):
+    assert main([*argv, *out(tmp_path)]) == 0
+    rd = only_run_dir(tmp_path, argv[0])
+    listed = json.loads((rd / "manifest.json").read_text())["artifacts"]
+    assert {e["path"]: e["sha256"] for e in listed} == digests
+    assert {name: hashlib.sha256((rd / name).read_bytes()).hexdigest()
+            for name in digests} == digests
