@@ -25,7 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import ExistenceError, diagnose, moment_index
+from .diagnostics import (ExistenceError, diagnose, moment_index,
+                          require_existence)
 from .distributions import EmpiricalSample, json_text, point_mass
 from .levy import checked_probes, levy_from_solution, steutel_residual
 from .lst_solver import solve
@@ -60,7 +61,8 @@ def _bands(cfg: RunConfig, rho) -> list[RDeltaConfig]:
     """metrics' r_q band and its contraction band, VERIFY_BAND with
     verify.quad_points points, at q = metric.q and with ends in units of
     1/mean.  A band r_q cannot use, or a q that ``contraction_bound``
-    refuses, is refused naming the keys and their values."""
+    refuses, is refused naming the keys and their values; a law that fails
+    the existence gate is refused as such first."""
     m, q = cfg.get_float("mean"), cfg.get_float("metric.q")
     points = cfg.get_int("verify.quad_points")
     if not m > 0.0:
@@ -72,6 +74,7 @@ def _bands(cfg: RunConfig, rho) -> list[RDeltaConfig]:
     except ValueError as exc:
         raise ValueError(f"metric.q={q:g}, mean={m:g}, verify.quad_points="
                          f"{points}: {exc}") from None
+    require_existence(rho)
     try:
         contraction_bound(rho, q)
     except ValueError as exc:

@@ -34,17 +34,17 @@ cubic phi overshoots past 0 (psi rising by over about 2.3 between nodes),
 ``eval_psi`` reads the upper bracketing node, while an iteration keeps
 the interpolated f > 1.
 
-Since each target s_i a_j is s_i shifted by log(a_j) / h lattice steps,
-one iteration is a single discrete correlation of f on the nodes with a
-kernel built once from every atom's (w_j / a_j, log a_j / h).  Kernel
-offsets below -(G - 1) read only nodes below s_min, whose values are
-fixed, so their sum is folded once per solve.  Offsets above G - 1 read
-only the continuation, psi[-1] + sigma (i + d - G + 1) at node i + d, so
-their sum splits into one G-vector and one sum over those offsets per
-iteration.  An iteration then costs O(G * kernel length) however far
-from 1 the atoms lie.  The family map integrates the cubic read of f
-node to node instead: one prefix sum per iteration, O(G), whose error
-against Exp(m) is O(h^4) in the lattice step h.
+One operator: either map is T psi = C f, f = 1 - e^-psi on the lattice
+nodes and C one linear map, built once per solve and applied to real or
+complex node values by one method, ``lattice_map``.  For atoms, target
+s_i a_j lies log(a_j) / h nodes from s_i, so C is one correlation with a
+kernel of every atom's (w_j / a_j, log a_j / h); for uniform01, C
+integrates the cubic read of f node to node, one prefix sum whose error
+against Exp(m) is O(h^4).  Offsets that read only nodes below s_min
+(atoms' d <= -G, the family's nodes k <= -2) enter as the fold, summed
+once per solve; offsets d >= G read only the continuation, whose sum is
+in closed form.  An iteration costs O(G * kernel length) however far
+from 1 the atoms lie, O(G) for the family.
 """
 
 from __future__ import annotations
@@ -99,76 +99,80 @@ def _node_psi(grid, k):
 
 
 @dataclass(frozen=True)
-class _LatticeOperator:
-    """The fixed-point map for one (grid, rho, m, v), built once per solve.
+class _Operator:
+    """C for one (rho, s_points, m, v), built once per solve: ``nodes``
+    are the lattice nodes whose f it reads and ``fold`` its fixed sum over
+    the nodes below s_min that no iteration changes."""
 
-    new_psi_i = sum_n kernel[n] f(i + d_lo + n) + far_i + up_i, with
-    f = 1 - e^-psi on the lattice nodes, ``far`` the fixed sum over the
-    kernel offsets below -(G - 1) and ``up`` the sum over those above G - 1.
-    """
-
-    name = "atoms"
     rho: AtomicDistribution
     s_points: np.ndarray
     m: float
     v: float
+    nodes: np.ndarray
+    fold: np.ndarray | float
+
+    def apply(self, grid) -> np.ndarray:
+        """T psi = C f for f = 1 - e^-psi on the grid's nodes."""
+        x, h = _axis(grid.s_points)
+        f = -np.expm1(-_node_psi(grid, self.nodes))
+        return self.lattice_map(f, grid.psi[-1], _slope(x, grid.psi) * h,
+                                self.fold)
+
+
+@dataclass(frozen=True)
+class _LatticeOperator(_Operator):
+    """C for atoms: (C f)_i = sum_n kernel[n] f(i + nodes[0] + n) + fold_i
+    + the sum over the offsets d >= G of up_w f(i + d)."""
+
+    name = "atoms"
     kernel: np.ndarray
-    d_lo: int                 # lattice offset of kernel[0]
-    far: np.ndarray
     up_d: np.ndarray          # offsets d >= G and their weights
     up_w: np.ndarray
 
-    def apply(self, grid) -> np.ndarray:
-        g = grid.psi.size
-        nodes = np.arange(self.d_lo, self.d_lo + g + self.kernel.size - 1)
-        f = -np.expm1(-_node_psi(grid, nodes))
-        out = np.correlate(f, self.kernel, "valid") + self.far
+    def lattice_map(self, f, top, sigma, fold):
+        """C f from real or complex f on ``nodes``, the fold, and psi =
+        top + sigma (k - G + 1) at the nodes k >= G that the offsets
+        d >= G read (sigma = 0: f = 1 - e^-top there)."""
+        out = np.correlate(f, self.kernel, "valid") + fold
         if self.up_d.size:
-            # psi at node i + d is a_i + b_d, a_i = psi[-1] + sigma i and
+            # psi at node i + d is a_i + b_d, a_i = top + sigma i and
             # b_d = sigma (d - G + 1); 1 - e^-(a+b) = (1 - e^-a) + e^-a (1 -
             # e^-b) splits the sum into nonnegative terms
-            x, h = _axis(grid.s_points)
-            sigma = _slope(x, grid.psi) * h
-            a = grid.psi[-1] + sigma * np.arange(g)
+            g = out.size
+            a = top + sigma * np.arange(g)
             out += (-np.expm1(-a) * self.up_w.sum() + np.exp(-a) * (
                 self.up_w @ -np.expm1(-sigma * (self.up_d - (g - 1)))))
         return out
 
 
 @dataclass(frozen=True)
-class _FamilyOperator:
-    """The uniform01 map T psi(s) = int_0^s (1 - e^-psi) dt/t: the cubic
-    read of f = 1 - e^-psi integrated node to node in log s, a trapezoid
-    rule whose node i + d weighs h for d <= -2 and 25h/24, h/2, -h/24 for
-    d = -1, 0, +1, so one prefix sum of f; ``below`` sums nodes k <= -2."""
+class _FamilyOperator(_Operator):
+    """C for uniform01, T psi(s) = int_0^s (1 - e^-psi) dt/t: the cubic
+    read of f integrated node to node in log s, a trapezoid rule whose
+    node i + d weighs h for d <= -2 and 25h/24, h/2, -h/24 for d = -1, 0,
+    +1, so one prefix sum over ``nodes`` -1..G; ``fold`` sums k <= -2."""
 
     name = "uniform01 family"
-    rho: AtomicDistribution
-    s_points: np.ndarray
-    m: float
-    v: float
-    below: float
+    h: float
 
-    def apply(self, grid) -> np.ndarray:
-        g = grid.psi.size
-        f = -np.expm1(-_node_psi(grid, np.arange(-1, g + 1)))
-        return _axis(grid.s_points)[1] * (
-            self.below + np.cumsum(f[:-2]) + (f[:-2] - f[2:]) / 24.0
-            + f[1:-1] / 2.0)
+    def lattice_map(self, f, top, sigma, fold):
+        """C f from real or complex f on ``nodes`` and the fold; no offset
+        passes node G, so top and sigma do not enter."""
+        return self.h * (fold + np.cumsum(f[:-2]) + (f[:-2] - f[2:]) / 24.0
+                         + f[1:-1] / 2.0)
 
 
 def _build_operator(grid, rho):
     s = grid.s_points
     g = s.size
     _, h = _axis(s)
+    key = dict(rho=rho, s_points=s, m=grid.mean_target, v=grid.v)
     if rho.family == FAMILY_UNIFORM01:
         # nodes -N..-2 over 40 in log s, then f = m s (to e^-40 m s_min
         # relative) below: f_-N (e^-h + e^-2h + ...)
-        nodes = np.arange(-math.ceil(40.0 / h), -1)
-        f = -np.expm1(-_node_psi(grid, nodes))
-        return _FamilyOperator(
-            rho=rho, s_points=s, m=grid.mean_target, v=grid.v,
-            below=float(f.sum() + f[0] / math.expm1(h)))
+        f = -np.expm1(-_node_psi(grid, np.arange(-math.ceil(40.0 / h), -1)))
+        return _FamilyOperator(**key, nodes=np.arange(-1, g + 1), h=h,
+                               fold=float(f.sum() + f[0] / math.expm1(h)))
     q = np.log(rho.locations) / h
     o = np.floor(q)
     d = (o[:, None] + np.arange(-1.0, 3.0)).astype(np.intp)
@@ -180,14 +184,14 @@ def _build_operator(grid, rho):
     kernel = np.bincount(d[near] - d_lo, w[near], minlength=1)
     far_d, slot = np.unique(d[low], return_inverse=True)
     far_w = np.bincount(slot, w[low], minlength=far_d.size)
-    far = np.zeros(g)
+    fold = np.zeros(g)
     rows = max(1, _FOLD_BLOCK // g)
     for lo in range(0, far_d.size, rows):
         nodes = far_d[lo:lo + rows, None] + np.arange(g)
-        far += far_w[lo:lo + rows] @ -np.expm1(-_node_psi(grid, nodes))
+        fold += far_w[lo:lo + rows] @ -np.expm1(-_node_psi(grid, nodes))
     return _LatticeOperator(
-        rho=rho, s_points=s, m=grid.mean_target, v=grid.v, kernel=kernel,
-        d_lo=d_lo, far=far, up_d=d[up], up_w=w[up])
+        **key, nodes=np.arange(d_lo, d_lo + g + kernel.size - 1), fold=fold,
+        kernel=kernel, up_d=d[up], up_w=w[up])
 
 
 @dataclass(frozen=True)
@@ -204,7 +208,7 @@ class LstGrid:
     atom_at_zero: float | None = None
     rate_estimate: float | None = None
     v: float = 0.0            # Var(eta) / m^2 of the law below s_min
-    _operator: _LatticeOperator | _FamilyOperator | None = field(
+    _operator: _Operator | None = field(
         default=None, repr=False, compare=False)
 
     def eval_psi(self, s) -> np.ndarray:

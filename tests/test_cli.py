@@ -486,17 +486,26 @@ def test_verify_and_metric_refuse_a_q_without_contraction(
 
 def test_q_refusal_names_the_admissible_range(tmp_path, capsys):
     """The metric.q refusal on {0.01: .3, .5: .5, 50: .2} names the orders
-    that contract, q < 1 + kappa = 1.2088; on a law failing the existence
-    gate it says that no q does."""
+    that contract, q < 1 + kappa = 1.2088."""
     law = ["--set", "rho.atoms=0.01:0.3,0.5:0.5,50:0.2"]
     for command in ("verify", "metric"):
         assert main([command, *law, *FAST_MC, *out(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "metric.q=1.5: E A^(q-1) = 1.79" in err
         assert "only q < 1 + kappa = 1.2088" in err
-    assert main(["metric", "--set", "rho.atoms=2:1", *out(tmp_path)]) == 1
-    assert ("E log A = 0.69314718056 >= 0, so no q contracts"
-            in capsys.readouterr().err)
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command", ["metric", "verify"])
+def test_metric_and_verify_exit_2_on_a_law_failing_the_gate(
+        tmp_path, capsys, command):
+    """On {2: 1} (E log A = 0.693) metric and verify exit 2 with the
+    existence gate's message, as solve and levy do, not 1 with the
+    metric.q refusal, and write no run directory."""
+    law = ["--set", "rho.atoms=2:1"]
+    assert main([command, *law, *FAST_MC, *out(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "existence gate: no non-degenerate solution: E log A = 0.69314718056")
     assert not (tmp_path / "runs").exists()
 
 

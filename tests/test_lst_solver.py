@@ -139,7 +139,49 @@ OPERATOR_LAWS = {
     "half-point": DELTA_HALF,
     "tiny-atom": TINY_ATOM,          # psi up to 500: f rounds to 1
     "grid-ratio": GRID_RATIO,
+    # 4-entry near kernel, a nonzero fold and 4 offsets above the grid
+    "fold-and-above": AtomicDistribution([1e-7, 0.5, 2e6], [0.5, 0.3, 0.2]),
 }
+
+
+def read_nodes(grid, k):
+    """psi at the lattice nodes k read through eval_psi at s_min e^(h k),
+    not taken from the node values as an iteration takes them."""
+    x = np.log(grid.s_points)
+    return grid.eval_psi(np.exp(x[0] + (x[-1] - x[0]) / (x.size - 1) * k))
+
+
+def mapped(grid, read):
+    """The grid operator's lattice_map on f = 1 - e^-psi at its nodes, psi
+    from read(grid, nodes), with psi[-1], the last slope per lattice step
+    clamped at 0, and the operator's fold."""
+    op = grid._operator
+    x = np.log(grid.s_points)
+    h = (x[-1] - x[0]) / (x.size - 1)
+    sigma = max((grid.psi[-1] - grid.psi[-2]) / (x[-1] - x[-2]), 0.0) * h
+    return op.lattice_map(-np.expm1(-read(grid, op.nodes)), grid.psi[-1],
+                          sigma, op.fold)
+
+
+def assert_linear_in_complex_f(op):
+    """lattice_map(f_re + i f_im) = lattice_map(f_re) + i lattice_map(f_im)
+    with the fold split alike and no continuation (top = sigma = 0); at
+    sigma = 0 the continuation alone adds W (1 - e^-top), W the weight of
+    the offsets above the grid, complex top included."""
+    rng = np.random.default_rng(7)
+    f_re, f_im = rng.random((2, op.nodes.size))
+    fold_re, fold_im = rng.random((2, np.size(op.fold)))
+    whole = op.lattice_map(f_re + 1j * f_im, 0.0, 0.0, fold_re + 1j * fold_im)
+    assert np.iscomplexobj(whole)
+    np.testing.assert_allclose(
+        whole, op.lattice_map(f_re, 0.0, 0.0, fold_re)
+        + 1j * op.lattice_map(f_im, 0.0, 0.0, fold_im), rtol=1e-15, atol=1e-15)
+    top = 0.3 - 0.8j
+    w = op.up_w.sum() if isinstance(op, lst_solver._LatticeOperator) else 0.0
+    zeros = np.zeros(op.nodes.size, complex)
+    np.testing.assert_allclose(op.lattice_map(zeros, top, 0.0, 0.0),
+                               np.full(whole.size, w * -np.expm1(-top)),
+                               rtol=1e-15, atol=1e-15)
 
 
 @pytest.mark.parametrize("name", sorted(OPERATOR_LAWS))
@@ -152,8 +194,8 @@ def test_iterate_equals_direct_sum_through_eval_psi(name):
     vals = grid.eval_psi(targets)
     assert np.all(np.isfinite(vals))
     direct = (rho.weights / rho.locations) @ -np.expm1(-vals)
-    new = iterate_once(grid, rho).psi
-    assert np.max(np.abs(new - direct) / direct) <= 1e-13
+    for new in (iterate_once(grid, rho).psi, mapped(grid, read_nodes)):
+        assert np.max(np.abs(new - direct) / direct) <= 1e-13
     assert grid.extrapolation_used == bool(np.any(targets > grid.s_points[-1]))
 
 
@@ -171,8 +213,26 @@ def test_family_iterate_equals_quadrature_through_eval_psi():
     t = np.exp(x[0] + h * (k[:, None] + (u + 1.0) / 2.0))
     pieces = -np.expm1(-grid.eval_psi(t)) @ (w * h / 2.0)
     direct = np.cumsum(pieces)[k >= -1]
-    new = iterate_once(grid, UNIFORM01_512).psi
-    assert np.max(np.abs(new - direct) / direct) <= 1e-13
+    for new in (iterate_once(grid, UNIFORM01_512).psi,
+                mapped(grid, read_nodes)):
+        assert np.max(np.abs(new - direct) / direct) <= 1e-13
+
+
+@pytest.mark.parametrize("name", sorted(OPERATOR_LAWS))
+def test_atoms_lattice_map_is_apply_and_linear(name):
+    """apply is the node fill, lattice_map and the fold, bit for bit, and
+    lattice_map is linear in complex node values."""
+    grid = solve(OPERATOR_LAWS[name], 1.0, max_iter=12)
+    np.testing.assert_array_equal(mapped(grid, _node_psi),
+                                  grid._operator.apply(grid))
+    assert_linear_in_complex_f(grid._operator)
+
+
+def test_family_lattice_map_is_apply_and_linear():
+    grid = solve(UNIFORM01_512, 1.0, max_iter=12)
+    np.testing.assert_array_equal(mapped(grid, _node_psi),
+                                  grid._operator.apply(grid))
+    assert_linear_in_complex_f(grid._operator)
 
 
 @pytest.mark.parametrize("v", [1.0, 0.0])
@@ -219,9 +279,9 @@ def test_far_fold_in_blocks_adds_every_offset(monkeypatch):
     rho = AtomicDistribution(np.r_[np.geomspace(1e-30, 1e-20, 40), 0.9],
                              np.r_[np.full(40, 0.01), 0.6])
     grid = solve(rho, 1.0, max_iter=3)
-    whole = lst_solver._build_operator(grid, rho).far
+    whole = lst_solver._build_operator(grid, rho).fold
     monkeypatch.setattr(lst_solver, "_FOLD_BLOCK", grid.s_points.size)
-    np.testing.assert_allclose(lst_solver._build_operator(grid, rho).far,
+    np.testing.assert_allclose(lst_solver._build_operator(grid, rho).fold,
                                whole, rtol=1e-14)
 
 
@@ -242,8 +302,8 @@ def test_offsets_above_the_grid_equal_the_direct_sum():
     assert grid._operator.up_d.min() >= 16
     targets = np.multiply.outer(rho.locations, grid.s_points)
     direct = (rho.weights / rho.locations) @ -np.expm1(-grid.eval_psi(targets))
-    new = iterate_once(grid, rho).psi
-    assert np.max(np.abs(new - direct) / direct) <= 1e-13
+    for new in (iterate_once(grid, rho).psi, mapped(grid, read_nodes)):
+        assert np.max(np.abs(new - direct) / direct) <= 1e-13
 
 
 @pytest.mark.parametrize("rho, m", [
