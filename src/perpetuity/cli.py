@@ -28,7 +28,7 @@ import numpy as np
 from .diagnostics import (ExistenceError, diagnose, moment_index,
                           require_existence)
 from .distributions import EmpiricalSample, json_text, point_mass
-from .levy import checked_probes, levy_from_solution, steutel_residual
+from .levy import levy_from_solution, steutel_residual
 from .lst_solver import solve
 from .metrics import (VERIFY_BAND, RDeltaConfig, contraction_bound,
                       contraction_ratio, r_delta_report, random_mean_law)
@@ -50,6 +50,9 @@ EXIT_CONFIG = 1
 EXIT_GATE = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_VERIFY = 4
+
+#: Probes of the Steutel check of levy and verify, in units of the mean.
+_STEUTEL_PROBES = np.array([0.5, 1.0, 2.0, 4.0])
 
 
 def _finish(cfg: RunConfig, command: str, files: dict,
@@ -82,13 +85,12 @@ def _bands(cfg: RunConfig, rho) -> list[RDeltaConfig]:
     return bands
 
 
-def _levy_settings(cfg: RunConfig) -> tuple[int, np.ndarray]:
-    """levy.n_samples, and levy.probes scaled by mean, checked up front."""
+def _levy_n_samples(cfg: RunConfig) -> int:
+    """levy.n_samples, checked up front."""
     n_out = cfg.get_int("levy.n_samples")
     if n_out < 1:
         raise ValueError(f"levy.n_samples={n_out} must be at least 1")
-    probes = checked_probes(cfg.get_float_list("levy.probes"), "levy.probes")
-    return n_out, probes * cfg.get_float("mean")
+    return n_out
 
 
 def _solve_lst(cfg: RunConfig, rho):
@@ -156,10 +158,11 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     rho = cfg.rho()
     report: dict = {"method": args.method, "m": cfg.get_float("mean")}
     grid = _solve_lst(cfg, rho)
-    if args.method == "lst" and rho.mean() >= 1.0:
-        print(f"warning: E A = {rho.mean():.12g} >= 1, kappa = "
-              f"{moment_index(rho):.12g}: the nodes below s_min hold m s, so "
-              "phi can be off by up to 0.1 at the default grid", file=sys.stderr)
+    if args.method == "lst" and grid.v == 0.0:
+        print(f"warning: E A = {rho.mean():.15g} is not below 1 - 1e-12, so "
+              f"E eta^2 does not exist (kappa = {moment_index(rho):.12g}): the "
+              "nodes below s_min hold m s, and phi can be off by up to 0.1 at "
+              "the default grid", file=sys.stderr)
     report["lst"] = grid.report_obj()
     code = EXIT_OK if grid.converged else EXIT_NO_CONVERGENCE
     files = grid.to_csv("grid")
@@ -192,11 +195,12 @@ def cmd_moments(cfg: RunConfig, args) -> int:
 
 def cmd_levy(cfg: RunConfig, args) -> int:
     rho = cfg.rho()
-    n_out, probes = _levy_settings(cfg)
+    n_out = _levy_n_samples(cfg)
     sample, _ = _sample(cfg, rho)
     seed = derive_seed(cfg.master_seed(), "levy-command")
     est = levy_from_solution(rho, sample, seed, n_out=n_out)
-    steutel = steutel_residual(sample, est, probes)
+    steutel = steutel_residual(sample, est,
+                               _STEUTEL_PROBES * cfg.get_float("mean"))
     print(f"levy sample n={est.n}, total mass of M = {est.total_mass_of_m:.6g}, "
           f"steutel residual {steutel.residual:.3g}")
     _finish(cfg, "levy", {**sample.to_csv("sample"), **est.to_csv("levy"),
@@ -242,7 +246,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     rho = cfg.rho()
     m = cfg.get_float("mean")
     master = cfg.master_seed()
-    n_levy, probes = _levy_settings(cfg)
+    n_levy = _levy_n_samples(cfg)
     tol = cfg.get_float("verify.steutel_tol")
     _, rd_cfg = _bands(cfg, rho)
     n_draws = cfg.get_int("verify.pairs")
@@ -271,7 +275,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     # 2. Steutel convolution identity
     est = levy_from_solution(rho, sample, derive_seed(master, "verify-levy"),
                              n_out=n_levy)
-    steutel = steutel_residual(sample, est, probes)
+    steutel = steutel_residual(sample, est, _STEUTEL_PROBES * m)
     checks["steutel"] = {
         "passed": bool(steutel.residual < tol),
         "tolerance": tol,

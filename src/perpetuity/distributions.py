@@ -8,7 +8,6 @@ canonicalizes and validates, methods are pure.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import asdict, dataclass
@@ -294,7 +293,7 @@ class AtomicDistribution:
         return _categorical(rng, self.weights, self.locations, int(n))
 
     # ------------------------------------------------------------------
-    # identity and serialization
+    # identity
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -302,28 +301,6 @@ class AtomicDistribution:
         h.update(self.weights.tobytes())
         h.update((self.family or "").encode())
         return h.hexdigest()[:12]
-
-    @classmethod
-    def from_csv(cls, path) -> "AtomicDistribution":
-        path = Path(path)
-        locs, ws = [], []
-        with path.open(newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames != ["location", "weight"]:
-                raise ValueError(
-                    f"{path}: expected header 'location,weight', "
-                    f"got {reader.fieldnames}"
-                )
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    locs.append(float(row["location"]))
-                    ws.append(float(row["weight"]))
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(f"{path}:{lineno}: bad row {row}") from exc
-        try:
-            return cls(locs, ws)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
 
 
 def validate(atoms) -> AtomicDistribution:

@@ -89,15 +89,6 @@ class SteutelReport:
     residual: float
 
 
-def checked_probes(x_probes, name: str) -> np.ndarray:
-    """The probes as a float array; ValueError naming them ``name``."""
-    probes = np.atleast_1d(np.asarray(x_probes, dtype=float))
-    if probes.size == 0 or not np.all(np.isfinite(probes) & (probes > 0.0)):
-        raise ValueError(f"{name} {probes.tolist()} must be a nonempty list "
-                         f"of positive finite values")
-    return probes
-
-
 def steutel_residual(mu: EmpiricalSample, levy: LevyEstimate,
                      x_probes) -> SteutelReport:
     """Evaluate both sides of the convolution identity at the probes.
@@ -111,12 +102,10 @@ def steutel_residual(mu: EmpiricalSample, levy: LevyEstimate,
     """
     if not isinstance(mu, EmpiricalSample):
         raise TypeError("mu must be an EmpiricalSample")
-    probes = checked_probes(x_probes, "probes")
-    top = float(levy.x[-1])
-    if np.any(probes > top):
-        raise ValueError(
-            f"probe beyond levy-sample support (max sampled x = {top:.6g})"
-        )
+    probes = np.atleast_1d(np.asarray(x_probes, dtype=float))
+    if probes.size == 0 or not np.all(np.isfinite(probes) & (probes > 0.0)):
+        raise ValueError(f"probes {probes.tolist()} must be a nonempty list "
+                         f"of positive finite values")
     vals = np.sort(mu.values)
     total = float(vals.sum())
     if total <= 0.0:
@@ -127,14 +116,15 @@ def steutel_residual(mu: EmpiricalSample, levy: LevyEstimate,
     x = levy.x
     rhs = np.empty(probes.size)
     for i, xp in enumerate(probes):
-        # keys fall as vals rise; those below x[0] count no pair at all,
-        # and no key exceeds xp <= x[-1], so every x[left] exists
+        # keys fall as vals rise; those above x[-1] count every pair and
+        # those below x[0] none, so every x[left] of the rest exists
         keys = xp - vals
-        keys = keys[:np.count_nonzero(keys >= x[0])]
+        above = np.count_nonzero(keys > x[-1])
+        keys = keys[above:np.count_nonzero(keys >= x[0])]
         left = x.searchsorted(keys, "left")
         hit = x[left] == keys
         ties = x.searchsorted(keys[hit], "right") - left[hit]
-        rhs[i] = 2 * left.sum() + ties.sum()
+        rhs[i] = 2 * (left.sum() + above * x.size) + ties.sum()
     rhs /= 2.0 * vals.size * x.size
     residual = float(np.max(np.abs(lhs - rhs)))
     return SteutelReport(

@@ -21,7 +21,6 @@ DEFAULTS = {
     "rho.atoms": None,          # inline atoms "loc:weight,loc:weight"
     "rho.family": None,         # uniform01 (with rho.n)
     "rho.n": None,
-    "rho.csv": None,            # CSV path with header location,weight
     "mean": "1.0",
     "solver.grid_points": "256",
     "solver.s_min": "1e-3",
@@ -33,7 +32,6 @@ DEFAULTS = {
     "mc.master_seed": None,
     "moments.order": "8",
     "levy.n_samples": "1000000",
-    "levy.probes": "0.5,1,2,4",
     "metric.q": "1.5",
     "metric.theta1": None,      # inline atoms; default: point mass at mean
     "metric.theta2": None,      # inline atoms; default: 50/50 pair at mean
@@ -133,13 +131,6 @@ class RunConfig:
             pass
         raise ValueError(f"config {key}={value!r} is not an integer")
 
-    def get_float_list(self, key: str) -> list[float]:
-        value = self._get(key)
-        try:
-            return [float(v) for v in str(value).split(",") if v.strip()]
-        except ValueError as exc:
-            raise ValueError(f"config {key}={value!r} is not a number list") from exc
-
     def master_seed(self) -> int:
         value = self._get("mc.master_seed")
         if value is None or str(value).strip() == "":
@@ -147,30 +138,22 @@ class RunConfig:
                 "mc.master_seed is unset: sampling commands require an "
                 "explicit seed (no silent nondeterminism)"
             )
-        try:
-            return int(value)
-        except ValueError as exc:
-            raise ValueError(f"mc.master_seed={value!r} is not an integer") from exc
+        return self.get_int("mc.master_seed")
 
     def rho(self) -> AtomicDistribution:
-        sources = [k for k in ("rho.atoms", "rho.family", "rho.csv")
+        sources = [k for k in ("rho.atoms", "rho.family")
                    if self._get(k) not in (None, "")]
         if not sources:
-            raise ValueError(
-                "no multiplier law given: set rho.atoms, rho.family, or rho.csv"
-            )
+            raise ValueError("no multiplier law given: set rho.atoms or rho.family")
         if len(sources) > 1:
             raise ValueError(f"multiple rho sources given: {', '.join(sources)}")
-        source = sources[0]
-        if source == "rho.atoms":
-            pairs = _parse_atoms_inline(self._get("rho.atoms"), "rho.atoms")
-            return validate(pairs)
-        if source == "rho.family":
-            family = str(self._get("rho.family"))
-            if self._get("rho.n") in (None, ""):
-                raise ValueError("rho.family needs rho.n (atom count)")
-            return quantize_family(family, self.get_int("rho.n"))
-        return AtomicDistribution.from_csv(self._get("rho.csv"))
+        if sources == ["rho.atoms"]:
+            return validate(_parse_atoms_inline(self._get("rho.atoms"),
+                                                "rho.atoms"))
+        if self._get("rho.n") in (None, ""):
+            raise ValueError("rho.family needs rho.n (atom count)")
+        return quantize_family(str(self._get("rho.family")),
+                               self.get_int("rho.n"))
 
     def theta_pair(self) -> tuple[AtomicDistribution, AtomicDistribution]:
         """Metric-command operand pair; defaults keep the configured mean."""

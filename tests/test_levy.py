@@ -8,6 +8,7 @@ convolution of Exp(1) with it must reproduce the Gamma(2,1) CDF.
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -147,14 +148,38 @@ def test_steutel_rhs_counts_pairs_on_hostile_probes():
     assert rep.rhs[0] == 0.0 < rep.rhs[2] < rep.rhs[-1] < 1.0
 
 
+def test_steutel_rhs_counts_pairs_beyond_the_levy_sample():
+    """Probes above the largest levy value, where the keys x - v of the
+    small values of mu lie above every levy value and count every pair:
+    the pair counts are the brute-force integers, on a grid of 1/64 where
+    every sum and difference is exact.  A probe above every pair sum
+    counts all of them."""
+    rng = np.random.default_rng(29)
+    x = np.sort(rng.integers(8, 193, 400) / 64.0)
+    levy = LevyEstimate(x=x, total_mass_of_m=1.0, n=x.size, seed=0)
+    v = np.concatenate([rng.integers(0, 321, 250) / 64.0, np.zeros(15),
+                        np.full(5, x[-1])])
+    mu = EmpiricalSample(v, 0, "grid/64")
+    probes = [x[-1] + 1 / 64, 3.5, 4.0, x[-1] + 2.0, x[-1] + v.max(), 64.0]
+    assert min(probes) > x[-1]
+    rep = steutel_residual(mu, levy, probes)
+    pairs = v[:, None] + x[None, :]
+    for xp, got in zip(probes, rep.rhs):
+        count = np.count_nonzero(pairs < xp) + np.count_nonzero(pairs <= xp)
+        assert got * (2.0 * v.size * x.size) == count
+        assert got == count / (2.0 * v.size * x.size)
+    assert 0.0 < rep.rhs[0] < rep.rhs[-2] < rep.rhs[-1] == 1.0
+
+
 def test_steutel_probe_validation():
     levy = LevyEstimate(x=np.sort(np.linspace(0.01, 3.0, 100)),
                         total_mass_of_m=1.0, n=100, seed=0)
     mu = exp_sample(2000, 3)
-    with pytest.raises(ValueError):
-        steutel_residual(mu, levy, [0.0, 1.0])
-    with pytest.raises(ValueError):
-        steutel_residual(mu, levy, [10.0])   # beyond sampled support
+    for probes, shown in (([0.0, 1.0], "[0.0, 1.0]"), ([], "[]"),
+                          ([math.nan], "[nan]")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"probes {shown} must be a nonempty list")):
+            steutel_residual(mu, levy, probes)
     with pytest.raises(TypeError):
         steutel_residual(42, levy, [1.0])
 

@@ -9,8 +9,7 @@ so the words of string constants count as references too.  Every
 defaulted parameter of one must be passed by some call there and left out
 by another, and the package root exports exactly the names of the
 README's library example.  Every config key is set by a benchmark
-workload, a README command or a tier-1 test, so each has a tested value
-besides its default.
+workload or a README command, or is kept with a stated reason.
 """
 
 import ast
@@ -176,15 +175,39 @@ def _string_constants(path: Path) -> list:
             if isinstance(node, ast.Constant) and isinstance(node.value, str)]
 
 
+#: Config keys that no workload or README command sets, each with the
+#: reason it stays.
+KEEP_KEYS = {
+    "mean": "an input: the target mean of eta",
+    "mc.n_samples": "an input: the Monte Carlo sample size",
+    "moments.order": "an input: the highest moment order",
+    "metric.q": "an input: the order of the r_q metric",
+    "metric.theta1": "an input: the first law that metric compares",
+    "metric.theta2": "an input: the second law that metric compares",
+    "output.dir": "a deployment path",
+    "mc.iterations": "set by perfbench/test_harness.py",
+    "levy.n_samples": "set by perfbench/test_harness.py",
+    "solver.s_min": "retired by ROADMAP item 8",
+    "solver.s_max": "retired by ROADMAP item 8",
+    "solver.tol": "becomes the accuracy target of ROADMAP item 8",
+    "solver.max_iter": "retired by ROADMAP item 4 or 8",
+    "verify.steutel_tol": "retired by ROADMAP item 5",
+}
+
+
 def test_every_config_key_is_set_by_a_workload_a_readme_command_or_a_test():
     """A ``key=value`` for each DEFAULTS key appears in the README's code
-    blocks, in perfbench's workload table or in a tier-1 test."""
+    blocks or in perfbench's workload table, unless KEEP_KEYS names it
+    with its reason.  Tests do not count as setters; a KEEP_KEYS entry
+    that is not a key, or that a workload or README command sets, is
+    stale."""
     texts = re.findall(r"```\w*\n(.*?)```", (ROOT / "README.md").read_text(),
                        re.S)
-    for path in [ROOT / "perfbench" / "workloads.py",
-                 *sorted((ROOT / "tests").glob("test_*.py"))]:
-        texts += _string_constants(path)
+    texts += _string_constants(ROOT / "perfbench" / "workloads.py")
     unset = {key for key in DEFAULTS
              if not any(re.search(rf"(?<![\w.]){re.escape(key)}=", text)
                         for text in texts)}
-    assert unset == set(), f"config keys nothing sets: {sorted(unset)}"
+    assert set(KEEP_KEYS) <= unset, (
+        f"stale keep list: {sorted(set(KEEP_KEYS) - unset)}")
+    assert unset - set(KEEP_KEYS) == set(), (
+        f"config keys nothing sets: {sorted(unset - set(KEEP_KEYS))}")
