@@ -2,7 +2,7 @@
 
 Exit codes (total mapping):
   0  success; for verify, every check passed
-  1  bad command line, config or input files; missing or corrupt artifacts
+  1  bad command line, config or input files
   2  existence gate failed (E log A >= 0)
   3  solver hit max_iter without reaching tol
   4  verification matrix has failures (the designed outcome of
@@ -18,16 +18,14 @@ fails leaves none (diagnose still reports a failed existence gate).
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from dataclasses import asdict, replace
-from pathlib import Path
 
 import numpy as np
 
 from .diagnostics import (ExistenceError, diagnose, moment_index,
                           require_existence)
-from .distributions import EmpiricalSample, json_text, point_mass
+from .distributions import json_text, point_mass
 from .levy import levy_from_solution, steutel_residual
 from .lst_solver import solve
 from .metrics import (VERIFY_BAND, RDeltaConfig, contraction_bound,
@@ -43,7 +41,7 @@ from .montecarlo import (
     transform_steps,
 )
 from .response import response_from_rho
-from .runconfig import RunConfig, check_manifest, write_run
+from .runconfig import RunConfig, write_run
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -223,42 +221,21 @@ def cmd_metric(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _load_prior_sample(from_dir: str, rho, m: float) -> EmpiricalSample:
-    """A prior run's sample; refused, before it is read, for a law with no
-    ``start_law``, and if drawn for another law or mean."""
-    start_law(rho, m)
-    run_dir = Path(from_dir)
-    check_manifest(run_dir)
-    sample_path = run_dir / "sample.csv"
-    if not sample_path.exists():
-        raise ValueError(f"no sample.csv in {run_dir}")
-    sample = EmpiricalSample.from_csv(sample_path)
-    found = re.search(r"\brho=(\w+), m=([^,)]+)", sample.provenance)
-    drawn = found.groups() if found else ("?", "?")
-    if drawn != (rho.digest(), f"{m:.17g}"):
-        raise ValueError(
-            f"{sample_path} was drawn for rho={drawn[0]}, m={drawn[1]}, not "
-            f"for this config's rho={rho.digest()}, m={m:.17g}")
-    return sample
-
-
 def cmd_verify(cfg: RunConfig, args) -> int:
     rho = cfg.rho()
     m = cfg.get_float("mean")
     master = cfg.master_seed()
     n_levy = _levy_n_samples(cfg)
     tol = cfg.get_float("verify.steutel_tol")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"verify.steutel_tol={tol:g} must be a positive "
+                         "finite real")
     _, rd_cfg = _bands(cfg, rho)
     n_draws = cfg.get_int("verify.pairs")
     if n_draws < 1:
         raise ValueError(f"verify.pairs={n_draws} must be at least 1")
-    result: dict = {}
-    if args.from_dir:
-        sample = _load_prior_sample(args.from_dir, rho, m)
-    else:
-        sample, mc = _sample(cfg, rho)
-        result["mc"] = {key: mc[key] for key in
-                        ("start", "iterations", "transform_bias")}
+    sample, report = _sample(cfg, rho)
+    mc = {key: report[key] for key in ("start", "iterations", "transform_bias")}
 
     checks: dict = {}
 
@@ -312,13 +289,10 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     all_pass = all(c["passed"] for c in checks.values())
     for name, c in checks.items():
         print(f"{name}: {'PASS' if c['passed'] else 'FAIL'}")
-    flags = (f"negative_control={bool(args.negative_control)}",)
-    if args.from_dir:
-        flags += (f"from={args.from_dir}",)
     _finish(cfg, "verify",
             {"verify.json": json_text({"all_passed": all_pass, "checks": checks,
-                                       **result})},
-            flags)
+                                       "mc": mc})},
+            (f"negative_control={bool(args.negative_control)}",))
     return EXIT_OK if all_pass else EXIT_VERIFY
 
 
@@ -357,9 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--negative-control", action="store_true",
                           help="swap rho for a point mass at 1 in the "
                                "perpetuity check (designed failure)")
-    p_verify.add_argument("--from", dest="from_dir", default=None,
-                          metavar="RUN_DIR",
-                          help="reuse a prior solve run's sample artifacts")
 
     common(sub.add_parser("metric", help="r_q distance and contraction"))
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -387,31 +386,6 @@ class EmpiricalSample:
                    "n": int(self.values.size)}
         return {f"{stem}.csv": csv_text("value", self.values),
                 f"{stem}.json": json_text(sidecar)}
-
-    @classmethod
-    def from_csv(cls, path) -> "EmpiricalSample":
-        path = Path(path)
-        header, _, body = path.read_text().partition("\n")
-        if header != "value":
-            raise ValueError(f"{path}: expected header 'value', got {header!r}")
-        try:
-            values = np.array(body.splitlines(), dtype=float)
-        except ValueError as exc:
-            raise ValueError(f"{path}: bad row ({exc})") from exc
-        sidecar = path.with_suffix(".json")
-        try:
-            meta = json.loads(sidecar.read_text())
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{sidecar}: not valid JSON ({exc})") from None
-        if not (isinstance(meta, dict) and {"seed", "provenance", "n"} <= meta.keys()):
-            raise ValueError(f"{sidecar}: expected a JSON object with seed, "
-                             "provenance and n")
-        for key in ("seed", "n"):
-            if type(meta[key]) is not int:
-                raise ValueError(f"{sidecar}: {key} {meta[key]!r} is not an integer")
-        if meta["n"] != len(values):
-            raise ValueError(f"{path}: sidecar n={meta['n']} != {len(values)} rows")
-        return cls(values, meta["seed"], meta["provenance"])
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,11 @@ lattice through the G grid points on [s_min, s_max], which ``solve`` takes
 in units of 1/m, so psi_m(s) = psi_1(m s) holds node by node.  The nodes
 0 <= k < G hold the grid values.  The nodes k < 0 hold the two-moment
 Gamma law log1p(v m s) / v (``moments.gamma_psi``), v = Var(eta) / m^2
-from the moment recursion at mean 1, exact for uniform01 and right to
-second order in s otherwise; where E eta^2 does not exist (E A >= 1), the
-first-order m s.  The nodes k >= G continue psi at its last slope in
-log s, clamped at 0 since psi is nondecreasing; a solve whose targets
-reach them is flagged in the report.
+= E A / (1 - E A), exact for uniform01 and right to second order in s
+otherwise; where E eta^2 does not exist (E A >= 1), the first-order m s.
+The nodes k >= G continue psi at its last slope in log s, clamped at 0
+since psi is nondecreasing; a solve whose targets reach them is flagged
+in the report.
 
 One read rule: every target, in an iteration and in ``eval_psi`` alike,
 interpolates f = 1 - exp(-psi) between its four nearest nodes with cubic

@@ -89,10 +89,12 @@ def eta_moments(
 
 
 def eta_variance(rho: AtomicDistribution) -> float:
-    """v = Var(eta) / m^2, the same at every mean m: E eta^2 - 1 at mean 1,
-    or 0.0 where E eta^2 does not exist (E A >= 1, or a marginal stop)."""
-    mv = eta_moments(rho, 1.0, 2)
-    return mv.values[2] - 1.0 if mv.max_order >= 2 else 0.0
+    """v = Var(eta) / m^2 = E A / (1 - E A), the same at every mean m, or
+    0.0 where E eta^2 does not exist (E A >= 1, or within the recursion's
+    marginal gap 1e-12 of 1)."""
+    require_existence(rho)
+    ea = rho.mean()
+    return ea / (1.0 - ea) if ea < 1.0 - _MARGINAL_GAP else 0.0
 
 
 def gamma_variance(rho: AtomicDistribution, m: float) -> float:

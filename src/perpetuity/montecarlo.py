@@ -19,8 +19,8 @@ so the mean is known in closed form; sampling it would let it wander as a
 martingale, since marks are resampled from the previous iterate.
 
 Start law.  Iterate 0 is drawn from the Gamma law that matches the
-solution's mean m and variance v m^2 (v from the moment recursion at mean
-1), psi_0(s) = log1p(v m s) / v, the LST's law below s_min.  It is exact
+solution's mean m and variance v m^2 (v = E A / (1 - E A)),
+psi_0(s) = log1p(v m s) / v, the LST's law below s_min.  It is exact
 for the continuous uniform01 law (Exp(1) at m = 1), so the MC starts close
 to the answer and needs few steps.  Where E eta^2 does not exist
 (E A >= 1), eta_sb has no mean and ``start_law`` refuses the law.

@@ -10,7 +10,6 @@ explicitly by any command that samples.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -226,30 +225,3 @@ def write_run(cfg: RunConfig, command: str, files: dict,
         digests[name] = sha.hexdigest()
     write_manifest(run_dir, command, cfg, digests, flags)
     return run_dir
-
-
-def check_manifest(run_dir: Path) -> dict:
-    """Load a manifest and verify artifact hashes; raises on any mismatch."""
-    path = Path(run_dir) / "manifest.json"
-    if not path.exists():
-        raise ValueError(f"missing manifest: {path}")
-    try:
-        manifest = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    artifacts = manifest.get("artifacts")
-    if not isinstance(artifacts, list):
-        raise ValueError(f"{path}: artifacts {artifacts!r} is not a list")
-    for entry in artifacts:
-        if not (isinstance(entry, dict) and isinstance(entry.get("path"), str)
-                and isinstance(entry.get("sha256"), str)):
-            raise ValueError(f"{path}: artifact entry {entry!r} lacks path or sha256")
-        target = Path(run_dir) / entry["path"]
-        if not target.exists():
-            raise ValueError(f"missing artifact: {target}")
-        digest = hashlib.sha256(target.read_bytes()).hexdigest()
-        if digest != entry["sha256"]:
-            raise ValueError(f"checksum mismatch for {target}")
-    return manifest

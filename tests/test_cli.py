@@ -15,9 +15,9 @@ import pytest
 
 import perpetuity
 from perpetuity.cli import main
-from perpetuity.distributions import point_mass, quantize_family, validate
+from perpetuity.distributions import validate
 from perpetuity.lst_solver import solve
-from perpetuity.runconfig import check_manifest
+from perpetuity.montecarlo import perpetuity_residual
 
 FAST_MC = [
     "--set", "mc.n_samples=20000",
@@ -38,6 +38,16 @@ def out(tmp_path):
     return ["--set", f"output.dir={tmp_path / 'runs'}"]
 
 
+def assert_manifest_intact(run_dir):
+    """Assert that each manifest entry names a file of run_dir whose sha256
+    it records."""
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["artifacts"]
+    for entry in manifest["artifacts"]:
+        data = (run_dir / entry["path"]).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == entry["sha256"]
+
+
 def only_run_dir(tmp_path, command):
     dirs = [p for p in (tmp_path / "runs").iterdir()
             if p.name.startswith(command + "-")]
@@ -51,7 +61,7 @@ def test_diagnose_pass_and_gate(tmp_path, capsys):
     report = json.loads((rd / "diagnostics.json").read_text())
     assert report["exists"] is True
     assert (rd / "diagnostics.txt").read_text().strip()
-    check_manifest(rd)
+    assert_manifest_intact(rd)
     assert "diagnose-" in capsys.readouterr().out
 
     assert main(["diagnose", "--set", "rho.atoms=2.0:1.0",
@@ -100,7 +110,7 @@ def test_failed_commands_leave_no_run_dir(tmp_path, capsys):
     assert main(["diagnose", "--set", "rho.atoms=2:1", *out(tmp_path)]) == 2
     rd = only_run_dir(tmp_path, "diagnose")
     assert json.loads((rd / "diagnostics.json").read_text())["exists"] is False
-    check_manifest(rd)
+    assert_manifest_intact(rd)
     assert len(list((tmp_path / "runs").iterdir())) == 1
 
 
@@ -112,7 +122,7 @@ def test_response_artifacts(tmp_path):
     assert json.loads((rd / "response.json").read_text())["lambda"] == 1.0
     curve = (rd / "response_curve.csv").read_text().splitlines()
     assert curve[0] == "u,h"
-    check_manifest(rd)
+    assert_manifest_intact(rd)
 
 
 def test_solve_lst_and_nonconvergence(tmp_path):
@@ -179,7 +189,7 @@ def test_solve_mc_and_both(tmp_path):
     rd2 = next((tmp_path / "runs2").iterdir())
     both = json.loads((rd2 / "solution.json").read_text())
     assert both["cross_method"]["passed"] is True
-    check_manifest(rd2)
+    assert_manifest_intact(rd2)
 
 
 def test_solve_mc_refuses_unboundable_law(tmp_path, capsys):
@@ -343,9 +353,8 @@ def test_sampling_commands_refuse_a_law_without_a_mean(tmp_path, capsys,
                                                        monkeypatch):
     """On {0.1: .8, 5.9: .2}, E A = 1.26 (E A^0.5 = 0.74, so metric.q
     passes): eta_sb has no mean and no sample represents it.  solve
-    --method both, levy, verify and verify --from exit 1 naming E A and
-    the LST route, with no run directory; levy and verify solve and draw
-    nothing first, and verify --from reads nothing of the prior run."""
+    --method both, levy and verify exit 1 naming E A and the LST route,
+    with no run directory; levy and verify solve and draw nothing first."""
     words = "E A = 1.26, not below 1: eta_sb has no mean (kappa = 0.837"
     assert main(["solve", "--method", "both", *HEAVY, *FAST_MC,
                  *out(tmp_path)]) == 1
@@ -355,15 +364,12 @@ def test_sampling_commands_refuse_a_law_without_a_mean(tmp_path, capsys,
     def refuse(*args, **kwargs):
         raise AssertionError("solved, drew or read before the refusal")
 
-    for name in ("solve", "mc_fixed_point", "check_manifest"):
+    for name in ("solve", "mc_fixed_point"):
         monkeypatch.setattr(f"perpetuity.cli.{name}", refuse)
-    prior = tmp_path / "prior"
-    prior.mkdir()
-    (prior / "sample.csv").write_text("value\n1\n")
-    for argv in (["levy"], ["verify"], ["verify", "--from", str(prior)]):
+    for command in ("levy", "verify"):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert main([*argv, *HEAVY, *FAST_MC, *FAST_VERIFY,
+            assert main([command, *HEAVY, *FAST_MC, *FAST_VERIFY,
                          *out(tmp_path)]) == 1
         assert words in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
@@ -388,7 +394,7 @@ def test_solve_lst_warns_on_a_law_without_a_mean(tmp_path, capsys):
         assert line.startswith(f"warning: E A = {shown}")
         assert "phi can be off by up to 0.1 at the default grid" in line
         rd = only_run_dir(tmp_path, "solve")
-        check_manifest(rd)
+        assert_manifest_intact(rd)
         grid = solve(validate(atoms), 1.0)
         assert grid.v == 0.0
         assert (rd / "grid.csv").read_text() == "".join(grid.to_csv("grid")[
@@ -425,7 +431,7 @@ def test_levy_cli(tmp_path):
     assert steutel["residual"] < 0.05
     assert json.loads(
         (rd / "levy.json").read_text())["total_mass_of_M"] == "infinity"
-    check_manifest(rd)
+    assert_manifest_intact(rd)
 
 
 def test_levy_and_verify_count_probes_beyond_the_levy_sample(tmp_path):
@@ -460,6 +466,8 @@ def test_levy_and_verify_refuse_bad_settings_before_solving(
     monkeypatch.setattr("perpetuity.cli.mc_fixed_point", refuse)
     levy_bad = ["levy.n_samples=0"]
     verify_bad = [*levy_bad, "verify.pairs=0", "verify.steutel_tol=abc",
+                  "verify.steutel_tol=nan", "verify.steutel_tol=inf",
+                  "verify.steutel_tol=-1", "verify.steutel_tol=0",
                   "verify.quad_points=8", "metric.q=2.5"]
     for command, settings in (("levy", levy_bad), ("verify", verify_bad)):
         for setting in settings:
@@ -655,135 +663,42 @@ def test_verify_pass_fail_and_reuse(tmp_path, capsys):
     assert "negative_control=True" in manifest["flags"]
 
 
-def test_verify_from_prior_solve(tmp_path):
-    assert main(["solve", "--method", "both", *UNIFORM, *FAST_MC,
-                 *out(tmp_path)]) == 0
-    solve_dir = only_run_dir(tmp_path, "solve")
-    args = [*UNIFORM, *FAST_MC, *FAST_VERIFY, *out(tmp_path)]
-    assert main(["verify", "--from", str(solve_dir), *args]) == 0
-    rep = json.loads((only_run_dir(tmp_path, "verify") / "verify.json")
-                     .read_text())
-    assert "mc" not in rep             # no sampling, so no transform count
+def test_verify_checks_the_sample_that_solve_writes(tmp_path, monkeypatch):
+    """verify draws its sample as solve --method both does: at one config,
+    the sample its perpetuity check reads is bit for bit the sample.csv
+    that solve writes."""
+    args = [*HALF, *FAST_MC, *out(tmp_path)]
+    assert main(["solve", "--method", "both", *args]) == 0
+    header, *rows = (only_run_dir(tmp_path, "solve") / "sample.csv"
+                     ).read_text().splitlines()
+    assert header == "value"
+    written = np.array([float(row) for row in rows])
+    checked = []
 
-    # tampering with the prior run must be caught before reuse
-    sample = solve_dir / "sample.csv"
-    sample.write_text(sample.read_text().replace("\n", "\n", 1) + "9.9\n")
-    assert main(["verify", "--from", str(solve_dir), *args]) == 1
+    def capture(sample, *rest):
+        checked.append(sample.values.copy())
+        return perpetuity_residual(sample, *rest)
 
-
-def test_verify_from_refuses_a_sample_of_another_law(tmp_path, capsys):
-    """verify --from exits 1 on a sample drawn for another law or mean,
-    naming the sample's and the config's law digest and mean."""
-    seed = ["--set", "mc.master_seed=3"]
-    assert main(["solve", "--method", "both", *HALF, *seed,
-                 "--set", "mc.n_samples=20000", *out(tmp_path)]) == 0
-    solve_dir = only_run_dir(tmp_path, "solve")
-    drawn = f"rho={point_mass(0.5).digest()}, m=1,"
-    for other, wanted in (
-            (UNIFORM, f"rho={quantize_family('uniform01', 512).digest()}, m=1"),
-            ([*HALF, "--set", "mean=2"], f"rho={point_mass(0.5).digest()}, m=2")):
-        assert main(["verify", "--from", str(solve_dir), *other, *seed,
-                     *FAST_VERIFY, *out(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert drawn in err and wanted in err
-    assert [p.name.split("-")[0] for p in (tmp_path / "runs").iterdir()] == [
-        "solve"]
+    monkeypatch.setattr("perpetuity.cli.perpetuity_residual", capture)
+    assert main(["verify", *args, *FAST_VERIFY]) == 0
+    (values,) = checked
+    assert values.size == 20000 and values.tobytes() == written.tobytes()
 
 
-def _solve_both_run(tmp_path):
-    assert main(["solve", "--method", "both", *HALF, *FAST_MC,
-                 *out(tmp_path)]) == 0
-    return only_run_dir(tmp_path, "solve")
-
-
-def _verify_from(tmp_path, run_dir):
-    return main(["verify", "--from", str(run_dir), *HALF, *FAST_MC,
-                 *FAST_VERIFY, *out(tmp_path)])
-
-
-LACKS = "expected a JSON object with seed, provenance and n"
-
-
-def _without(key):
-    return lambda meta: json.dumps({k: v for k, v in meta.items() if k != key})
-
-
-@pytest.mark.parametrize("rewrite,words", [
-    (lambda meta: json.dumps([meta]), LACKS),
-    (_without("seed"), LACKS),
-    (_without("provenance"), LACKS),
-    (_without("n"), LACKS),
-    (lambda meta: "{seed: 1}", "not valid JSON (Expecting property name"),
-    (lambda meta: json.dumps({**meta, "seed": "abc"}),
-     "seed 'abc' is not an integer"),
-    (lambda meta: json.dumps({**meta, "n": str(meta["n"])}),
-     "n '20000' is not an integer"),
-], ids=["None", "seed", "provenance", "n", "not-json", "text-seed", "text-n"])
-def test_verify_from_refuses_a_malformed_sample_sidecar(tmp_path, capsys,
-                                                         rewrite, words):
-    """A sample.json that is not a JSON object (None), lacks seed,
-    provenance or n, is not valid JSON or has a seed or n that is not an
-    integer exits 1 naming the file, also under a manifest whose digests
-    match."""
-    run_dir = _solve_both_run(tmp_path)
-    sidecar = run_dir / "sample.json"
-    sidecar.write_text(rewrite(json.loads(sidecar.read_text())))
-    manifest_path = run_dir / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    for entry in manifest["artifacts"]:
-        if entry["path"] == sidecar.name:
-            entry["sha256"] = hashlib.sha256(sidecar.read_bytes()).hexdigest()
-    manifest_path.write_text(json.dumps(manifest))
-    assert _verify_from(tmp_path, run_dir) == 1
-    assert f"{sidecar}: {words}" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("key", ["path", "sha256"])
-def test_verify_from_refuses_a_manifest_entry_without_path_or_sha256(
-        tmp_path, capsys, key):
-    run_dir = _solve_both_run(tmp_path)
-    manifest_path = run_dir / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    del manifest["artifacts"][0][key]
-    manifest_path.write_text(json.dumps(manifest))
-    assert _verify_from(tmp_path, run_dir) == 1
-    assert f"{manifest_path}: artifact entry" in capsys.readouterr().err
-
-
-def test_verify_from_refuses_a_manifest_that_is_not_an_object(tmp_path,
-                                                               capsys):
-    run_dir = _solve_both_run(tmp_path)
-    manifest_path = run_dir / "manifest.json"
-    manifest_path.write_text("[]")
-    assert _verify_from(tmp_path, run_dir) == 1
-    assert (f"error: {manifest_path}: expected a JSON object\n"
-            == capsys.readouterr().err)
-
-
-@pytest.mark.parametrize("artifacts,words", [
-    (5, "artifacts 5 is not a list"),
-    (None, "artifacts None is not a list"),
-    ([{"path": 5, "sha256": "x"}],
-     "artifact entry {'path': 5, 'sha256': 'x'} lacks path or sha256"),
-], ids=["int", "null", "int-path"])
-def test_verify_from_refuses_artifacts_that_are_not_a_list_of_entries(
-        tmp_path, capsys, artifacts, words):
-    """A manifest whose artifacts is not a list, or has an entry whose path
-    or sha256 is not a string, exits 1 naming the file."""
-    run_dir = _solve_both_run(tmp_path)
-    manifest_path = run_dir / "manifest.json"
-    manifest_path.write_text(json.dumps({"artifacts": artifacts}))
-    assert _verify_from(tmp_path, run_dir) == 1
-    assert f"error: {manifest_path}: {words}\n" == capsys.readouterr().err
-
-
-def test_verify_from_refuses_a_manifest_that_is_not_json(tmp_path, capsys):
-    run_dir = _solve_both_run(tmp_path)
-    manifest_path = run_dir / "manifest.json"
-    manifest_path.write_text("{")
-    assert _verify_from(tmp_path, run_dir) == 1
-    assert (f"error: {manifest_path}: not valid JSON (Expecting property name"
-            in capsys.readouterr().err)
+def test_a_law_with_a_tiny_mean_has_a_variance(tmp_path, capsys):
+    """On the point mass at 1e-17, v = E A / (1 - E A) = 1e-17 > 0, so
+    E eta^2 exists: solve --method lst warns of nothing, and verify gets
+    past the start law to the shot-noise chunk cap, which refuses
+    K = 1e17 (exit 1, no run directory)."""
+    tiny = ["--set", "rho.atoms=1e-17:1"]
+    assert main(["solve", *tiny, *out(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    shutil.rmtree(tmp_path / "runs")
+    assert main(["verify", *tiny, *FAST_MC, *FAST_VERIFY,
+                 *out(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: K = E[1/A] = 1e+17 expected arrivals per sample slot")
+    assert not (tmp_path / "runs").exists()
 
 
 def test_solver_s_min_is_the_first_grid_node(tmp_path):

@@ -16,6 +16,7 @@ from perpetuity.moments import (
     MAX_SUPPORTED_ORDER,
     eta_moments,
     eta_moments_from_mellin,
+    eta_variance,
     sb_moments,
 )
 
@@ -83,6 +84,22 @@ def test_marginal_flag_near_crossing():
     mv2 = eta_moments_from_mellin(g2, 1.0, 8)
     assert mv2.max_order == 3
     assert not mv2.marginal
+
+
+def test_eta_variance_is_the_closed_form_of_the_recursion():
+    """v = E A / (1 - E A) is E eta^2 - 1 at mean 1 wherever the recursion
+    finds E eta^2, also at E A = 1e-17, where 1 / (1 - E A) - 1 rounds to
+    0; it is 0 wherever the recursion stops at order 1."""
+    for rho in (point_mass(0.5), quantize_family("uniform01", 512),
+                AtomicDistribution([0.3, 1.2], [0.5, 0.5]),
+                AtomicDistribution([0.1, 1.5], [0.5, 0.5])):
+        assert eta_variance(rho) == pytest.approx(
+            eta_moments(rho, 1.0, 2).values[2] - 1.0, rel=1e-15)
+    assert eta_variance(point_mass(1e-17)) == 1e-17
+    for rho in (AtomicDistribution([0.5, 1.5], [0.5, 0.5]),
+                AtomicDistribution([1e-7, 0.5, 2e6], [0.5, 0.3, 0.2])):
+        assert eta_moments(rho, 1.0, 2).max_order == 1
+        assert eta_variance(rho) == 0.0
 
 
 def test_order_validation():

@@ -8,14 +8,17 @@ and the ``__init__`` re-exports do not count), in ``README.md`` or in
 so the words of string constants count as references too.  Every
 defaulted parameter of one must be passed by some call there and left out
 by another, and the package root exports exactly the names of the
-README's library example.  Every config key is set by a benchmark
-workload or a README command, or is kept with a stated reason.
+README's library example.  Every config key and every command-line
+option is set by a benchmark workload or a README command, or is kept
+with a stated reason.
 """
 
+import argparse
 import ast
 import re
 from pathlib import Path
 
+from perpetuity.cli import build_parser
 from perpetuity.runconfig import DEFAULTS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -195,15 +198,21 @@ KEEP_KEYS = {
 }
 
 
+def _setter_texts() -> list:
+    """The README's code blocks and the string constants of perfbench's
+    workload table: the texts that set keys and pass options."""
+    texts = re.findall(r"```\w*\n(.*?)```", (ROOT / "README.md").read_text(),
+                       re.S)
+    return texts + _string_constants(ROOT / "perfbench" / "workloads.py")
+
+
 def test_every_config_key_is_set_by_a_workload_a_readme_command_or_a_test():
     """A ``key=value`` for each DEFAULTS key appears in the README's code
     blocks or in perfbench's workload table, unless KEEP_KEYS names it
     with its reason.  Tests do not count as setters; a KEEP_KEYS entry
     that is not a key, or that a workload or README command sets, is
     stale."""
-    texts = re.findall(r"```\w*\n(.*?)```", (ROOT / "README.md").read_text(),
-                       re.S)
-    texts += _string_constants(ROOT / "perfbench" / "workloads.py")
+    texts = _setter_texts()
     unset = {key for key in DEFAULTS
              if not any(re.search(rf"(?<![\w.]){re.escape(key)}=", text)
                         for text in texts)}
@@ -211,3 +220,41 @@ def test_every_config_key_is_set_by_a_workload_a_readme_command_or_a_test():
         f"stale keep list: {sorted(set(KEEP_KEYS) - unset)}")
     assert unset - set(KEEP_KEYS) == set(), (
         f"config keys nothing sets: {sorted(unset - set(KEEP_KEYS))}")
+
+
+#: Command-line options that no workload or README command passes, each
+#: with the reason it stays.
+KEEP_FLAGS = {
+    "--negative-control": "the designed failure of verify; only "
+                          "perfbench/test_harness.py passes it",
+}
+
+
+def _cli_options() -> set:
+    """The option strings of every command of ``build_parser`` (argparse's
+    own --help aside)."""
+    parsers = [build_parser()]
+    options = set()
+    while parsers:
+        for action in parsers.pop()._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            elif not isinstance(action, argparse._HelpAction):
+                options.update(action.option_strings)
+    return options
+
+
+def test_every_cli_option_is_passed_by_a_workload_or_a_readme_command():
+    """Each option that ``build_parser`` defines appears in the README's
+    code blocks or in perfbench's workload table, unless KEEP_FLAGS names
+    it with its reason.  Tests do not count; a KEEP_FLAGS entry that is
+    not an option, or that a workload or README command passes, is
+    stale."""
+    texts = _setter_texts()
+    unpassed = {option for option in _cli_options()
+                if not any(re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])",
+                                     text) for text in texts)}
+    assert set(KEEP_FLAGS) <= unpassed, (
+        f"stale keep list: {sorted(set(KEEP_FLAGS) - unpassed)}")
+    assert unpassed - set(KEEP_FLAGS) == set(), (
+        f"options nothing passes: {sorted(unpassed - set(KEEP_FLAGS))}")

@@ -9,7 +9,6 @@ from perpetuity.distributions import FAMILY_UNIFORM01
 from perpetuity.runconfig import (
     DEFAULTS,
     RunConfig,
-    check_manifest,
     write_manifest,
     write_run,
 )
@@ -164,20 +163,12 @@ def test_manifest_round_trip_and_tamper(tmp_path):
     art.write_text("s,psi,phi\n1,1,0.37\n")
     digest = hashlib.sha256(art.read_bytes()).hexdigest()
     write_manifest(run_dir, "solve", cfg, {"grid.csv": digest}, ("method=lst",))
-    manifest = check_manifest(run_dir)
+    manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["command"] == "solve"
     assert manifest["flags"] == ["method=lst"]
     assert manifest["config_digest"] == cfg.digest("solve", ("method=lst",))
-    assert manifest["artifacts"][0]["path"] == "grid.csv"
-
-    art.write_text("s,psi,phi\n1,1,0.99\n")
-    with pytest.raises(ValueError, match="checksum mismatch"):
-        check_manifest(run_dir)
-    art.unlink()
-    with pytest.raises(ValueError, match="missing artifact"):
-        check_manifest(run_dir)
-    with pytest.raises(ValueError, match="missing manifest"):
-        check_manifest(tmp_path / "nowhere")
+    assert manifest["config"] == cfg.resolved()
+    assert manifest["artifacts"] == [{"path": "grid.csv", "sha256": digest}]
 
 
 def test_write_run_writes_artifacts_then_manifest(tmp_path):
@@ -187,6 +178,8 @@ def test_write_run_writes_artifacts_then_manifest(tmp_path):
     assert run_dir == cfg.run_dir("solve", ("method=lst",))
     assert (run_dir / "a.json").read_bytes() == b"{}\n"
     assert (run_dir / "b.csv").read_bytes() == b"x\n1\n2\n3\n"
-    manifest = check_manifest(run_dir)
-    assert [e["path"] for e in manifest["artifacts"]] == ["a.json", "b.csv"]
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["artifacts"] == [
+        {"path": "a.json", "sha256": hashlib.sha256(b"{}\n").hexdigest()},
+        {"path": "b.csv", "sha256": hashlib.sha256(b"x\n1\n2\n3\n").hexdigest()}]
     assert manifest["flags"] == ["method=lst"]
