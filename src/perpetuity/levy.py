@@ -26,7 +26,7 @@ from .distributions import (
     json_text,
 )
 from .lst_solver import atom_at_zero
-from .montecarlo import derive_seed
+from .montecarlo import _ks_crit_1pct, derive_seed
 
 #: Row cap of the thinned levy.csv table.
 _CSV_ROWS = 65536
@@ -87,6 +87,7 @@ class SteutelReport:
     lhs: tuple
     rhs: tuple
     residual: float
+    crit_1pct: float
 
 
 def steutel_residual(mu: EmpiricalSample, levy: LevyEstimate,
@@ -99,6 +100,7 @@ def steutel_residual(mu: EmpiricalSample, levy: LevyEstimate,
     share with y + v <= x, halved, which halves the bias at ties and atoms.
     Each probe searches the sorted levy sample once per value of mu, and
     counts ties again only for the keys that hit a levy value exactly.
+    ``crit_1pct`` bounds the residual as a two-sample KS statistic.
     """
     if not isinstance(mu, EmpiricalSample):
         raise TypeError("mu must be an EmpiricalSample")
@@ -132,4 +134,5 @@ def steutel_residual(mu: EmpiricalSample, levy: LevyEstimate,
         lhs=tuple(float(v) for v in lhs),
         rhs=tuple(float(v) for v in rhs),
         residual=residual,
+        crit_1pct=_ks_crit_1pct(vals, x.size),
     )

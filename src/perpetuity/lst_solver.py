@@ -293,8 +293,8 @@ def init_grid(m: float, s_min: float, s_max: float,
     if not (m > 0.0 and s_min / m > 0.0 and math.isfinite(s_max / m)):
         raise ValueError(f"mean = {m:g} must be a positive real with s_min / "
                          f"mean and s_max / mean finite and positive")
-    if int(grid_points) < 16:
-        raise ValueError("grid needs at least 16 points")
+    if not 16 <= int(grid_points) <= 2 ** 16:
+        raise ValueError(f"grid needs 16 to 65536 points, not {grid_points}")
     s = np.geomspace(s_min / m, s_max / m, int(grid_points))
     return LstGrid(
         s_points=s,

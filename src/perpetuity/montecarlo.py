@@ -273,6 +273,14 @@ def _ks_statistic(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.max(np.abs(cdf_x, out=cdf_x)))
 
 
+def _ks_crit_1pct(values: np.ndarray, n_other: int) -> float:
+    """KS_COEFF_1PCT sqrt(1/n1 + 1/n2), the 1% two-sample KS bound, at the
+    Kish size n1 = (sum v)^2 / sum v^2 of the weights that size-bias
+    ``values`` and n2 = n_other draws on the other side."""
+    kish = float(values.sum()) ** 2 / float(np.dot(values, values))
+    return KS_COEFF_1PCT * math.sqrt(1.0 / kish + 1.0 / n_other)
+
+
 def _kolmogorov_sf(z: float) -> float:
     """Kolmogorov tail 2 sum_{k<=100} (-1)^(k-1) exp(-2 k^2 z^2) in [0, 1];
     below z = 0.1, where 100 terms fall short, it is 1 within 1e-50."""
@@ -303,7 +311,8 @@ def perpetuity_residual(
     Left side: a size-biased resample of mu.  Right side: A * (independent
     size-biased resample) + (plain resample), with A drawn from rho.  All
     four streams derive from the given seed.  The report carries the KS
-    statistic, its Kolmogorov-limit p-value and the 1% critical value at n.
+    statistic, the 1% bound ``_ks_crit_1pct`` against the n pairs, and the
+    Kolmogorov-limit p-value at z = ks_stat / sqrt(1/n1 + 1/n2).
     """
     n = mu_sample.values.size
     if n < _MIN_VERDICT_SAMPLES:
@@ -314,11 +323,12 @@ def perpetuity_residual(
         n, derive_seed(seed, "perp-right-sb")).values
     right += mu_sample.resample(n, derive_seed(seed, "perp-right-eta")).values
     d = _ks_statistic(left.values, right)
+    crit = _ks_crit_1pct(mu_sample.values, n)
     return PerpetuityReport(
         ks_stat=d,
-        p_value=_kolmogorov_sf(math.sqrt(n / 2.0) * d),
+        p_value=_kolmogorov_sf(KS_COEFF_1PCT * d / crit),
         n=n,
-        ks_crit_1pct=KS_COEFF_1PCT * math.sqrt(2.0 / n),
+        ks_crit_1pct=crit,
     )
 
 

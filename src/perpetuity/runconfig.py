@@ -36,7 +36,6 @@ DEFAULTS = {
     "metric.theta2": None,      # inline atoms; default: 50/50 pair at mean
     "verify.pairs": "20",
     "verify.quad_points": "256",
-    "verify.steutel_tol": "3e-3",
     "output.dir": "runs",
 }
 

@@ -16,8 +16,10 @@ import pytest
 import perpetuity
 from perpetuity.cli import main
 from perpetuity.distributions import validate
+from perpetuity.levy import levy_from_solution, steutel_residual
 from perpetuity.lst_solver import solve
-from perpetuity.montecarlo import perpetuity_residual
+from perpetuity.montecarlo import (mc_fixed_point, perpetuity_residual,
+                                   transform_steps)
 
 FAST_MC = [
     "--set", "mc.n_samples=20000",
@@ -28,7 +30,6 @@ FAST_VERIFY = [
     "--set", "levy.n_samples=20000",
     "--set", "verify.pairs=2",
     "--set", "verify.quad_points=128",
-    "--set", "verify.steutel_tol=0.05",
 ]
 UNIFORM = ["--set", "rho.family=uniform01", "--set", "rho.n=512"]
 HALF = ["--set", "rho.atoms=0.5:1.0"]
@@ -465,10 +466,8 @@ def test_levy_and_verify_refuse_bad_settings_before_solving(
     monkeypatch.setattr("perpetuity.cli.solve", refuse)
     monkeypatch.setattr("perpetuity.cli.mc_fixed_point", refuse)
     levy_bad = ["levy.n_samples=0"]
-    verify_bad = [*levy_bad, "verify.pairs=0", "verify.steutel_tol=abc",
-                  "verify.steutel_tol=nan", "verify.steutel_tol=inf",
-                  "verify.steutel_tol=-1", "verify.steutel_tol=0",
-                  "verify.quad_points=8", "metric.q=2.5"]
+    verify_bad = [*levy_bad, "verify.pairs=0", "verify.quad_points=8",
+                  "metric.q=2.5"]
     for command, settings in (("levy", levy_bad), ("verify", verify_bad)):
         for setting in settings:
             with warnings.catch_warnings():
@@ -481,11 +480,13 @@ def test_levy_and_verify_refuse_bad_settings_before_solving(
 
 def test_retired_keys_are_unknown(tmp_path, capsys):
     """lambda (the dual kernel has lambda = 1), the band keys (metrics
-    defines both bands), rho.csv (rho.atoms takes any atomic law) and
-    levy.probes (the Steutel probes are fixed) are unknown keys: --set of
-    one exits 1."""
+    defines both bands), rho.csv (rho.atoms takes any atomic law),
+    levy.probes (the Steutel probes are fixed) and verify.steutel_tol (the
+    Steutel check's bound is its report's crit_1pct) are unknown keys:
+    --set of one exits 1."""
     for key in ("lambda", "metric.s_lo", "metric.s_hi", "metric.quad_points",
-                "verify.s_lo", "verify.s_hi", "rho.csv", "levy.probes"):
+                "verify.s_lo", "verify.s_hi", "rho.csv", "levy.probes",
+                "verify.steutel_tol"):
         assert main(["metric", *HALF, "--set", f"{key}=1",
                      *out(tmp_path)]) == 1
         assert f"unknown key {key!r}" in capsys.readouterr().err
@@ -685,6 +686,98 @@ def test_verify_checks_the_sample_that_solve_writes(tmp_path, monkeypatch):
     assert values.size == 20000 and values.tobytes() == written.tobytes()
 
 
+def test_verify_judges_the_levy_sample_that_levy_writes(tmp_path):
+    """levy and verify draw one levy sample per config: levy's
+    steutel.json is verify.json's checks.steutel without its verdict."""
+    args = ["--set", "rho.atoms=0.3:0.5,1.2:0.5", *FAST_MC, *FAST_VERIFY,
+            *out(tmp_path)]
+    assert main(["levy", *args]) == 0
+    assert main(["verify", *args]) == 0
+    steutel = json.loads((only_run_dir(tmp_path, "levy") / "steutel.json"
+                          ).read_text())
+    checked = json.loads((only_run_dir(tmp_path, "verify") / "verify.json"
+                          ).read_text())["checks"]["steutel"]
+    assert checked.pop("passed") is True
+    assert checked == steutel
+
+
+def _verify_checks(tmp_path, law, seed):
+    """verify.json's perpetuity and Steutel checks at mc.n_samples=2e4
+    and 1e5 levy draws."""
+    runs = tmp_path / str(seed)
+    assert main(["verify", "--set", f"rho.atoms={law}", "--set",
+                 "mc.n_samples=20000", "--set", "levy.n_samples=100000",
+                 "--set", f"mc.master_seed={seed}", "--set", "verify.pairs=1",
+                 "--set", "verify.quad_points=16",
+                 "--set", f"output.dir={runs}"]) in (0, 4)
+    (run_dir,) = runs.iterdir()
+    checks = json.loads((run_dir / "verify.json").read_text())["checks"]
+    shutil.rmtree(runs)
+    return checks["perpetuity"]["passed"], checks["steutel"]["passed"]
+
+
+@pytest.mark.parametrize("law", ["0.1:0.5,1.5:0.5", "0.5:1"])
+def test_sample_checks_pass_correct_small_samples(tmp_path, law):
+    """At n = 2e4 the sample's size-bias weights count like n / 4.4 draws
+    on {0.1, 1.5} and n / 2 on the point mass at 1/2; with that Kish size
+    in the bound, the Steutel check passes every one of seeds 1-20 and
+    the perpetuity check at least 19 (a fixed 3e-3 failed 18 and 16 of
+    them)."""
+    verdicts = [_verify_checks(tmp_path, law, seed) for seed in range(1, 21)]
+    assert sum(perp for perp, _ in verdicts) >= 19
+    assert all(steutel for _, steutel in verdicts)
+
+
+def test_sample_checks_flag_a_wrong_law_and_a_short_run():
+    """On {0.3, 1.2} at the default sizes, seeds 1-3: the checks run
+    against weights 0.45/0.55 both fail, and so do the checks of a sample
+    stopped after 1 of its transform steps."""
+    rho = validate([(0.3, 0.5), (1.2, 0.5)])
+    wrong = validate([(0.3, 0.45), (1.2, 0.55)])
+    steps, _ = transform_steps(rho, solve(rho, 1.0), 200_000, 40)
+    probes = [0.5, 1.0, 2.0, 4.0]
+    for seed in range(1, 4):
+        for sample, law in ((mc_fixed_point(rho, 1.0, 200_000, seed, steps),
+                             wrong),
+                            (mc_fixed_point(rho, 1.0, 200_000, seed, 1), rho)):
+            perp = perpetuity_residual(sample, law, seed)
+            assert perp.ks_stat > perp.ks_crit_1pct
+            levy = levy_from_solution(law, sample, seed, n_out=1_000_000)
+            steutel = steutel_residual(sample, levy, probes)
+            assert steutel.residual > steutel.crit_1pct
+
+
+def test_metric_reports_r_q_once(tmp_path):
+    """metric computes its contraction on its own r_q band, so the
+    contraction's r_before is r_delta's value bit for bit."""
+    assert main(["metric", *UNIFORM, *out(tmp_path)]) == 0
+    rep = json.loads((only_run_dir(tmp_path, "metric") / "metric.json"
+                      ).read_text())
+    assert rep["contraction"]["r_before"] == rep["r_delta"]["value"]
+    assert rep["contraction"]["ratio"] <= rep["contraction"]["bound_g"]
+
+
+def test_a_size_past_memory_exits_1(tmp_path, capsys, monkeypatch):
+    """A grid past 2^16 points is refused before it is allocated, and a
+    MemoryError in any command exits 1 with an error line, no traceback
+    and no run directory."""
+    assert main(["solve", *HALF, "--set", "solver.grid_points=65537",
+                 *out(tmp_path)]) == 1
+    assert "grid needs 16 to 65536 points, not 65537" in (
+        capsys.readouterr().err)
+
+    for exc, line in ((MemoryError("Unable to allocate 74.5 GiB"),
+                       "Unable to allocate 74.5 GiB"),
+                      (MemoryError(), "MemoryError")):
+        def exhaust(*args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr("perpetuity.cli.mc_fixed_point", exhaust)
+        assert main(["verify", *HALF, *FAST_MC, *out(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
+    assert not (tmp_path / "runs").exists()
+
+
 def test_a_law_with_a_tiny_mean_has_a_variance(tmp_path, capsys):
     """On the point mass at 1e-17, v = E A / (1 - E A) = 1e-17 > 0, so
     E eta^2 exists: solve --method lst warns of nothing, and verify gets
@@ -842,17 +935,17 @@ def test_csv_artifact_digests_are_pinned(tmp_path, argv, digests):
 # The two-atom run's levy sample of 1e6 values is mostly exact ties.
 CHECK_RUNS = [
     (["verify", *UNIFORM, *FAST_MC, *FAST_VERIFY], 0, "verify.json",
-     "d23621b7aa0e91d2f3234ef89f7d60fc805d573f82e3421f4cb06f0042d630a9"),
+     "1157d288921cfb98f3ed5d45a31e26e6ad15ca23c6953aa89f64d2ee758a83a5"),
     (["verify", "--negative-control", *UNIFORM, *FAST_MC, *FAST_VERIFY], 4,
      "verify.json",
-     "fe60a4a87a2e90444d74545cc47f43f7c3ff41f4d94550d71a5853c3dcfdaefc"),
+     "f33b7370e0228361fe22a675fd9caac03ba696409b87c7ea4748544cfb13ea4e"),
     (["verify", "--set", "rho.atoms=0.3:0.5,1.2:0.5", *FAST_MC,
-      "--set", "verify.pairs=2", "--set", "verify.quad_points=128",
-      "--set", "verify.steutel_tol=0.05"], 0, "verify.json",
-     "5265aed5f41b7fd3b9ab676b075238c591404c0faf6ce80fb032a8ee9b2d5ffc"),
+      "--set", "verify.pairs=2", "--set", "verify.quad_points=128"], 0,
+     "verify.json",
+     "f0888fb575edef149a64f0f7b2eae685540dca43309ed29f9f693aab2cebf1b5"),
     (["levy", *UNIFORM, *FAST_MC, "--set", "levy.n_samples=20000"], 0,
      "steutel.json",
-     "c6c6b73455e78bf28d720b6a7d405bff6ff06e92bd649c421d4e5847879f8a4e"),
+     "92e450530bf5468379aedb6a6ba5b419d5153347907413ff7990b5debf37caa1"),
 ]
 
 
@@ -913,7 +1006,7 @@ BENCHMARK_CALLS = [
     (["verify", *UNIFORM, "--set", "verify.pairs=8",
       "--set", "verify.quad_points=64", *BENCH_SEED], {
         "verify.json":
-            "01cc8bd8ac0bf89fc910822890cff6b67d8f90b3806fd15d965e71c69080d359",
+            "2c624a42941592f9631178288a58022fcf19e58de4624ea6c1a5fd74d9294d26",
     }),
 ]
 

@@ -435,9 +435,11 @@ def test_perpetuity_residual_accepts_true_solution():
     sample = mc_fixed_point(rho, 1.0, n=30_000, seed=3, steps=40)
     rep = perpetuity_residual(sample, rho, seed=1001)
     assert rep.n == 30_000
+    v = sample.values
+    kish = v.sum() ** 2 / (v ** 2).sum()
     assert rep.ks_crit_1pct == pytest.approx(
-        KS_COEFF_1PCT * math.sqrt(2.0 / 30_000))
-    assert rep.ks_stat <= 1.5 * rep.ks_crit_1pct
+        KS_COEFF_1PCT * math.sqrt(1.0 / kish + 1.0 / 30_000))
+    assert rep.ks_stat <= rep.ks_crit_1pct
 
 
 def test_perpetuity_residual_rejects_wrong_mixing_law():

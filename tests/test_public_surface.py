@@ -194,7 +194,6 @@ KEEP_KEYS = {
     "solver.s_max": "retired by ROADMAP item 8",
     "solver.tol": "becomes the accuracy target of ROADMAP item 8",
     "solver.max_iter": "retired by ROADMAP item 4 or 8",
-    "verify.steutel_tol": "retired by ROADMAP item 5",
 }
 
 
