@@ -100,15 +100,17 @@ def shot_noise_resample(
     """n_out slots of one exact compound-Poisson transform step applied to
     a sample."""
     rng = np.random.default_rng(seed)
-    out = np.zeros(n_out)
+    total = 0
     if h.n_steps > 0:
         per_step = rng.poisson(n_out * h.lam * h.durations)
         total = int(per_step.sum())
-        if total > 0:
-            xi = theta.values[rng.integers(0, theta.values.size, size=total)]
-            xi *= np.repeat(h.values, per_step)
-            out = np.bincount(rng.integers(0, n_out, size=total),
-                              weights=xi, minlength=n_out)
+    if total > 0:
+        xi = theta.values[rng.integers(0, theta.values.size, size=total)]
+        xi *= np.repeat(h.values, per_step)
+        out = np.bincount(rng.integers(0, n_out, size=total),
+                          weights=xi, minlength=n_out)
+    else:
+        out = np.zeros(n_out)
     return EmpiricalSample(out, seed, f"shot-noise({theta.provenance})")
 
 
@@ -192,6 +194,8 @@ def mc_fixed_point(
     """n samples after ``steps`` transform steps from ``start_law``, each
     iterate rescaled to mean m; every stream derives from ``seed``.  The
     start is n Gamma draws from the ``"mc-start"`` stream, also rescaled.
+    A step holds two iterates, the one it reads and the one whose slices
+    its chunks fill, and the arrays of one chunk.
 
     Raises ValueError before any draw where ``start_law`` does (E A >= 1,
     or E eta^2, and so n * m, overflows), and when an iterate is all zero:
@@ -220,14 +224,13 @@ def mc_fixed_point(
     values = _rescale(rng.gamma(law["shape"], law["scale"], n), m, 0)
     current = EmpiricalSample(values, master, provenance)
     for it in range(steps):
-        parts = []
+        values = np.empty(n)
         for ci, (lo, hi) in enumerate(_chunk_bounds(n, chunk)):
             child = derive_seed(master, "shot-noise-transform", it, ci)
-            parts.append(
-                shot_noise_resample(current, h, child, n_out=hi - lo).values
-            )
-        values = _rescale(np.concatenate(parts), m, it + 1)
-        current = EmpiricalSample(values, master, provenance)
+            values[lo:hi] = shot_noise_resample(current, h, child,
+                                                n_out=hi - lo).values
+        current = EmpiricalSample(_rescale(values, m, it + 1), master,
+                                  provenance)
     return current
 
 

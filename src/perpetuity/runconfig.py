@@ -10,6 +10,7 @@ explicitly by any command that samples.
 from __future__ import annotations
 
 import hashlib
+import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -206,21 +207,28 @@ def write_run(cfg: RunConfig, command: str, files: dict,
               flags: tuple[str, ...]) -> Path:
     """Write a run directory: each artifact, then manifest.json last.
 
-    ``files`` maps artifact names to text, either one string or a list of
-    blocks (csv_text), written as UTF-8 and hashed as written.  Commands
-    call this only after every computation succeeded, so a failed command
-    leaves no directory behind.
+    ``files`` maps artifact names to text, either one string or a
+    re-iterable of blocks (csv_text), each block rendered, written as UTF-8
+    and hashed in turn, so no artifact's whole text is held.  Commands call
+    this only after every computation succeeded, and an exception raised
+    while writing (a MemoryError in a block's rendering, an OSError)
+    removes the directory before it propagates, so a failed command leaves
+    no directory behind.
     """
     run_dir = cfg.run_dir(command, flags)
     run_dir.mkdir(parents=True, exist_ok=True)
-    digests = {}
-    for name, text in files.items():
-        sha = hashlib.sha256()
-        with (run_dir / name).open("wb") as fh:
-            for block in [text] if isinstance(text, str) else text:
-                data = block.encode()
-                sha.update(data)
-                fh.write(data)
-        digests[name] = sha.hexdigest()
-    write_manifest(run_dir, command, cfg, digests, flags)
+    try:
+        digests = {}
+        for name, text in files.items():
+            sha = hashlib.sha256()
+            with (run_dir / name).open("wb") as fh:
+                for block in [text] if isinstance(text, str) else text:
+                    data = block.encode()
+                    sha.update(data)
+                    fh.write(data)
+            digests[name] = sha.hexdigest()
+        write_manifest(run_dir, command, cfg, digests, flags)
+    except BaseException:
+        shutil.rmtree(run_dir, ignore_errors=True)
+        raise
     return run_dir

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import perpetuity
+from perpetuity import distributions
 from perpetuity.cli import main
 from perpetuity.distributions import validate
 from perpetuity.levy import levy_from_solution, steutel_residual
@@ -776,6 +777,31 @@ def test_a_size_past_memory_exits_1(tmp_path, capsys, monkeypatch):
         assert main(["verify", *HALF, *FAST_MC, *out(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: {line}\n"
     assert not (tmp_path / "runs").exists()
+
+
+def test_a_failure_while_writing_leaves_no_run_dir(tmp_path, capsys,
+                                                   monkeypatch):
+    """CSVs are rendered as they are written, after the run directory is
+    made: a MemoryError rendering the second block of sample.csv (the
+    only CSV with full 4096-row blocks here) exits 1 and removes the
+    directory with the artifacts already written."""
+    render = distributions._csv_cells
+    full_blocks = []
+
+    def exhaust_on_second_block(col, sep):
+        if col.size == distributions._CSV_BLOCK_ROWS:
+            full_blocks.append(col.size)
+            if len(full_blocks) == 2:
+                raise MemoryError("Unable to allocate 160. KiB")
+        return render(col, sep)
+
+    monkeypatch.setattr(distributions, "_csv_cells", exhaust_on_second_block)
+    assert main(["solve", "--method", "both", *HALF, *FAST_MC,
+                 *out(tmp_path)]) == 1
+    assert capsys.readouterr().err.endswith(
+        "error: Unable to allocate 160. KiB\n")
+    assert len(full_blocks) == 2
+    assert not list((tmp_path / "runs").glob("*"))
 
 
 def test_a_law_with_a_tiny_mean_has_a_variance(tmp_path, capsys):

@@ -533,6 +533,18 @@ def test_perpetuity_residual_memory_at_two_hundred_thousand_pairs():
     assert peak < 16 * 2 ** 20
 
 
+@pytest.mark.parametrize("name,steps", [("uniform01", 1), ("two-atom", 3)])
+def test_mc_fixed_point_memory_is_two_iterates_and_a_chunk(name, steps):
+    """At n = 1e6 a step holds the iterate it reads, the one whose slices
+    its chunks fill and one chunk's arrays of about 1 MB each; a list of
+    the chunks' sums and their concatenation took 3.13 x 8n."""
+    n = 1_000_000
+    sample, peak = traced_peak(
+        lambda: mc_fixed_point(STEP_LAWS[name], 1.0, n, seed=37, steps=steps))
+    assert sample.values.size == n
+    assert peak <= 2.5 * 8 * n
+
+
 def test_perpetuity_residual_needs_enough_pairs():
     sample = EmpiricalSample(np.arange(1.0, 501.0), 0, "x")
     with pytest.raises(ValueError, match="at least 1000 pairs"):
